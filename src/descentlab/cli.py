@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 bad flags, 3 nonzero reconstruction residual,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -52,7 +53,10 @@ class Table:
         self.trailer: dict | None = None
 
     def add(self, *cells):
-        assert len(cells) == len(self.columns)
+        if len(cells) != len(self.columns):
+            raise ValueError(
+                f"row of {len(cells)} cells for {len(self.columns)} columns"
+            )
         self.rows.append(list(cells))
 
 
@@ -75,19 +79,42 @@ def _write_table(table: Table, fmt: str, out) -> None:
         out.write(json.dumps(table.trailer) + "\n")
 
 
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A text file at ``path`` that is either complete or absent.
+
+    It is written beside the target under a temporary name and renamed over
+    the target when the block ends; if the block raises, the temporary file
+    is removed and the target is left as it was.  A symlink is followed, so
+    the file it names is replaced and the link is kept.  A device or a pipe
+    (``/dev/stdout``, say) cannot be replaced and is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _open_out(path: str | None):
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        return contextlib.nullcontext(sys.stdout)
+    return _atomic_file(path)
 
 
 def _emit(table: Table, args) -> None:
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         _write_table(table, args.format, out)
-    finally:
-        if close:
-            out.close()
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +131,8 @@ def cmd_triangle(args) -> int:
             "k_min": tri.k_min,
             "rows": [[str(c) for c in row] for _, row in tri.rows()],
         }
-        out, close = _open_out(args.out)
-        try:
+        with _open_out(args.out) as out:
             out.write(json.dumps(doc, indent=2) + "\n")
-        finally:
-            if close:
-                out.close()
         return 0
     table = Table(["n", "k", "count"])
     for n, row in tri.rows():
@@ -182,7 +205,7 @@ def cmd_simulate(args) -> int:
         header = ["replicate", "final", "composition", "differences",
                   "alphas", "gammas", "residual"]
         sep = "\t" if args.format == "tsv" else ","
-        with open(args.record, "w", encoding="utf-8", newline="\n") as fh:
+        with _atomic_file(args.record) as fh:
             fh.write(sep.join(header) + "\n")
             for row in audit:
                 fh.write(sep.join(row) + "\n")

@@ -17,6 +17,7 @@ from typing import Sequence
 from .compositions import BernoulliSpec, discard_map, enumerate_compositions
 from .errors import BudgetError, FamilyError
 from .families import (
+    CountTriangle,
     ExactPmf,
     Family,
     counting_sequence,
@@ -41,19 +42,21 @@ def kolmogorov_distance(pmf: ExactPmf) -> float:
     The supremum over a lattice CDF is attained at a support point from one
     side or the other, so both F(k) and F(k-) are compared at every point.
     """
-    mean = pmf.mean()
     var = pmf.variance()
     if var == 0:
         raise FamilyError("degenerate distribution: zero variance")
     sd = math.sqrt(var)
+    t, s1 = pmf.total, pmf.power_sums(1)[1]
     best = 0.0
-    cum = ZERO
-    for k, w in pmf.items():
-        z = float((k - mean)) / sd
+    cum = 0
+    # (k t - s1) / t and cum / t are true divisions of integers, correctly
+    # rounded like float(Fraction(...)), so no Fraction is built per point.
+    for k, c in zip(pmf.support(), pmf.counts):
+        z = ((k * t - s1) / t) / sd
         phi = normal_cdf(z)
-        best = max(best, abs(float(cum) - phi))       # F(k-) vs Phi
-        cum += w
-        best = max(best, abs(float(cum) - phi))       # F(k) vs Phi
+        best = max(best, abs(cum / t - phi))       # F(k-) vs Phi
+        cum += c
+        best = max(best, abs(cum / t - phi))       # F(k) vs Phi
     return best
 
 
@@ -66,7 +69,8 @@ class CltRecord:
     scaled: float  # sqrt(n) K or n^(1/3) K, per family
 
     def __post_init__(self):
-        assert 0.0 <= self.K <= 1.0
+        if not 0.0 <= self.K <= 1.0:
+            raise ValueError(f"row {self.n}: Kolmogorov distance {self.K} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -238,10 +242,9 @@ class ConditionRow:
     fourth_sup: float    # || E[Y^4|F] ||_inf
 
 
-def _conditioning_law(kind: ProcessKind, i: int, order: int):
+def _conditioning_law(kind: ProcessKind, i: int, order: int, tri: CountTriangle):
     """Exact law of the centered conditioning value at stage i - order."""
     j = i - order
-    tri = descent_triangle(kind.family, j)
     pmf = triangle_row_pmf(tri, j)
     if kind is ProcessKind.INVOLUTION:
         center = F(j - 1, 2)
@@ -270,9 +273,13 @@ def condition_scan(
     pp = F(p_prime)
     if p <= 1 or pp <= 1:
         raise ValueError("norm exponents must exceed 1")
+    i_values = sorted(set(i_range))
+    if not i_values:
+        return []
+    tri = descent_triangle(kind.family, i_values[-1] - order)
     rows = []
-    for i in sorted(set(i_range)):
-        law = _conditioning_law(kind, i, order)
+    for i in i_values:
+        law = _conditioning_law(kind, i, order, tri)
         sigma2 = sum(conditional_moment(kind, i, order, w, 2) * pr for w, pr in law)
         s2f = float(sigma2)
         # || E[Y^2|F] - 1 ||_p with Y = X / sigma

@@ -12,19 +12,28 @@ Five statistic families are supported:
                      (row sums f_n with f_n = f_{n-1} + f_{n-2}, f_0 = f_1 = 1).
 
 All triangle entries are arbitrary-precision integers computed bottom-up from
-the family's row recurrence; rows convert to probability mass functions with
-exact rational weights.  Everything here is immutable after construction and
-safe to share across threads.
+the family's row recurrence.  A row pmf is the row itself: integer counts over
+the row total, whose moments are exact ``Fraction`` values.
+
+Each family has one grow-only store holding its counting sequence, its
+triangle rows and its row means.  A request beyond the stored index extends
+the store from its last entries, under a lock; nothing is rebuilt, and an
+entry once stored never changes, so triangles handed out earlier stay valid
+and the store is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import comb, lcm
+from typing import Iterable
 
 from .errors import FamilyError
+
+ZERO = Fraction(0)
 
 
 class Family(enum.Enum):
@@ -52,37 +61,137 @@ def parse_family(tag: str | Family) -> Family:
         raise FamilyError(f"unknown family tag {tag!r}") from None
 
 
-@lru_cache(maxsize=None)
-def _counts(family: Family, n_max: int) -> tuple[int, ...]:
+# ---------------------------------------------------------------------------
+# recurrences: the next count and the next row from the ones before
+# ---------------------------------------------------------------------------
+
+def _next_count(family: Family, seq: list[int]) -> int:
+    """Class size at index len(seq), from the entries before it.
+
+    Derangement counts are cross-checked against the closed form
+    n! * sum_{i<=n} (-1)^i / i!, accumulated as a_n = n a_{n-1} + (-1)^n;
+    since a_{n-1} was checked equal to d_{n-1}, that is n d_{n-1} + (-1)^n.
+    """
+    n = len(seq)
     if family is Family.EULERIAN:
-        seq = [1]
-        for n in range(1, n_max + 1):
-            seq.append(seq[-1] * n)
-    elif family is Family.INVOLUTION:
-        seq = [1, 1]
-        for n in range(2, n_max + 1):
-            seq.append(seq[n - 1] + (n - 1) * seq[n - 2])
-    elif family in (Family.DERANGEMENT, Family.EXCEDANCE):
-        seq = [1, 0]
-        partial = 0  # n! * sum_{i<=n} (-1)^i / i!, integer by induction
-        for n in range(2, n_max + 1):
-            seq.append((n - 1) * (seq[n - 1] + seq[n - 2]))
-        for n in range(n_max + 1):
-            partial = n * partial + (-1) ** n
-            assert partial == seq[n], "closed form disagrees with recurrence"
-    else:  # fibonacci
-        seq = [1, 1]
-        for n in range(2, n_max + 1):
-            seq.append(seq[n - 1] + seq[n - 2])
-    return tuple(seq[: n_max + 1])
+        return n * seq[-1]
+    if family is Family.INVOLUTION:
+        return seq[-1] + (n - 1) * seq[-2]
+    if family is Family.FIBONACCI:
+        return seq[-1] + seq[-2]
+    value = (n - 1) * (seq[-1] + seq[-2])
+    if value != n * seq[-1] + (-1) ** n:
+        raise ArithmeticError(
+            f"d_{n}: the derangement closed form disagrees with the recurrence"
+        )
+    return value
+
+
+def _next_row(family: Family, n: int, r1: tuple[int, ...],
+              r2: tuple[int, ...]) -> tuple[int, ...]:
+    """Row n from rows n-1 (``r1``) and n-2 (``r2``)."""
+    if family is Family.EULERIAN:
+        # A_{n,k} = (k+1) A_{n-1,k} + (n-k) A_{n-1,k-1}, k = 0..n-1
+        a = (0, *r1, 0)  # A_{n-1,k} = a[k+1]
+        return tuple((k + 1) * a[k + 1] + (n - k) * a[k] for k in range(n))
+    if family is Family.INVOLUTION:
+        # I_{n,k} for k = 0..n-1; the two-row recurrence divides by n exactly.
+        a = (0, *r1, 0)        # I_{n-1,k} = a[k+1]
+        b = (0, 0, *r2, 0, 0)  # I_{n-2,k} = b[k+2]
+        m = n - 2              # recurrence parameter: row n = "n-2 plus two"
+        row = []
+        for k in range(n):
+            total = (
+                (k + 1) * a[k + 1]
+                + (m - k + 2) * a[k]
+                + ((k + 1) ** 2 + m) * b[k + 2]
+                + (2 * k * (m - k + 1) - m + 1) * b[k + 1]
+                + ((m - k + 2) ** 2 + m) * b[k]
+            )
+            q, rem = divmod(total, n)
+            if rem:
+                raise ArithmeticError(
+                    f"involution row {n}: the recurrence total at k={k} "
+                    f"is not divisible by {n}"
+                )
+            row.append(q)
+        return tuple(row)
+    if family is Family.FIBONACCI:
+        # binomial(n-k, k) = binomial(n-1-k, k) + binomial(n-2-(k-1), k-1)
+        a = (*r1, 0)   # F_{n-1,k} = a[k]
+        b = (0, *r2)   # F_{n-2,k-1} = b[k]
+        return tuple(a[k] + b[k] for k in range(n // 2 + 1))
+    # derangement and excedance: k = 1..n-1, stored with trailing zeros
+    a = (0, *r1, 0)     # row n-1 at k = a[k]
+    b = (0, 0, *r2, 0)  # row n-2 at k-1 = b[k]
+    if family is Family.DERANGEMENT:
+        return tuple(
+            (k + 1) * a[k] + (n - k - 1) * a[k - 1] + k * b[k] + (n - k) * b[k - 1]
+            for k in range(1, n)
+        )
+    # Exc_{n,k} = k Exc_{n-1,k} + (n-k) Exc_{n-1,k-1} + (n-1) Exc_{n-2,k-1}
+    return tuple(k * a[k] + (n - k) * a[k - 1] + (n - 1) * b[k] for k in range(1, n))
+
+
+# Entries 0..len-1 of each store before any growth; index 0 of the rows is a
+# placeholder below every family's first row (fibonacci's row 0 is real and
+# seeds its recurrence).
+_SEED_COUNTS = {
+    Family.EULERIAN: (1,),
+    Family.INVOLUTION: (1, 1),
+    Family.DERANGEMENT: (1, 0),
+    Family.EXCEDANCE: (1, 0),
+    Family.FIBONACCI: (1, 1),
+}
+_SEED_ROWS = {
+    Family.EULERIAN: ((), (1,)),
+    Family.INVOLUTION: ((), (1,), (1, 1)),
+    Family.DERANGEMENT: ((), (), (1,)),
+    Family.EXCEDANCE: ((), (), (1,)),
+    Family.FIBONACCI: ((1,), (1,)),
+}
+
+
+class _Store:
+    """Grow-only counting sequence, triangle rows and row means of one family.
+
+    ``counts[n]``, ``rows[n]`` and ``means[n]`` belong to index n.  Each list
+    grows on demand from its own last entries and is never rebuilt; callers
+    read the lists but never write them.
+    """
+
+    def __init__(self, family: Family):
+        self.family = family
+        self.counts = list(_SEED_COUNTS[family])
+        self.rows = list(_SEED_ROWS[family])
+        self.means: list[Fraction] = []
+        self.lock = threading.RLock()
+
+    def counts_through(self, n: int) -> list[int]:
+        if len(self.counts) <= n:
+            with self.lock:
+                while len(self.counts) <= n:
+                    self.counts.append(_next_count(self.family, self.counts))
+        return self.counts
+
+    def rows_through(self, n: int) -> list[tuple[int, ...]]:
+        rows = self.rows
+        if len(rows) <= n:
+            with self.lock:
+                while len(rows) <= n:
+                    rows.append(_next_row(self.family, len(rows), rows[-1], rows[-2]))
+        return rows
+
+
+_STORES = {fam: _Store(fam) for fam in Family}
 
 
 def counting_sequence(family: str | Family, n_max: int) -> list[int]:
     """Exact class sizes for indices 0..n_max.
 
-    Derangement counts are cross-checked at build time against the closed
-    form n! * sum_{i<=n} (-1)^i / i! (accumulated as the integer recurrence
-    a_n = n a_{n-1} + (-1)^n, which is that sum's factored form).
+    Derangement counts are cross-checked as they are stored against the
+    closed form n! * sum_{i<=n} (-1)^i / i! (accumulated as the integer
+    recurrence a_n = n a_{n-1} + (-1)^n, which is that sum's factored form).
     """
     fam = parse_family(family)
     if n_max < fam.n_min:
@@ -90,47 +199,106 @@ def counting_sequence(family: str | Family, n_max: int) -> list[int]:
             f"n_max={n_max} is below the minimum index {fam.n_min} "
             f"for family {fam.value}"
         )
-    return list(_counts(fam, n_max))
+    return _STORES[fam].counts_through(n_max)[: n_max + 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ExactPmf:
-    """Integer-supported pmf: weight(offset + j) = weights[j], exact."""
+    """Integer-supported pmf: weight(offset + j) = counts[j] / total, exact.
+
+    A triangle row already is an exact law, so a row pmf holds the row's
+    integer counts over the one row total, with no ``Fraction`` per entry.
+    Moments come from integer power sums and are exact ``Fraction`` values.
+
+    ``ExactPmf(offset, weights)`` takes rational weights and scales them to a
+    common denominator; ``ExactPmf.from_counts`` takes counts.  ``weights`` is
+    derived, and equality and hashing are by ``(offset, weights)``, whatever
+    the scale of the counts.
+    """
 
     offset: int
-    weights: tuple[Fraction, ...]
+    counts: tuple[int, ...]
+    total: int
 
-    def __post_init__(self):
-        if any(w < 0 for w in self.weights):
+    def __init__(self, offset: int, weights: Iterable[Fraction | int]):
+        ws = [Fraction(w) for w in weights]
+        total = lcm(*(w.denominator for w in ws))
+        self._set(offset, tuple(w.numerator * (total // w.denominator) for w in ws),
+                  total)
+
+    @classmethod
+    def from_counts(cls, offset: int, counts: Iterable[int]) -> ExactPmf:
+        """weight(offset + j) = counts[j] / sum(counts)."""
+        counts = tuple(counts)
+        pmf = cls.__new__(cls)
+        pmf._set(offset, counts, sum(counts))
+        return pmf
+
+    def _set(self, offset: int, counts: tuple[int, ...], total: int) -> None:
+        if any(c < 0 for c in counts):
             raise ValueError("pmf weights must be nonnegative")
-        if sum(self.weights) != 1:
+        if total <= 0 or sum(counts) != total:
             raise ValueError("pmf weights must sum to exactly 1")
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", total)
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.total) for c in self.counts)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.offset == other.offset
+            and len(self.counts) == len(other.counts)
+            and all(a * other.total == b * self.total
+                    for a, b in zip(self.counts, other.counts))
+        )
+
+    def __hash__(self):
+        return hash((self.offset, self.weights))
 
     def support(self) -> range:
-        return range(self.offset, self.offset + len(self.weights))
+        return range(self.offset, self.offset + len(self.counts))
 
     def items(self) -> list[tuple[int, Fraction]]:
-        return [(self.offset + j, w) for j, w in enumerate(self.weights)]
+        return list(zip(self.support(), self.weights))
 
     def weight(self, k: int) -> Fraction:
         j = k - self.offset
-        if 0 <= j < len(self.weights):
-            return self.weights[j]
-        return Fraction(0)
+        if 0 <= j < len(self.counts):
+            return Fraction(self.counts[j], self.total)
+        return ZERO
+
+    def power_sums(self, r: int) -> tuple[int, ...]:
+        """(S_0, ..., S_r) with S_i = sum_k count(k) * k**i; S_0 is the total."""
+        if r < 0:
+            raise ValueError("moment order must be >= 0")
+        sums = [0] * (r + 1)
+        for k, c in zip(self.support(), self.counts):
+            for i in range(r + 1):
+                sums[i] += c
+                c *= k
+        return tuple(sums)
 
     def raw_moment(self, r: int) -> Fraction:
-        return sum((Fraction(k) ** r) * w for k, w in self.items())
+        return Fraction(self.power_sums(r)[r], self.total)
 
     def mean(self) -> Fraction:
-        return sum(Fraction(k) * w for k, w in self.items())
+        return self.raw_moment(1)
 
     def variance(self) -> Fraction:
-        m = self.mean()
-        return sum((k - m) ** 2 * w for k, w in self.items())
+        return self.central_moment(2)
 
     def central_moment(self, r: int) -> Fraction:
-        m = self.mean()
-        return sum((k - m) ** r * w for k, w in self.items())
+        """sum_k count(k) (k T - S_1)^r / T^(r+1) with T the total, expanded
+        binomially over the power sums so every term stays an integer."""
+        s = self.power_sums(r)
+        t, neg_s1 = s[0], -s[1]
+        num = sum(comb(r, i) * s[i] * t**i * neg_s1 ** (r - i) for i in range(r + 1))
+        return Fraction(num, t ** (r + 1))
 
 
 class CountTriangle:
@@ -139,9 +307,11 @@ class CountTriangle:
     Row n holds entries for k = k_min .. k_max(n); indices outside a row are
     implicitly zero.  Derangement and excedance rows keep explicit trailing
     zeros (k runs to n-1) so rows are directly comparable against references.
+    ``rows`` maps n to row n; ``descent_triangle`` passes its family store's
+    rows, which later growth leaves unchanged.
     """
 
-    def __init__(self, family: Family, n_max: int, rows: dict[int, list[int]]):
+    def __init__(self, family: Family, n_max: int, rows):
         self.family = family
         self.n_max = n_max
         self._rows = rows
@@ -170,125 +340,42 @@ class CountTriangle:
             yield n, self.row(n)
 
 
-def _eulerian_rows(n_max: int) -> dict[int, list[int]]:
-    rows = {1: [1]}
-    for n in range(2, n_max + 1):
-        prev = rows[n - 1]
-        row = []
-        for k in range(n):
-            a = (k + 1) * prev[k] if k < len(prev) else 0
-            b = (n - k) * prev[k - 1] if 1 <= k <= len(prev) else 0
-            row.append(a + b)
-        rows[n] = row
-    return rows
-
-
-def _involution_rows(n_max: int) -> dict[int, list[int]]:
-    # I_{n,k} for k = 0..n-1; the two-row recurrence divides by n exactly.
-    rows = {1: [1]}
-    if n_max >= 2:
-        rows[2] = [1, 1]
-    for n in range(3, n_max + 1):
-        r1 = rows[n - 1]  # row n-1, indices 0..n-2
-        r2 = rows[n - 2]  # row n-2, indices 0..n-3
-        m = n - 2         # recurrence parameter: row n = "n-2 plus two"
-
-        def e1(k):
-            return r1[k] if 0 <= k < len(r1) else 0
-
-        def e2(k):
-            return r2[k] if 0 <= k < len(r2) else 0
-
-        row = []
-        for k in range(n):
-            total = (
-                (k + 1) * e1(k)
-                + (m - k + 2) * e1(k - 1)
-                + ((k + 1) ** 2 + m) * e2(k)
-                + (2 * k * (m - k + 1) - m + 1) * e2(k - 1)
-                + ((m - k + 2) ** 2 + m) * e2(k - 2)
-            )
-            q, rem = divmod(total, n)
-            assert rem == 0, "involution row recurrence must divide exactly"
-            row.append(q)
-        rows[n] = row
-    return rows
-
-
-def _derangement_rows(n_max: int) -> dict[int, list[int]]:
-    # D_{n,k} for k = 1..n-1, stored with trailing zeros; row 1 is empty.
-    rows = {1: []}
-    if n_max >= 2:
-        rows[2] = [1]
-
-    def entry(row, k):
-        return row[k - 1] if 1 <= k <= len(row) else 0
-
-    for n in range(3, n_max + 1):
-        r1, r2 = rows[n - 1], rows[n - 2]
-        rows[n] = [
-            (k + 1) * entry(r1, k)
-            + (n - k - 1) * entry(r1, k - 1)
-            + k * entry(r2, k - 1)
-            + (n - k) * entry(r2, k - 2)
-            for k in range(1, n)
-        ]
-    return rows
-
-
-def _excedance_rows(n_max: int) -> dict[int, list[int]]:
-    # Exc_{n,k} = k Exc_{n-1,k} + (n-k) Exc_{n-1,k-1} + (n-1) Exc_{n-2,k-1}
-    rows = {1: []}
-    if n_max >= 2:
-        rows[2] = [1]
-
-    def entry(row, k):
-        return row[k - 1] if 1 <= k <= len(row) else 0
-
-    for n in range(3, n_max + 1):
-        r1, r2 = rows[n - 1], rows[n - 2]
-        rows[n] = [
-            k * entry(r1, k)
-            + (n - k) * entry(r1, k - 1)
-            + (n - 1) * entry(r2, k - 1)
-            for k in range(1, n)
-        ]
-    return rows
-
-
-def _fibonacci_rows(n_max: int) -> dict[int, list[int]]:
-    # row n: binomial(n-k, k) for k = 0..floor(n/2)
-    from math import comb
-
-    return {n: [comb(n - k, k) for k in range(n // 2 + 1)] for n in range(1, n_max + 1)}
-
-
-_ROW_BUILDERS = {
-    Family.EULERIAN: _eulerian_rows,
-    Family.INVOLUTION: _involution_rows,
-    Family.DERANGEMENT: _derangement_rows,
-    Family.EXCEDANCE: _excedance_rows,
-    Family.FIBONACCI: _fibonacci_rows,
-}
-
-
 def descent_triangle(family: str | Family, n_max: int) -> CountTriangle:
-    """Build the family's triangle for rows n_min..n_max from its recurrence."""
+    """The family's triangle for rows n_min..n_max, from its store."""
     fam = parse_family(family)
     if n_max < fam.n_min:
         raise FamilyError(
             f"n_max={n_max} is below the minimum row {fam.n_min} "
             f"for family {fam.value}"
         )
-    rows = _ROW_BUILDERS[fam](n_max)
-    rows = {n: rows[n] for n in range(fam.n_min, n_max + 1)}
-    return CountTriangle(fam, n_max, rows)
+    return CountTriangle(fam, n_max, _STORES[fam].rows_through(n_max))
 
 
 def triangle_row_pmf(triangle: CountTriangle, n: int) -> ExactPmf:
-    """Row n of the triangle normalized to an exact pmf over k."""
+    """Row n of the triangle as an exact pmf over k: its counts over its sum."""
     row = triangle.row(n)
-    total = sum(row)
-    if total <= 0:
+    if sum(row) <= 0:
         raise FamilyError(f"degenerate row n={n}: zero row sum")
-    return ExactPmf(triangle.k_min, tuple(Fraction(c, total) for c in row))
+    return ExactPmf.from_counts(triangle.k_min, row)
+
+
+def row_means(family: str | Family, n_max: int) -> tuple[Fraction, ...]:
+    """Exact row means for indices 0..n_max; 0 below the family's first row.
+
+    Involution rows are palindromic, so their means are (n-1)/2 without a
+    triangle; the others are triangle row means.  The means are kept in the
+    family's store, so a repeat call is a lookup.
+    """
+    fam = parse_family(family)
+    store = _STORES[fam]
+    means = store.means
+    if len(means) <= n_max:
+        with store.lock:
+            ns = range(len(means), n_max + 1)
+            if fam is Family.INVOLUTION:
+                means.extend(Fraction(n - 1, 2) if n else ZERO for n in ns)
+            elif ns:
+                tri = descent_triangle(fam, n_max)
+                means.extend(triangle_row_pmf(tri, n).mean() if n >= fam.n_min else ZERO
+                             for n in ns)
+    return tuple(means[: n_max + 1])

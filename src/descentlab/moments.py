@@ -24,20 +24,18 @@ from .families import (
 )
 
 F = Fraction
-ZERO = F(0)
 
 
 def factorial_moment(pmf: ExactPmf, r: int) -> Fraction:
     """E[X (X-1) ... (X-r+1)], exactly."""
     if r < 1:
         raise ValueError("factorial moment order must be >= 1")
-    total = ZERO
-    for k, w in pmf.items():
-        term = F(1)
+    total = 0
+    for k, term in zip(pmf.support(), pmf.counts):
         for j in range(r):
             term *= k - j
-        total += term * w
-    return total
+        total += term
+    return F(total, pmf.total)
 
 
 @dataclass(frozen=True)
@@ -51,8 +49,13 @@ class MomentReport:
     fourth_central: Fraction
 
     def __post_init__(self):
-        assert self.variance >= 0
-        assert self.fourth_central >= self.variance**2  # Jensen
+        if self.variance < 0:
+            raise ValueError(f"row {self.n}: negative variance {self.variance}")
+        if self.fourth_central < self.variance**2:
+            raise ValueError(
+                f"row {self.n}: fourth central moment below the squared variance "
+                "(Jensen)"
+            )
 
     def floats(self) -> tuple[float, float, float, float]:
         return (
@@ -65,14 +68,9 @@ class MomentReport:
 
 def central_moments(pmf: ExactPmf, n: int = 0) -> MomentReport:
     """Exact central moments up to order four."""
-    m1 = pmf.mean()
-    m2 = pmf.raw_moment(2)
-    m3 = pmf.raw_moment(3)
-    m4 = pmf.raw_moment(4)
-    var = m2 - m1 * m1
-    third = m3 - 3 * m1 * m2 + 2 * m1**3
-    fourth = m4 - 4 * m1 * m3 + 6 * m1 * m1 * m2 - 3 * m1**4
-    return MomentReport(n, m1, var, third, fourth)
+    return MomentReport(
+        n, pmf.mean(), pmf.central_moment(2), pmf.central_moment(3), pmf.central_moment(4)
+    )
 
 
 def solve_linear_recurrence(
@@ -98,7 +96,8 @@ def solve_linear_recurrence(
         for i in range(1, n + 1):
             prod *= F(a[i - 1])
             acc += F(b[i - 1]) / prod
-        assert prod * acc == value, "product form must match forward iteration"
+        if prod * acc != value:
+            raise ValueError("product form does not match the forward iteration")
     return value
 
 

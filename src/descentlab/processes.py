@@ -19,11 +19,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .compositions import Composition, discard_map
 from .errors import FamilyError, InfeasibleStateError
-from .families import ExactPmf, Family, counting_sequence, descent_triangle, triangle_row_pmf
+from .families import ExactPmf, Family, counting_sequence, row_means
 from .rng import TWO64, Stream
 
 F = Fraction
@@ -186,18 +185,13 @@ def jump_distribution(state: ProcessState) -> JumpDistribution:
 # exact means and the deterministic adjustment terms
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def exact_means(kind: ProcessKind, n_max: int) -> tuple[Fraction, ...]:
-    """Exact stage means (index j holds E at stage j; unreachable stages 0)."""
-    means = [ZERO] * (n_max + 1)
-    if kind is ProcessKind.INVOLUTION:
-        for j in range(1, n_max + 1):
-            means[j] = F(j - 1, 2)
-    else:
-        tri = descent_triangle(kind.family, n_max)
-        for j in range(kind.n_min, n_max + 1):
-            means[j] = triangle_row_pmf(tri, j).mean()
-    return tuple(means)
+def exact_means(kind: str | ProcessKind, n_max: int) -> tuple[Fraction, ...]:
+    """Exact stage means (index j holds E at stage j; unreachable stages 0).
+
+    The stage-j value has the law of row j of the family's triangle, so these
+    are the family's row means, kept in its store: a repeat call is a lookup.
+    """
+    return row_means(parse_kind(kind).family, n_max)
 
 
 def alpha_term(kind: str | ProcessKind, i: int, order: int, mu) -> Fraction:

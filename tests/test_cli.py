@@ -161,3 +161,40 @@ def test_out_file(tmp_path):
     path = tmp_path / "tri.csv"
     run_cli("triangle", "--family", "involution", "--n", "4", "--out", str(path))
     assert path.read_text().startswith("n,k,count\n")
+
+
+def test_out_file_is_complete_or_absent(tmp_path, monkeypatch):
+    from descentlab import cli
+
+    def failing_write(table, fmt, out):
+        out.write(",".join(table.columns) + "\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_table", failing_write)
+    path = tmp_path / "moments.csv"
+    argv = ["moments", "--family", "involution", "--n", "5", "--out", str(path)]
+    with pytest.raises(OSError, match="disk full"):
+        cli.main(argv)
+    assert not path.exists()
+    path.write_text("earlier run\n")
+    with pytest.raises(OSError, match="disk full"):
+        cli.main(argv)
+    assert path.read_text() == "earlier run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["moments.csv"]
+
+
+def test_out_through_a_symlink_keeps_the_link(tmp_path):
+    target = tmp_path / "tri.csv"
+    target.write_text("stale\n")
+    link = tmp_path / "latest.csv"
+    link.symlink_to(target)
+    run_cli("triangle", "--family", "involution", "--n", "3", "--out", str(link))
+    assert link.is_symlink()
+    assert target.read_text().startswith("n,k,count\n")
+
+
+def test_table_rejects_a_row_of_the_wrong_width():
+    from descentlab.cli import Table
+
+    with pytest.raises(ValueError, match="2 cells for 3 columns"):
+        Table(["n", "k", "count"]).add(1, 2)

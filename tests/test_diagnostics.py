@@ -7,6 +7,7 @@ import pytest
 
 from descentlab.compositions import BernoulliSpec, family_rule
 from descentlab.diagnostics import (
+    CltRecord,
     clt_table,
     condition_scan,
     identity_check,
@@ -107,6 +108,12 @@ def test_clt_table_derangement_scaling_and_skips():
     assert res.skipped == (4,)
     for r in res.records:
         assert r.scaled == r.n ** (1 / 3) * r.K
+
+
+def test_clt_record_rejects_a_distance_outside_the_unit_interval():
+    for k in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="Kolmogorov distance"):
+            CltRecord(10, 4.5, 1.0, k, k)
 
 
 def test_identity_stan1():

@@ -1,9 +1,17 @@
 """Triangles, counting sequences, and row pmfs against independent oracles."""
 
+import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from descentlab import families, processes
+from descentlab.compositions import family_rule
+from descentlab.diagnostics import kolmogorov_distance, normal_cdf
 from descentlab.errors import FamilyError
 from descentlab.families import (
     CountTriangle,
@@ -13,6 +21,8 @@ from descentlab.families import (
     descent_triangle,
     triangle_row_pmf,
 )
+from descentlab.moments import factorial_moment
+from descentlab.processes import ProcessKind, exact_marginal
 
 import oracles
 
@@ -164,9 +174,167 @@ def test_pmf_weight_sum_guard():
         ExactPmf(0, (Fraction(1, 2), Fraction(1, 3)))
     with pytest.raises(ValueError):
         ExactPmf(0, (Fraction(3, 2), Fraction(-1, 2)))
+    with pytest.raises(ValueError):
+        ExactPmf.from_counts(0, (2, -1))
+    with pytest.raises(ValueError):
+        ExactPmf.from_counts(0, (0, 0))
+
+
+def test_pmf_equality_is_by_weights_whatever_the_count_scale():
+    by_weights = ExactPmf(3, (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
+    by_counts = ExactPmf.from_counts(3, (2, 4, 2))
+    assert (by_weights.counts, by_weights.total) == ((1, 2, 1), 4)
+    assert by_weights == by_counts and hash(by_weights) == hash(by_counts)
+    assert by_counts.weights == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
+    assert by_counts != ExactPmf.from_counts(2, (2, 4, 2))
+    assert by_counts != ExactPmf.from_counts(3, (2, 4, 2, 0))
 
 
 def test_degenerate_row_guard():
     tri = CountTriangle(Family.DERANGEMENT, 2, {2: [0]})
     with pytest.raises(FamilyError, match="degenerate"):
         triangle_row_pmf(tri, 2)
+
+
+# ---------------------------------------------------------------------------
+# integer-count pmfs against Fraction sums, and the grow-only stores
+# ---------------------------------------------------------------------------
+
+FAMILIES = list(Family)
+
+
+def _kolmogorov_reference(pmf):
+    """sup |F - Phi| with a Fraction mean and a Fraction running CDF."""
+    items = pmf.items()
+    mean = sum(k * w for k, w in items)
+    sd = math.sqrt(sum((k - mean) ** 2 * w for k, w in items))
+    best, cum = 0.0, Fraction(0)
+    for k, w in items:
+        phi = normal_cdf(float(k - mean) / sd)
+        best = max(best, abs(float(cum) - phi))
+        cum += w
+        best = max(best, abs(float(cum) - phi))
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(FAMILIES), n=st.integers(1, 60))
+def test_integer_path_moments_equal_fraction_sums(family, n):
+    n = max(n, family.n_min)
+    pmf = triangle_row_pmf(descent_triangle(family, n), n)
+    items = list(zip(pmf.support(), pmf.weights))
+    mean = sum(k * w for k, w in items)
+    assert pmf.mean() == mean
+    assert pmf.variance() == sum((k - mean) ** 2 * w for k, w in items)
+    for r in range(1, 5):
+        assert pmf.raw_moment(r) == sum(Fraction(k) ** r * w for k, w in items)
+    for r in range(2, 5):
+        assert pmf.central_moment(r) == sum((k - mean) ** r * w for k, w in items)
+    assert factorial_moment(pmf, 2) == sum(k * (k - 1) * w for k, w in items)
+    if pmf.variance() == 0:
+        with pytest.raises(FamilyError):
+            kolmogorov_distance(pmf)
+    else:
+        assert kolmogorov_distance(pmf) == _kolmogorov_reference(pmf)
+
+
+@pytest.fixture
+def fresh_stores():
+    """Empty stores for every family for the test's duration, so what the
+    test sees of growth does not depend on which tests ran before."""
+    saved = dict(families._STORES)
+    families._STORES.update({fam: families._Store(fam) for fam in Family})
+    yield families._STORES
+    families._STORES.update(saved)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(FAMILIES), a=st.integers(1, 50), b=st.integers(1, 50))
+def test_store_rows_do_not_depend_on_request_order(family, a, b):
+    a, b = max(a, family.n_min), max(b, family.n_min)
+    top = max(a, b)
+    fresh = families._Store(family)
+    expected_rows = fresh.rows_through(top)
+    expected_counts = fresh.counts_through(top)
+    saved = families._STORES[family]
+    families._STORES[family] = families._Store(family)
+    try:
+        first, second = descent_triangle(family, a), descent_triangle(family, b)
+        for tri, m in ((first, a), (second, b)):
+            assert [row for _, row in tri.rows()] == [
+                list(expected_rows[n]) for n in range(family.n_min, m + 1)
+            ]
+        assert counting_sequence(family, b) == expected_counts[: b + 1]
+        assert counting_sequence(family, a) == expected_counts[: a + 1]
+    finally:
+        families._STORES[family] = saved
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(list(ProcessKind)), n=st.integers(1, 12))
+def test_exact_marginal_equals_triangle_row_pmf(kind, n):
+    n = max(n, kind.n_min)
+    assert exact_marginal(kind, n) == triangle_row_pmf(descent_triangle(kind.family, n), n)
+
+
+def test_one_counting_sequence_per_family_whatever_the_sizes_asked(fresh_stores):
+    fam = Family.INVOLUTION
+    store = fresh_stores[fam]
+    rule = family_rule(fam)
+    for i in range(2, 301):
+        counting_sequence(fam, i)
+        rule.two_jump(i)
+    assert len(store.counts) == 301
+    for module in (families, processes):
+        assert not any(hasattr(obj, "cache_info") for obj in vars(module).values())
+
+
+def test_exact_means_are_kept_in_the_store(fresh_stores):
+    store = fresh_stores[Family.DERANGEMENT]
+    means = processes.exact_means(ProcessKind.DERANGEMENT, 40)
+    assert len(store.means) == 41 and len(store.rows) == 41
+    assert processes.exact_means("derangement", 20) == means[:21]
+    assert len(store.means) == 41  # a smaller request is a lookup
+
+
+def test_concurrent_growth_matches_a_fresh_build(fresh_stores):
+    family = Family.INVOLUTION
+    expected = families._Store(family).rows_through(90)
+    errors = []
+
+    def grow(sizes):
+        try:
+            for m in sizes:
+                descent_triangle(family, m)
+                processes.exact_means(ProcessKind.DERANGEMENT, m)
+        except Exception as exc:  # reported through the list below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(range(10 + t, 91, 4),))
+                   for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert fresh_stores[family].rows == expected
+    assert len(fresh_stores[Family.DERANGEMENT].means) == 91
+
+
+def test_derangement_closed_form_check_raises_on_disagreement():
+    store = families._Store(Family.DERANGEMENT)
+    store.counts[1] = 1  # d_1 corrupted: the next recurrence step disagrees
+    with pytest.raises(ArithmeticError, match="closed form"):
+        store.counts_through(2)
+
+
+def test_involution_row_division_check_raises_on_a_remainder():
+    store = families._Store(Family.INVOLUTION)
+    store.rows[2] = (1, 2)  # not row 2: row 3's recurrence no longer divides by 3
+    with pytest.raises(ArithmeticError, match="not divisible by 3"):
+        store.rows_through(3)

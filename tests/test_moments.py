@@ -6,6 +6,7 @@ import pytest
 
 from descentlab.families import ExactPmf, descent_triangle, triangle_row_pmf
 from descentlab.moments import (
+    MomentReport,
     central_moments,
     derangement_lambda_recurrence_residual,
     factorial_moment,
@@ -85,6 +86,29 @@ def test_solve_linear_recurrence_derangement_mean():
 def test_solve_linear_recurrence_zero_coefficient_falls_back():
     # a zero a_i makes the product form undefined; forward evaluation stands
     assert solve_linear_recurrence([F(0), F(2)], [F(3), F(1)], F(9), 2) == 7
+
+
+def test_solve_linear_recurrence_product_form_check_raises():
+    class Drifting(list):
+        """Coefficients that read one larger on every later pass."""
+
+        def __init__(self, values):
+            super().__init__(values)
+            self.reads = 0
+
+        def __getitem__(self, i):
+            self.reads += 1
+            return super().__getitem__(i) + (self.reads > len(self))
+
+    with pytest.raises(ValueError, match="product form"):
+        solve_linear_recurrence([F(1)] * 3, Drifting([F(1)] * 3), F(0), 3)
+
+
+def test_moment_report_rejects_impossible_moments():
+    with pytest.raises(ValueError, match="negative variance"):
+        MomentReport(3, F(1), F(-1, 2), F(0), F(1))
+    with pytest.raises(ValueError, match="Jensen"):
+        MomentReport(3, F(1), F(2), F(0), F(3))
 
 
 def test_moment_table_involution_mean_law():
