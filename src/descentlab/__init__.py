@@ -53,7 +53,6 @@ from .diagnostics import (
     kolmogorov_distance,
     psi_variance_check,
 )
-from .batch import batch_finals
 
 __version__ = "0.1.0"
 
@@ -102,3 +101,12 @@ __all__ = [
     "triangle_row_pmf",
     "word_statistic",
 ]
+
+
+def __getattr__(name):
+    # The batch engine loads numpy, which no exact computation needs.
+    if name == "batch_finals":
+        from .batch import batch_finals
+
+        return batch_finals
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

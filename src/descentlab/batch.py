@@ -1,15 +1,16 @@
 """Vectorized batch simulation of the jump processes.
 
-Runs many replicates in lockstep with numpy uint64 arithmetic and exact
-per-(stage, value) integer thresholds, drawing exactly the same pseudo-random
-numbers as the scalar simulator: replicate r uses the counter-based stream
-derived from (master_seed, r), two draws per stage.  ``batch_finals`` is
-therefore interchangeable with collecting ``simulate(...).final`` over the
-same replicate indices, at a small fraction of the cost.
+Runs many replicates in lockstep with numpy uint64 arithmetic, drawing
+exactly the same pseudo-random numbers as the scalar simulator: replicate r
+uses the counter-based stream derived from (master_seed, r), two draws per
+stage.  Both engines read one integer transition law per stage, so
+``batch_finals`` is interchangeable with collecting ``simulate(...).final``
+over the same replicate indices, at a small fraction of the cost.
 
-Thresholds are ceil(num * 2**64 / den), i.e. the exact cross-multiplication
-test ``u * den < num * 2**64``; they are stored as t-1 with a flag for t = 0,
-so probability-one and probability-zero branches stay exact in uint64.
+The scalar test ``u * den < c * 2**64`` becomes ``u >= t`` with
+t = ceil(c * 2**64 / den), gathered by source value; t is stored as t-1 with
+a flag for t = 0, so probability-one and probability-zero branches stay
+exact in uint64.
 """
 
 from __future__ import annotations
@@ -17,69 +18,55 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FamilyError
-from .processes import (
-    ProcessKind,
-    _increment_numerators,
-    _type_thresholds,
-    parse_kind,
-)
-from .rng import TWO64, mix64
-
-_MASK = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+from .families import counting_sequence
+from .processes import Jump, ProcessKind, _stage_law, _value_range, parse_kind
+from .rng import GOLDEN, MASK64, MIX_MULTIPLIERS, MIX_SHIFTS, TWO64, stream_key
 
 _U = np.uint64
-_C30, _C27, _C31 = _U(30), _U(27), _U(31)
-_M1 = _U(0xBF58476D1CE4E5B9)
-_M2 = _U(0x94D049BB133111EB)
+_S1, _S2, _S3 = (_U(s) for s in MIX_SHIFTS)
+_M1, _M2 = (_U(c) for c in MIX_MULTIPLIERS)
 
 
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _C30)) * _M1
-    z = (z ^ (z >> _C27)) * _M2
-    return z ^ (z >> _C31)
+    """``rng.mix64`` over a uint64 array."""
+    z = (z ^ (z >> _S1)) * _M1
+    z = (z ^ (z >> _S2)) * _M2
+    return z ^ (z >> _S3)
 
 
-def _stream_keys(master_seed: int, start: int, count: int) -> np.ndarray:
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    base = _U(mix64(master_seed))
-    return _mix64_vec(base ^ _mix64_vec(idx + _U(_GOLDEN)))
+def _gates(jump: Jump, hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(t-1 mod 2**64, t == 0) per cumulative numerator c of ``jump``, over
+    source values 0..hi, with t = ceil(c * 2**64 / den).
+
+    With 2**64 = q*den + r, t = c*q + ceil(c*r / den); c*r < den**2 stays
+    exact in uint64 when den < 2**32, and the rest may wrap modulo 2**64.
+    """
+    if not jump.cums:
+        return []
+    den = jump.den
+    if not 2 <= den < 1 << 32:
+        raise ArithmeticError(f"increment denominator {den} outside [2, 2**32)")
+    src = np.arange(hi + 1, dtype=np.int64)
+    q, r = divmod(TWO64, den)
+    out = []
+    for cum in jump.cums:
+        c = cum(src)
+        if c.min() < 0 or c.max() > den:
+            raise ArithmeticError(f"cumulative numerator outside [0, {den}]")
+        c = c.astype(np.uint64)
+        cr = c * _U(r)
+        minus_one = c * _U(q) + cr // _U(den) + (cr % _U(den) != 0) - _U(1)
+        out.append((minus_one, c == 0))
+    return out
 
 
-def _ceil_threshold(num: int, den: int) -> int:
-    return -(-num * TWO64 // den)
-
-
-class _GateTable:
-    """``u >= ceil(num/den * 2**64)`` tests gathered by source value."""
-
-    def __init__(self, thresholds: list[int]):
-        # store t-1 (uint64) plus a zero flag so t in {0 .. 2**64} is exact
-        self.minus_one = np.array(
-            [(t - 1) & _MASK for t in thresholds], dtype=np.uint64
-        )
-        self.is_zero = np.array([t == 0 for t in thresholds], dtype=bool)
-
-    def ge(self, u: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return self.is_zero[idx] | (u > self.minus_one[idx])
-
-
-def _value_gates(kind: ProcessKind, m: int, two: bool) -> tuple[_GateTable, ...]:
-    """Per-source-value gates for the increment draw at stage m."""
-    hi = m - 2 if two else m - 1  # source stage
-    firsts, seconds = [], []
-    for src in range(hi + 1):
-        cums, den = _increment_numerators(kind, m, two, src)
-        if not cums:
-            firsts.append(TWO64)  # never fires; increment handled outside
-            seconds.append(TWO64)
-            continue
-        firsts.append(_ceil_threshold(cums[0], den))
-        if len(cums) > 2:
-            seconds.append(_ceil_threshold(cums[1], den))
-        else:
-            seconds.append(TWO64)
-    return _GateTable(firsts), _GateTable(seconds)
+def _jump_values(jump: Jump, hi: int, u: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Every replicate's value after ``jump`` from ``src``: ``Jump.draw``,
+    with each gate gathered by source value."""
+    out = src + jump.base
+    for minus_one, is_zero in _gates(jump, hi):
+        out += is_zero[src] | (u > minus_one[src])
+    return out
 
 
 def batch_finals(kind: str | ProcessKind, n: int, replicates: int,
@@ -95,45 +82,24 @@ def batch_finals(kind: str | ProcessKind, n: int, replicates: int,
     if replicates <= 0:
         return {}
 
-    keys = _stream_keys(master_seed, start_index, replicates)
-    if kind in (ProcessKind.DERANGEMENT, ProcessKind.EXCEDANCE):
-        first = 3
-        prev = np.zeros(replicates, dtype=np.int64)
-        last = np.ones(replicates, dtype=np.int64)
-    else:
-        first = 2
-        prev = np.zeros(replicates, dtype=np.int64)
-        last = np.zeros(replicates, dtype=np.int64)
-
-    type_ts = _type_thresholds(kind, n)
+    indices = np.arange(start_index, start_index + replicates, dtype=np.uint64)
+    keys = stream_key(master_seed, indices, mix=_mix64_vec)
+    del indices  # an array of every replicate: free it before the stage loop
+    first, v0, v1 = kind.start
+    prev = np.full(replicates, v0, dtype=np.int64)
+    last = np.full(replicates, v1, dtype=np.int64)
+    counts = counting_sequence(kind.family, n)
     counter = 0
-    for idx, m in enumerate(range(first, n + 1)):
-        u1 = _mix64_vec(keys + _U((counter * _GOLDEN) & _MASK))
-        counter += 1
-        u2 = _mix64_vec(keys + _U((counter * _GOLDEN) & _MASK))
-        counter += 1
-
-        t = type_ts[idx]  # < 2**64 since no family puts full mass on two-jumps
-        two = u1 < _U(t) if t > 0 else np.zeros(replicates, dtype=bool)
-
-        if kind is ProcessKind.FIBONACCI:
-            inc_two = np.ones(replicates, dtype=np.int64)
-            inc_one = np.zeros(replicates, dtype=np.int64)
-        else:
-            g1_two, g2_two = _value_gates(kind, m, True)
-            g1_one, _ = _value_gates(kind, m, False)
-            if kind is ProcessKind.EXCEDANCE:
-                inc_two = np.ones(replicates, dtype=np.int64)
-            else:
-                inc_two = g1_two.ge(u2, prev).astype(np.int64)
-                if kind is ProcessKind.INVOLUTION:
-                    inc_two += g2_two.ge(u2, prev)
-                else:  # derangement two-jumps add 1 or 2
-                    inc_two += 1
-            inc_one = g1_one.ge(u2, last).astype(np.int64)
-
-        new = np.where(two, prev + inc_two, last + inc_one)
-        prev, last = last, new
+    for m in range(first, n + 1):
+        law = _stage_law(kind, m, counts)
+        # t < 2**64: no family puts full mass on two-jumps
+        t = -(-law.two_num * TWO64 // law.den)
+        two = _mix64_vec(keys + _U(counter * GOLDEN & MASK64)) < _U(t)
+        u2 = _mix64_vec(keys + _U((counter + 1) * GOLDEN & MASK64))
+        counter += 2
+        from_two = _jump_values(law.two, _value_range(kind, m - 2)[1], u2, prev)
+        from_one = _jump_values(law.one, _value_range(kind, m - 1)[1], u2, last)
+        prev, last = last, np.where(two, from_two, from_one)
 
     values, counts = np.unique(last, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}

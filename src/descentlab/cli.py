@@ -20,7 +20,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .batch import batch_finals
 from .diagnostics import IDENTITY_CHECKS, clt_table, identity_check
 from .families import descent_triangle, parse_family
 from .moments import moment_table
@@ -145,6 +144,8 @@ def cmd_triangle(args) -> int:
 def _sim_chunk(payload) -> tuple[dict[int, int], list[list[str]]]:
     kind_tag, n, seed, start, count, record = payload
     if not record:
+        from .batch import batch_finals  # numpy only for plain runs
+
         return batch_finals(kind_tag, n, count, seed, start_index=start), []
     counts: dict[int, int] = {}
     audit: list[list[str]] = []

@@ -243,9 +243,8 @@ def sample_composition(rule: JumpProbabilityRule, n: int, stream: Stream) -> Com
     return discard_map(sample_jump_word(rule, n, stream))
 
 
-def higher_order_sample(rule: JumpProbabilityRule, n: int, stream: Stream) -> Composition:
-    """Order-s composition sampling; coincides with sample_composition at s=2."""
-    return discard_map(sample_jump_word(rule, n, stream))
+# Order-s composition sampling is the same draw at every order.
+higher_order_sample = sample_composition
 
 
 def composition_probability(rule: JumpProbabilityRule, comp: Composition) -> Fraction:

@@ -280,13 +280,13 @@ def condition_scan(
     rows = []
     for i in i_values:
         law = _conditioning_law(kind, i, order, tri)
-        sigma2 = sum(conditional_moment(kind, i, order, w, 2) * pr for w, pr in law)
+        second = [conditional_moment(kind, i, order, w, 2) for w, _ in law]
+        sigma2 = sum(m2 * pr for m2, (_, pr) in zip(second, law))
         s2f = float(sigma2)
         # || E[Y^2|F] - 1 ||_p with Y = X / sigma
         acc2 = sum(
-            abs(float(conditional_moment(kind, i, order, w, 2)) / s2f - 1.0)
-            ** float(p) * float(pr)
-            for w, pr in law
+            abs(float(m2) / s2f - 1.0) ** float(p) * float(pr)
+            for m2, (_, pr) in zip(second, law)
         )
         col2 = math.sqrt(i) * acc2 ** (1.0 / float(p))
         s3 = s2f**1.5

@@ -2,7 +2,10 @@
 
 Each statistic family evolves by one-jumps (from the previous value) and
 two-jumps (from the value two stages back), with transition probabilities
-built from the family's counting sequence.  Recording a run keeps the
+built from the family's counting sequence.  That law is written once per
+(kind, stage), in integers (``_stage_law``); the exact ``Fraction`` entries,
+the scalar draw, the exact marginal and the batch engine's gates all read
+it.  Recording a run keeps the
 stage-by-stage jump word; its discard reduction yields a composition, and the
 run decomposes over the composition's parts into differences, deterministic
 adjustments, and multiplicative factors that reconstruct the centered, scaled
@@ -19,6 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .compositions import Composition, discard_map
 from .errors import FamilyError, InfeasibleStateError
@@ -48,6 +52,13 @@ class ProcessKind(enum.Enum):
     def composition_offset(self) -> int:
         """Stage of a part = its ending position plus this offset."""
         return 2 if self in (ProcessKind.DERANGEMENT, ProcessKind.EXCEDANCE) else 0
+
+    @property
+    def start(self) -> tuple[int, int, int]:
+        """(first update stage m, value at stage m-2, value at stage m-1)."""
+        if self in (ProcessKind.DERANGEMENT, ProcessKind.EXCEDANCE):
+            return 3, 0, 1
+        return 2, 0, 0
 
 
 def parse_kind(tag: str | ProcessKind) -> ProcessKind:
@@ -119,44 +130,97 @@ class JumpDistribution:
         return out
 
 
-def _branches(kind: ProcessKind, m: int, prev: int, last: int,
-              counts: list[int]) -> list[tuple[str, int, Fraction]]:
-    """Transition entries for the value at stage m from values at m-2, m-1.
+def _succ(s):
+    return s + 1
 
-    ``counts`` is the family counting sequence through index m.
+
+def _ident(s):
+    return s
+
+
+class Jump(NamedTuple):
+    """Increment law of one jump type into one stage.
+
+    The increment is ``base`` plus the number of cumulative numerators that
+    a uniform draw reaches: increment ``base + j`` has probability
+    ``(c_j(src) - c_{j-1}(src)) / den``, with ``c_{-1} = 0`` and a last
+    numerator ``den`` left implicit.  Each ``c_j`` is an integer expression
+    in the source value that evaluates alike on an int and on an int64
+    array; an empty ``cums`` is a deterministic branch.
     """
-    v, u = prev, last
-    if kind is ProcessKind.INVOLUTION:
-        w2 = F((m - 1) * counts[m - 2], counts[m])
-        w1 = F(counts[m - 1], counts[m])
-        den2 = (m - 1) * m
-        return [
-            ("prev", 0, w2 * F((v + 1) ** 2 + m - 2, den2)),
-            ("prev", 1, w2 * F(2 * (v + 1) * (m - 2 - v) - m + 3, den2)),
-            ("prev", 2, w2 * F((m - 2 - v) ** 2 + m - 2, den2)),
-            ("last", 0, w1 * F(u + 1, m)),
-            ("last", 1, w1 * F(m - 1 - u, m)),
-        ]
-    if kind is ProcessKind.DERANGEMENT:
-        dm = counts[m]
-        return [
-            ("prev", 1, F(counts[m - 2] * (v + 1), dm)),
-            ("prev", 2, F(counts[m - 2] * (m - 2 - v), dm)),
-            ("last", 0, F(counts[m - 1] * (u + 1), dm)),
-            ("last", 1, F(counts[m - 1] * (m - 2 - u), dm)),
-        ]
-    if kind is ProcessKind.EXCEDANCE:
-        dm = counts[m]
-        return [
-            ("prev", 1, F((m - 1) * counts[m - 2], dm)),
-            ("last", 0, F(counts[m - 1] * u, dm)),
-            ("last", 1, F(counts[m - 1] * (m - 1 - u), dm)),
-        ]
-    # fibonacci
-    return [
-        ("prev", 1, F(counts[m - 2], counts[m])),
-        ("last", 0, F(counts[m - 1], counts[m])),
-    ]
+
+    base: int
+    cums: tuple[Callable, ...]
+    den: int
+
+    def draw(self, src: int, u64: int) -> int:
+        """Increment for the uniform 64-bit draw ``u64``, by the exact test
+        ``u64 * den < c * 2**64``."""
+        inc = self.base
+        lhs = u64 * self.den
+        for cum in self.cums:
+            if lhs < cum(src) * TWO64:
+                break
+            inc += 1
+        return inc
+
+
+_STAY, _STEP = Jump(0, (), 1), Jump(1, (), 1)  # deterministic increments
+
+
+class StageLaw(NamedTuple):
+    """Transition into stage m: a two-jump (from stage m-2) with probability
+    ``two_num / den``, else a one-jump (from stage m-1)."""
+
+    two_num: int
+    den: int
+    two: Jump
+    one: Jump
+
+
+# Enum members as globals: a class-attribute lookup of a member costs more
+# than the rest of a stage's law in Python 3.11, and the law is built per stage.
+_INVOLUTION, _DERANGEMENT, _FIBONACCI = (
+    ProcessKind.INVOLUTION, ProcessKind.DERANGEMENT, ProcessKind.FIBONACCI)
+
+
+def _stage_law(kind: ProcessKind, m: int, counts: list[int]) -> StageLaw:
+    """The transition law into stage m, in integers: the one place it is
+    written.  ``counts`` is the family counting sequence through index m;
+    the type split is the family's counting recurrence."""
+    if kind is _FIBONACCI:
+        return StageLaw(counts[m - 2], counts[m], _STEP, _STAY)
+    if kind is _INVOLUTION:
+        def le0(s):  # numerators of P(increment <= 0) and P(increment <= 1)
+            return (s + 1) ** 2 + m - 2
+
+        def le1(s):
+            return (s + 1) * (2 * m - 3 - s) + 1
+
+        two = Jump(0, (le0, le1), (m - 1) * m)
+        one = Jump(0, (_succ,), m)
+    elif kind is _DERANGEMENT:
+        two = Jump(1, (_succ,), m - 1)
+        one = Jump(0, (_succ,), m - 1)
+    else:  # excedance
+        two = _STEP
+        one = Jump(0, (_ident,), m - 1)
+    return StageLaw((m - 1) * counts[m - 2], counts[m], two, one)
+
+
+def _entries(law: StageLaw, prev: int, last: int) -> list[tuple[str, int, Fraction]]:
+    """(source, increment, probability) of every branch, two-jumps first,
+    zero-probability branches included."""
+    out = []
+    for name, jump, src, p_type in (
+        ("prev", law.two, prev, F(law.two_num, law.den)),
+        ("last", law.one, last, F(law.den - law.two_num, law.den)),
+    ):
+        below = 0
+        for j, c in enumerate([cum(src) for cum in jump.cums] + [jump.den]):
+            out.append((name, jump.base + j, p_type * F(c - below, jump.den)))
+            below = c
+    return out
 
 
 def jump_distribution(state: ProcessState) -> JumpDistribution:
@@ -171,8 +235,8 @@ def jump_distribution(state: ProcessState) -> JumpDistribution:
             f"{kind.value}: state index {state.n} below minimum {kind.n_min}"
         )
     m = state.n + 2
-    counts = counting_sequence(kind.family, m)
-    entries = _branches(kind, m, state.prev, state.last, counts)
+    entries = _entries(_stage_law(kind, m, counting_sequence(kind.family, m)),
+                       state.prev, state.last)
     if any(p < 0 or p > 1 for _, _, p in entries):
         raise InfeasibleStateError(
             f"{kind.value}: state ({state.prev}, {state.last}) at stage {state.n} "
@@ -383,63 +447,6 @@ class Trajectory:
         return vals
 
 
-def _type_thresholds(kind: ProcessKind, n: int) -> list[int]:
-    """ceil(q_m * 2**64) for stages m = first_update..n: ``u < t`` is the
-    exact cross-multiplied two-jump test."""
-    counts = counting_sequence(kind.family, max(n, kind.n_min + 1))
-    first = kind.n_min + 1
-    out = []
-    for m in range(first, n + 1):
-        if kind in (ProcessKind.INVOLUTION, ProcessKind.DERANGEMENT,
-                    ProcessKind.EXCEDANCE):
-            num, den = (m - 1) * counts[m - 2], counts[m]
-        else:
-            num, den = counts[m - 2], counts[m]
-        out.append(-(-num * TWO64 // den))
-    return out
-
-
-def _increment_numerators(kind: ProcessKind, m: int, two: bool,
-                          src: int) -> tuple[tuple[int, ...], int]:
-    """Cumulative numerators and denominator of the increment law given the
-    jump type and source value; increments start at 0 (two-jumps of the
-    derangement process shift by one afterwards)."""
-    if kind is ProcessKind.INVOLUTION:
-        if two:
-            n0 = (src + 1) ** 2 + m - 2
-            n1 = 2 * (src + 1) * (m - 2 - src) - m + 3
-            den = (m - 1) * m
-            return (n0, n0 + n1, den), den
-        return (src + 1, m), m
-    if kind is ProcessKind.DERANGEMENT:
-        return (src + 1, m - 1), m - 1
-    if kind is ProcessKind.EXCEDANCE and not two:
-        return (src, m - 1), m - 1
-    return (), 1  # deterministic branch
-
-
-def _draw_increment(kind: ProcessKind, m: int, two: bool, v: int, u: int,
-                    u64: int) -> int:
-    """Increment from the pre-drawn uniform ``u64``; every stage consumes
-    exactly one type draw and one value draw, so all engines stay in
-    lockstep."""
-    if kind is ProcessKind.FIBONACCI:
-        return 1 if two else 0
-    if kind is ProcessKind.EXCEDANCE and two:
-        return 1
-    src = v if two else u
-    cums, den = _increment_numerators(kind, m, two, src)
-    lhs = u64 * den
-    inc = len(cums) - 1
-    for j, c in enumerate(cums):
-        if lhs < c * TWO64:
-            inc = j
-            break
-    if kind is ProcessKind.DERANGEMENT and two:
-        inc += 1
-    return inc
-
-
 def simulate(kind: str | ProcessKind, n: int, seed: int, record: bool = False,
              stream_index: int = 0) -> Trajectory:
     """Run the process to stage n, deterministically in (seed, stream_index).
@@ -451,25 +458,19 @@ def simulate(kind: str | ProcessKind, n: int, seed: int, record: bool = False,
     if n < kind.n_min:
         raise FamilyError(f"{kind.value}: n={n} below minimum {kind.n_min}")
     stream = Stream(seed, stream_index)
-    thresholds = _type_thresholds(kind, n)
-
-    if kind in (ProcessKind.DERANGEMENT, ProcessKind.EXCEDANCE):
-        initial = ((1, 0), (2, 1))
-        values = {1: 0, 2: 1}
-        first = 3
-    else:
-        initial = ((0, 0), (1, 0))
-        values = {0: 0, 1: 0}
-        first = 2
-
+    first, v0, v1 = kind.start
+    counts = counting_sequence(kind.family, n)
+    values = {first - 2: v0, first - 1: v1}
+    initial = tuple(values.items())
     steps = []
     word = [1] if kind.composition_offset == 0 else []
-    for idx, m in enumerate(range(first, n + 1)):
-        u_type = stream.next_u64()
-        u_value = stream.next_u64()
-        two = u_type < thresholds[idx]
-        inc = _draw_increment(kind, m, two, values[m - 2], values[m - 1], u_value)
-        values[m] = (values[m - 2] if two else values[m - 1]) + inc
+    for m in range(first, n + 1):
+        law = _stage_law(kind, m, counts)
+        # every stage consumes one type draw and one value draw, so all
+        # engines stay in lockstep
+        two = stream.next_u64() * law.den < law.two_num * TWO64
+        src = values[m - 2] if two else values[m - 1]
+        values[m] = src + (law.two if two else law.one).draw(src, stream.next_u64())
         order = 2 if two else 1
         steps.append((m, order, values[m]))
         word.append(order)
@@ -489,12 +490,18 @@ def _decompose(kind: ProcessKind, n: int, values: dict[int, int],
     else:
         comp = discard_map(word)
     means = exact_means(kind, n)
+    pairs = comp.position_pairs()
+    # gamma_factor of every part, as one right-to-left suffix product
+    gammas, g = [], F(1)
+    for pos, size in reversed(pairs):
+        gammas.append(g)
+        if size == 2 and kind is ProcessKind.DERANGEMENT:
+            g *= F(pos, pos - 1)
     parts = []
-    for pos, size in comp.position_pairs():
+    for (pos, size), gamma in zip(pairs, reversed(gammas)):
         stage = pos + offset
         x = _difference_value(kind, stage, size, values, means)
         alpha = alpha_term(kind, stage, size, means) if offset else ZERO
-        gamma = gamma_factor(comp, pos) if kind is ProcessKind.DERANGEMENT else F(1)
         parts.append(PartRecord(pos, size, stage, x, alpha, gamma))
     return Decomposition(comp.parts, tuple(parts))
 
@@ -552,17 +559,14 @@ def exact_marginal(kind: str | ProcessKind, n: int) -> ExactPmf:
     kind = parse_kind(kind)
     if n < kind.n_min:
         raise FamilyError(f"{kind.value}: n={n} below minimum {kind.n_min}")
-    if kind in (ProcessKind.DERANGEMENT, ProcessKind.EXCEDANCE):
-        pairs = {(0, 1): F(1)}
-        first = 3
-    else:
-        pairs = {(0, 0): F(1)}
-        first = 2
-    counts = counting_sequence(kind.family, max(n, first))
+    first, v0, v1 = kind.start
+    pairs = {(v0, v1): F(1)}
+    counts = counting_sequence(kind.family, n)
     for m in range(first, n + 1):
+        law = _stage_law(kind, m, counts)
         nxt: dict[tuple[int, int], Fraction] = {}
         for (v, u), p in pairs.items():
-            for src, inc, q in _branches(kind, m, v, u, counts):
+            for src, inc, q in _entries(law, v, u):
                 if q == 0:
                     continue
                 val = (v if src == "prev" else u) + inc

@@ -5,28 +5,41 @@ is the SplitMix64 finalizer applied to ``key + j * GOLDEN``.  Replicates of a
 Monte Carlo run each own an independent stream derived from the master seed
 and the replicate index, so chunked or parallel execution draws exactly the
 same numbers as a serial run.
+
+The constants and the key derivation live here once; the batch engine applies
+them to uint64 arrays, whose arithmetic wraps without the masks used here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+MIX_SHIFTS = (30, 27, 31)
+MIX_MULTIPLIERS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
 TWO64 = 1 << 64
+
+_S1, _S2, _S3 = MIX_SHIFTS
+_M1, _M2 = MIX_MULTIPLIERS
 
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer: a 64-bit bijective hash."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+    z &= MASK64
+    z = ((z ^ (z >> _S1)) * _M1) & MASK64
+    z = ((z ^ (z >> _S2)) * _M2) & MASK64
+    return z ^ (z >> _S3)
 
 
-def stream_key(master_seed: int, stream_index: int = 0) -> int:
-    return mix64(mix64(master_seed) ^ mix64(stream_index + _GOLDEN))
+def stream_key(master_seed: int, stream_index=0, mix=mix64):
+    """Key of stream ``stream_index`` under ``master_seed``.
+
+    ``mix`` is ``mix64``, or its elementwise twin over a uint64 array of
+    stream indices, which gives the keys of many streams at once.
+    """
+    return mix(mix64(master_seed) ^ mix(stream_index + GOLDEN))
 
 
 class Stream:
@@ -43,7 +56,7 @@ class Stream:
         self._counter = 0
 
     def next_u64(self) -> int:
-        out = mix64(self._key + self._counter * _GOLDEN)
+        out = mix64(self._key + self._counter * GOLDEN)
         self._counter += 1
         return out
 

@@ -2,10 +2,22 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from descentlab.batch import batch_finals
-from descentlab.processes import ProcessKind, exact_marginal, simulate
+from descentlab.batch import _gates, batch_finals
+from descentlab.families import counting_sequence
+from descentlab.processes import (
+    Jump,
+    ProcessKind,
+    _stage_law,
+    _value_range,
+    exact_marginal,
+    simulate,
+)
+from descentlab.rng import MASK64, TWO64
 
 from mc import chi_square_pvalue
 
@@ -58,3 +70,57 @@ def test_derangement_chi_square_at_n_64():
 def test_batch_small_n_edge():
     assert batch_finals("derangement", 2, 100, 0) == {1: 100}
     assert set(batch_finals("fibonacci", 2, 100, 0)) == {0, 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(list(ProcessKind)),
+    n=st.integers(2, 40),
+    seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**64 - 64),
+    count=st.integers(1, 60),
+)
+def test_batch_equals_scalar_counter(kind, n, seed, start, count):
+    scalar = Counter(
+        simulate(kind, n, seed=seed, stream_index=r).final
+        for r in range(start, start + count)
+    )
+    assert batch_finals(kind, n, count, seed, start_index=start) == dict(scalar)
+
+
+def _exact_gate(c: int, den: int) -> tuple[int, bool]:
+    t = -(-c * TWO64 // den)
+    return (t - 1) & MASK64, t == 0
+
+
+@pytest.mark.parametrize("kind", list(ProcessKind))
+def test_stage_gates_equal_exact_ceilings(kind):
+    n = 150
+    counts = counting_sequence(kind.family, n)
+    for m in range(kind.start[0], n + 1):
+        law = _stage_law(kind, m, counts)
+        for jump, stage in ((law.two, m - 2), (law.one, m - 1)):
+            hi = _value_range(kind, stage)[1]
+            gates = _gates(jump, hi)
+            assert len(gates) == len(jump.cums)
+            for cum, (minus_one, is_zero) in zip(jump.cums, gates):
+                got = list(zip(minus_one.tolist(), is_zero.tolist()))
+                assert got == [_exact_gate(cum(s), jump.den) for s in range(hi + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(den=st.integers(2, 2**32 - 1), data=st.data())
+def test_gates_equal_exact_ceilings_for_any_numerators(den, data):
+    nums = data.draw(st.lists(st.integers(0, den), min_size=1, max_size=16))
+    table = np.array(nums, dtype=np.int64)
+    [(minus_one, is_zero)] = _gates(Jump(0, (lambda s: table[s],), den), len(nums) - 1)
+    got = list(zip(minus_one.tolist(), is_zero.tolist()))
+    assert got == [_exact_gate(c, den) for c in nums]
+
+
+def test_gate_arithmetic_preconditions_raise():
+    with pytest.raises(ArithmeticError):
+        _gates(Jump(0, (lambda s: s,), 2**32), 3)
+    with pytest.raises(ArithmeticError):
+        _gates(Jump(0, (lambda s: s + 2,), 4), 3)
+    assert _gates(Jump(1, (), 1), 3) == []

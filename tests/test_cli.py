@@ -198,3 +198,26 @@ def test_table_rejects_a_row_of_the_wrong_width():
 
     with pytest.raises(ValueError, match="2 cells for 3 columns"):
         Table(["n", "k", "count"]).add(1, 2)
+
+
+def test_exact_commands_do_not_load_numpy(tmp_path):
+    code = f"""
+import sys
+import descentlab.cli as cli
+loaded = ["numpy" in sys.modules]
+assert cli.main(["decompose", "--process", "derangement", "--n", "30",
+                 "--out", {str(tmp_path / "d.csv")!r}]) == 0
+assert cli.main(["simulate", "--process", "involution", "--n", "12",
+                 "--replicates", "5", "--threads", "1",
+                 "--record", {str(tmp_path / "a.csv")!r},
+                 "--out", {str(tmp_path / "s.csv")!r}]) == 0
+loaded.append("numpy" in sys.modules)
+import descentlab
+import descentlab.batch
+assert descentlab.batch_finals is descentlab.batch.batch_finals
+loaded.append("numpy" in sys.modules)
+print(loaded)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[False, False, True]"

@@ -181,6 +181,10 @@ def test_higher_order_reduces_to_binary():
     )
 
 
+def test_higher_order_sample_is_sample_composition():
+    assert higher_order_sample is sample_composition
+
+
 def test_higher_order_degenerate():
     ones = JumpProbabilityRule(lambda i: (F(1), F(0), F(0)), order=3, name="ones")
     comp = higher_order_sample(ones, 7, Stream(3))

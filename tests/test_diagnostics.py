@@ -170,6 +170,41 @@ def test_condition_scan_two_jump_order():
     assert all(r.fourth_sup < 20 for r in rows)
 
 
+def test_condition_scan_evaluates_each_conditional_moment_once(monkeypatch):
+    import descentlab.diagnostics as diag
+    from descentlab.processes import conditional_moment
+
+    def reference_row(kind, i, order, law):  # the scan's formulas, one call per use
+        p, pp = 2.0, float(F(4, 3))
+        sigma2 = sum(conditional_moment(kind, i, order, w, 2) * pr for w, pr in law)
+        s2f = float(sigma2)
+        acc2 = sum(abs(float(conditional_moment(kind, i, order, w, 2)) / s2f - 1.0)
+                   ** p * float(pr) for w, pr in law)
+        acc3 = sum(abs(float(conditional_moment(kind, i, order, w, 3)) / s2f**1.5)
+                   ** pp * float(pr) for w, pr in law)
+        col4 = max(float(conditional_moment(kind, i, order, w, 4)) / s2f**2
+                   for w, pr in law)
+        return (math.sqrt(i) * acc2 ** (1.0 / p),
+                i ** (1.0 / (2.0 * pp)) * acc3 ** (1.0 / pp), col4)
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return conditional_moment(*args)
+
+    monkeypatch.setattr(diag, "conditional_moment", counted)
+    for kind, order in (("involution", 1), ("derangement", 1), ("involution", 2)):
+        calls.clear()
+        rows = condition_scan(kind, range(10, 31), order=order)
+        assert len(calls) == len(set(calls))
+        tri = descent_triangle(kind, 30)
+        for row in rows:
+            law = diag._conditioning_law(diag.parse_kind(kind), row.i, order, tri)
+            assert (row.second_norm, row.third_norm, row.fourth_sup) == \
+                reference_row(kind, row.i, order, law)
+
+
 def test_condition_scan_invalid_exponent():
     with pytest.raises(ValueError):
         condition_scan("involution", range(10, 12), p=F(1))

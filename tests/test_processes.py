@@ -3,13 +3,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from descentlab.compositions import Composition, enumerate_compositions
 from descentlab.errors import FamilyError, InfeasibleStateError
-from descentlab.families import descent_triangle, triangle_row_pmf
+from descentlab.families import counting_sequence, descent_triangle, triangle_row_pmf
 from descentlab.processes import (
     ProcessKind,
     ProcessState,
+    _stage_law,
+    _value_range,
     alpha_term,
     conditional_moment,
     exact_marginal,
@@ -104,25 +108,42 @@ def test_exact_marginal_matches_triangle(kind):
         assert exact_marginal(kind, n) == triangle_row_pmf(tri, n)
 
 
+def _increment_law(kind: ProcessKind, m: int, order: int, src: int):
+    """Law of the increment of an order-``order`` jump into stage m from the
+    value ``src``: ``jump_distribution`` conditioned on the jump type.
+
+    Stage 2 lies before the first state ``jump_distribution`` takes; the
+    involution value there is uniform on {0, 1} (the two involutions of
+    size 2) whichever jump produced it.
+    """
+    if kind is ProcessKind.INVOLUTION and m == 2:
+        return {0: F(1, 2), 1: F(1, 2)}
+    # the law depends on the jump's own source only: take 0 at the other one
+    state = ProcessState(kind, m - 2, src if order == 2 else 0,
+                         src if order == 1 else 0)
+    name = "prev" if order == 2 else "last"
+    entries = [(inc, p) for s, inc, p in jump_distribution(state).entries if s == name]
+    p_type = sum(p for _, p in entries)
+    return {inc: p / p_type for inc, p in entries}
+
+
 def test_exact_marginal_agrees_with_path_enumeration():
     # literal path expansion over all branch choices, involutions at n = 6
     kind = ProcessKind.INVOLUTION
-    from descentlab.families import counting_sequence
-    from descentlab.processes import _branches
-
-    counts = counting_sequence(kind.family, 6)
     marg: dict[int, Fraction] = {}
 
     def walk(m, prev, last, prob):
         if m > 6:
             marg[last] = marg.get(last, F(0)) + prob
             return
-        for src, inc, q in _branches(kind, m, prev, last, counts):
+        dist = jump_distribution(ProcessState(kind, m - 2, prev, last))
+        for src, inc, q in dist.entries:
             if q:
                 val = (prev if src == "prev" else last) + inc
                 walk(m + 1, last, val, prob * q)
 
-    walk(2, 0, 0, F(1))
+    for last, q in _increment_law(kind, 2, 1, 0).items():  # value at stage 2
+        walk(3, 0, last, q)
     pmf = exact_marginal(kind, 6)
     assert marg == {k: w for k, w in pmf.items() if w}
 
@@ -346,8 +367,6 @@ def _conditional_sum_moments(comp):
     Returns (E[S], E[S^2], per-part second moments via closed forms), where
     S is the sum of the differences along the composition's parts.
     """
-    from descentlab.processes import _increment_numerators
-
     kind = ProcessKind.INVOLUTION
     # paths: (value at covered prefix end, accumulated sum, probability)
     paths = [(0, F(0), F(1))]
@@ -362,11 +381,7 @@ def _conditional_sum_moments(comp):
             if m == 1:  # initial one-jump, difference identically zero
                 nxt.append((0, acc, prob))
                 continue
-            cums, den = _increment_numerators(kind, m, size == 2, value)
-            prev_c = 0
-            for delta, c in enumerate(cums):
-                p = F(c - prev_c, den)
-                prev_c = c
+            for delta, p in _increment_law(kind, m, size, value).items():
                 if p == 0:
                     continue
                 new_value = value + delta
@@ -403,3 +418,41 @@ def test_variance_decomposition_and_total_variance():
         # law of total expectation: E[Z_n^2] over compositions
         var = triangle_row_pmf(descent_triangle("involution", n), n).variance()
         assert total == n * n * var
+
+
+# ---------------------------------------------------------------------------
+# properties over kind, size, seed and stream index
+# ---------------------------------------------------------------------------
+
+kinds = st.sampled_from(ALL_KINDS)
+seeds = st.integers(0, 2**64 - 1)
+indices = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=kinds, n=st.integers(2, 40), seed=seeds, index=indices)
+def test_recorded_runs_reconstruct_exactly(kind, n, seed, index):
+    traj = simulate(kind, n, seed=seed, record=True, stream_index=index)
+    assert reconstruct(traj) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 80), seed=seeds, index=indices)
+def test_recorded_gammas_equal_gamma_factor(n, seed, index):
+    traj = simulate("derangement", n, seed=seed, record=True, stream_index=index)
+    comp = Composition(traj.decomposition.composition)
+    for part in traj.decomposition.parts:
+        assert part.gamma == gamma_factor(comp, part.position)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=kinds, data=st.data())
+def test_jump_distribution_splits_types_as_the_law(kind, data):
+    n = data.draw(st.integers(kind.n_min, 40), label="n")
+    prev = data.draw(st.integers(*_value_range(kind, n)), label="prev")
+    last = data.draw(st.integers(*_value_range(kind, n + 1)), label="last")
+    dist = jump_distribution(ProcessState(kind, n, prev, last))
+    assert sum(p for _, _, p in dist.entries) == 1
+    assert all(p >= 0 for _, _, p in dist.entries)
+    law = _stage_law(kind, n + 2, counting_sequence(kind.family, n + 2))
+    assert dist.two_jump_probability() == F(law.two_num, law.den)
