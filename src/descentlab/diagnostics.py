@@ -2,7 +2,8 @@
 
 Kolmogorov distances standardize a row pmf by its exact mean and standard
 deviation and compare the exact CDF against the standard normal at every
-jump, from both sides.  Identity checks enumerate compositions exactly.
+jump, from both sides.  Identity checks sum over compositions exactly by a
+forward recurrence over ending positions, in O(n) exact operations.
 Condition scans evaluate the normalized conditional moment norms of the
 martingale differences over the exact law of the conditioning value.
 """
@@ -12,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .compositions import BernoulliSpec, discard_map, enumerate_compositions
+from .compositions import BernoulliSpec
 from .errors import BudgetError, FamilyError
 from .families import (
     CountTriangle,
@@ -156,27 +157,31 @@ class IdentityReport:
     offset_used: int
 
 
-def _weighted_composition_sum(n: int, power: int) -> Fraction:
-    """sum over compositions of n of prod over 2-parts of (position-1)^power."""
-    total = ZERO
-    for comp in enumerate_compositions(n):
-        term = F(1)
-        for pos, size in comp.position_pairs():
-            if size == 2:
-                term *= F(pos - 1) ** power
-        total += term
-    return total
+def _product_sum(n: int, two: Callable[[int], int | Fraction]) -> Fraction:
+    """Sum over compositions of n of the product of ``two(p)`` over the
+    positions p that end a 2-part (a 1-part weighs 1).
+
+    A composition of p ends in a 1-part after a composition of p-1 or in a
+    2-part after one of p-2, so S_p = S_{p-1} + two(p) S_{p-2} with
+    S_0 = S_1 = 1 (Stanley, EC1 4.7).
+    """
+    prev, cur = 1, 1
+    for p in range(2, n + 1):
+        prev, cur = cur, cur + two(p) * prev
+    return F(cur)
 
 
 def identity_check(which: str, n: int, budget: int = _DEFAULT_BUDGET) -> IdentityReport:
-    """Verify one exact identity at size n by full enumeration.
+    """Verify one exact identity at size n, exactly, in O(n) operations.
 
     stan1: the composition sum weighted by surviving two-jump positions
     equals an involution count; stan2: the squared weighting equals a
     factorial; both are checked against the natural index and its successor,
     recording which offset holds.  derangement_sum: the reciprocal-position
-    product sum equals the truncated alternating series.  fibonacci_pmf: the
-    triangle row equals the composition census.
+    product sum equals the truncated alternating series.  The three sums run
+    a forward recurrence over ending positions.  fibonacci_pmf: the triangle
+    row equals the composition census, comb(n-k, k) compositions of n with
+    k 2-parts.
     """
     if which not in IDENTITY_CHECKS:
         raise ValueError(f"unknown identity {which!r}; choose from {IDENTITY_CHECKS}")
@@ -186,7 +191,7 @@ def identity_check(which: str, n: int, budget: int = _DEFAULT_BUDGET) -> Identit
         raise BudgetError(f"n={n} exceeds the enumeration budget {budget}")
 
     if which == "stan1":
-        lhs = _weighted_composition_sum(n, 1)
+        lhs = _product_sum(n, lambda p: p - 1)
         seq = counting_sequence(Family.INVOLUTION, n + 1)
         for offset in (0, 1):
             if lhs == seq[n + offset]:
@@ -194,7 +199,7 @@ def identity_check(which: str, n: int, budget: int = _DEFAULT_BUDGET) -> Identit
         return IdentityReport(which, n, lhs, F(seq[n]), False, 0)
 
     if which == "stan2":
-        lhs = _weighted_composition_sum(n, 2)
+        lhs = _product_sum(n, lambda p: (p - 1) ** 2)
         for offset in (0, 1):
             rhs = F(math.factorial(n + offset))
             if lhs == rhs:
@@ -202,31 +207,18 @@ def identity_check(which: str, n: int, budget: int = _DEFAULT_BUDGET) -> Identit
         return IdentityReport(which, n, lhs, F(math.factorial(n)), False, 0)
 
     if which == "derangement_sum":
-        total = ZERO
-        for comp in enumerate_compositions(n):
-            term = F(1)
-            for pos, size in comp.position_pairs():
-                if size == 2:
-                    term *= F(1, pos)
-            total += term
-        lhs = total / (n + 2)
+        lhs = _product_sum(n, lambda p: F(1, p)) / (n + 2)
         rhs = sum(F((-1) ** k, math.factorial(k)) for k in range(n + 3))
         return IdentityReport(which, n, lhs, rhs, lhs == rhs, 0)
 
     # fibonacci_pmf: triangle row pmf equals the two-part census over
     # compositions of n
-    tri = descent_triangle(Family.FIBONACCI, n)
-    pmf = triangle_row_pmf(tri, n)
-    census: dict[int, int] = {}
-    for comp in enumerate_compositions(n):
-        twos = sum(1 for p in comp.parts if p == 2)
-        census[twos] = census.get(twos, 0) + 1
+    pmf = triangle_row_pmf(descent_triangle(Family.FIBONACCI, n), n)
     f_n = counting_sequence(Family.FIBONACCI, n)[n]
-    lhs_vec = [F(census.get(k, 0), f_n) for k in range(n // 2 + 1)]
-    rhs_vec = [pmf.weight(k) for k in range(n // 2 + 1)]
-    for a, b in zip(lhs_vec, rhs_vec):
-        if a != b:  # report the first disagreeing weight
-            return IdentityReport(which, n, a, b, False, 0)
+    for k in range(n // 2 + 1):
+        census, weight = F(math.comb(n - k, k), f_n), pmf.weight(k)
+        if census != weight:  # report the first disagreeing weight
+            return IdentityReport(which, n, census, weight, False, 0)
     return IdentityReport(which, n, F(1), F(1), True, 0)
 
 
@@ -310,12 +302,16 @@ def condition_scan(
 def psi_variance_check(
     specs: Sequence[BernoulliSpec], n: int
 ) -> tuple[Fraction, Fraction, bool]:
-    """(Var T_n, Var psi(T_n), holds) by exact enumeration of all words.
+    """(Var T_n, Var psi(T_n), holds), exactly, in O(n) operations.
 
     ``specs[i-1]`` drives stage i: its success probability is the two-jump
     probability and its values are the two-jump/one-jump contributions.  The
     summands must have exactly zero mean; stage 1 is always a one-jump, so
     spec 1 must put no mass on the two-jump.
+
+    The discard reduction's composition law factors over ending positions,
+    so (E psi, E psi^2) over the compositions of p follow from those of p-1
+    (a 1-part ends at p) and p-2 (a 2-part ends at p); each has total mass 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -334,24 +330,14 @@ def psi_variance_check(
         spec.raw_moment(2) - spec.mean() ** 2 for spec in specs
     )
 
-    mean_psi = ZERO
-    second_psi = ZERO
-    for mask in range(1 << (n - 1)):
-        word = [1]
-        prob = F(1)
-        for i in range(2, n + 1):
-            two = (mask >> (i - 2)) & 1
-            word.append(2 if two else 1)
-            q = specs[i - 1].p
-            prob *= q if two else 1 - q
-        if prob == 0:
-            continue
-        comp = discard_map(word)
-        value = sum(
-            (specs[pos - 1].a if size == 2 else specs[pos - 1].b)
-            for pos, size in comp.position_pairs()
-        )
-        mean_psi += prob * value
-        second_psi += prob * value * value
+    # (E psi, E psi^2) at p-2 and p-1; position -1 has weight specs[0].p = 0
+    back = last = (ZERO, ZERO)
+    for spec in specs:
+        m1 = m2 = ZERO
+        for w, v, (s1, s2) in ((1 - spec.p, spec.b, last), (spec.p, spec.a, back)):
+            m1 += w * (s1 + v)
+            m2 += w * (s2 + 2 * v * s1 + v * v)
+        back, last = last, (m1, m2)
+    mean_psi, second_psi = last
     var_psi = second_psi - mean_psi * mean_psi
     return var_t, var_psi, var_psi <= var_t

@@ -160,6 +160,8 @@ def fourth_moment_scan(
     if fam not in (Family.INVOLUTION, Family.DERANGEMENT):
         raise FamilyError("fourth-moment scan covers involution and derangement")
     ns = sorted(set(n_range))
+    if not ns:
+        return []
     tri = descent_triangle(fam, ns[-1])
     out = []
     for n in ns:

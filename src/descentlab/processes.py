@@ -224,17 +224,19 @@ def _entries(law: StageLaw, prev: int, last: int) -> list[tuple[str, int, Fracti
 
 
 def jump_distribution(state: ProcessState) -> JumpDistribution:
-    """Exact transition law out of a feasible state.
+    """Exact transition law out of a feasible state, from the first update's
+    state (index ``kind.start[0] - 2``) on.
 
     The probabilities sum to 1 identically because the family's counting
     recurrence splits the stage-(n+2) class over the two source stages.
     """
     kind = state.kind
-    if state.n < kind.n_min:
-        raise FamilyError(
-            f"{kind.value}: state index {state.n} below minimum {kind.n_min}"
-        )
     m = state.n + 2
+    if m < kind.start[0]:
+        raise FamilyError(
+            f"{kind.value}: no transition into stage {m}; "
+            f"the first update is into stage {kind.start[0]}"
+        )
     entries = _entries(_stage_law(kind, m, counting_sequence(kind.family, m)),
                        state.prev, state.last)
     if any(p < 0 or p > 1 for _, _, p in entries):

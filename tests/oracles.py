@@ -1,12 +1,16 @@
 """Independent brute-force oracles used by the test suite.
 
-These enumerate permutation classes directly and count statistics from the
-definitions; they never touch the recurrence-based triangle code they check.
+These enumerate permutation classes, compositions and jump words directly and
+count statistics from the definitions; they never touch the recurrences they
+check.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from fractions import Fraction
+from itertools import permutations, product
+
+from descentlab.compositions import enumerate_compositions, word_statistic
 
 
 def descents(perm: tuple[int, ...]) -> int:
@@ -85,3 +89,43 @@ def fibonacci_row(n: int) -> list[int]:
     return count_histogram(
         (descents(p) for p in fibonacci_permutations(n)), 0, n // 2
     )
+
+
+def composition_product_sum(n: int, two) -> Fraction:
+    """Sum over all compositions of n of the product of two(p) over the
+    positions p that end a 2-part."""
+    total = Fraction(0)
+    for comp in enumerate_compositions(n):
+        term = Fraction(1)
+        for pos, size in comp.position_pairs():
+            if size == 2:
+                term *= two(pos)
+        total += term
+    return total
+
+
+def two_part_census(n: int) -> dict[int, int]:
+    """Number of compositions of n with k 2-parts, keyed by k."""
+    census: dict[int, int] = {}
+    for comp in enumerate_compositions(n):
+        k = comp.parts.count(2)
+        census[k] = census.get(k, 0) + 1
+    return census
+
+
+def word_psi_moments(specs, n: int) -> tuple[Fraction, Fraction]:
+    """(E psi, E psi^2) over all 2^(n-1) jump words of length n.
+
+    Letter i is a two-jump with probability specs[i-1].p; psi is the
+    word's discard-mapped statistic.
+    """
+    m1 = m2 = Fraction(0)
+    for tail in product((1, 2), repeat=n - 1):
+        word = (1,) + tail
+        prob = Fraction(1)
+        for spec, letter in zip(specs[1:], tail):
+            prob *= spec.p if letter == 2 else 1 - spec.p
+        value = word_statistic(specs, word)
+        m1 += prob * value
+        m2 += prob * value * value
+    return m1, m2

@@ -4,7 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from descentlab.compositions import BernoulliSpec, family_rule
 from descentlab.diagnostics import (
     CltRecord,
@@ -16,7 +19,12 @@ from descentlab.diagnostics import (
     psi_variance_check,
 )
 from descentlab.errors import BudgetError, FamilyError
-from descentlab.families import ExactPmf, descent_triangle, triangle_row_pmf
+from descentlab.families import (
+    ExactPmf,
+    counting_sequence,
+    descent_triangle,
+    triangle_row_pmf,
+)
 from descentlab.rng import Stream
 
 F = Fraction
@@ -157,6 +165,41 @@ def test_identity_guards():
         identity_check("nonesuch", 3)
 
 
+# the weight of a 2-part ending at position p in each composition sum
+PRODUCT_SUM_WEIGHTS = {
+    "stan1": lambda p: p - 1,
+    "stan2": lambda p: (p - 1) ** 2,
+    "derangement_sum": lambda p: F(1, p),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.sampled_from(sorted(PRODUCT_SUM_WEIGHTS)), n=st.integers(1, 14))
+def test_identity_sums_equal_composition_enumeration(which, n):
+    total = oracles.composition_product_sum(n, PRODUCT_SUM_WEIGHTS[which])
+    if which == "derangement_sum":
+        total /= n + 2
+    lhs = identity_check(which, n).lhs
+    assert type(lhs) is Fraction and lhs == total
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 14))
+def test_fibonacci_census_equals_composition_enumeration(n):
+    # the check compares its census with the triangle row; so does this
+    assert identity_check("fibonacci_pmf", n).holds
+    census = oracles.two_part_census(n)
+    f_n = counting_sequence("fibonacci", n)[n]
+    assert [F(census.get(k, 0), f_n) for k in range(n // 2 + 1)] == list(
+        row_pmf("fibonacci", n).weights)
+
+
+@pytest.mark.parametrize("n", [100, 400])
+@pytest.mark.parametrize("which", ["stan1", "stan2", "derangement_sum", "fibonacci_pmf"])
+def test_identities_hold_at_large_n(which, n):
+    assert identity_check(which, n, budget=n).holds
+
+
 def test_condition_scan_bounded():
     for tag in ("involution", "derangement"):
         rows = condition_scan(tag, range(10, 101))
@@ -259,3 +302,28 @@ def test_psi_variance_random_specs_hold():
             specs.append(BernoulliSpec(p, a, b))
         vt, vp, holds = psi_variance_check(specs, n)
         assert holds
+
+
+small_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def zero_mean_specs(draw, n):
+    specs = [BernoulliSpec(F(0), draw(small_fractions), F(0))]
+    for _ in range(n - 1):
+        p = draw(st.builds(F, st.integers(0, 8), st.just(8)))
+        if p == 1:  # a sure two-jump: its value must be 0, the other is free
+            specs.append(BernoulliSpec(p, F(0), draw(small_fractions)))
+        else:
+            a = draw(small_fractions)
+            specs.append(BernoulliSpec(p, a, -p * a / (1 - p)))
+    return specs
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 14))
+def test_psi_variance_equals_word_enumeration(data, n):
+    specs = data.draw(zero_mean_specs(n), label="specs")
+    m1, m2 = oracles.word_psi_moments(specs, n)
+    _, vp, _ = psi_variance_check(specs, n)
+    assert type(vp) is Fraction and vp == m2 - m1 * m1

@@ -166,6 +166,7 @@ def test_fourth_moment_scan():
 
     # a point-mass row has vanishing central moments
     assert fourth_moment_scan("derangement", [2]) == [(2, 0, 0.0)]
+    assert fourth_moment_scan("involution", range(5, 5)) == []
 
     with pytest.raises(Exception):
         fourth_moment_scan("fibonacci", range(4, 10))
