@@ -7,7 +7,10 @@ significant digits, and rationals render exactly as p/q.  Counts serialize
 as decimal strings in JSON since they outgrow 64-bit integers quickly.
 
 Exit codes: 0 success, 2 bad flags, 3 nonzero reconstruction residual,
-4 failed exact identity.
+4 failed exact identity.  Sizes are bounded before any work starts: ``--n``
+(and each ``--n-set`` entry) at most ``N_MAX``, ``--replicates`` in
+1..``REPLICATES_MAX`` and ``--threads`` in 1..``THREADS_MAX``; a value
+outside its range exits with code 2.
 """
 
 from __future__ import annotations
@@ -27,6 +30,25 @@ from .processes import parse_kind, reconstruct, simulate
 
 RESIDUAL_EXIT = 3
 IDENTITY_EXIT = 4
+
+# A 1000-row derangement triangle holds about 0.3 GB of integers; 10^6
+# replicates is a second's work for the batch engine at n=32.
+N_MAX = 1000
+REPLICATES_MAX = 1_000_000
+THREADS_MAX = 256
+
+
+def _bounded_int(lo: int | None, hi: int):
+    """An argparse type: an int in [lo, hi] (no lower bound when lo is None)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value > hi or (lo is not None and value < lo):
+            bounds = f"at most {hi}" if lo is None else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _fmt_float(x: float) -> str:
@@ -183,7 +205,7 @@ def cmd_simulate(args) -> int:
     kind = parse_kind(args.process)
     record = args.record is not None
     floor = 2_000 if record else 50_000
-    workers = max(1, args.threads)
+    workers = args.threads
     payloads = [
         (kind.value, args.n, args.seed, start, count, record)
         for start, count in _split_chunks(args.replicates, workers)
@@ -244,6 +266,8 @@ def cmd_moments(args) -> int:
 
 def cmd_clt(args) -> int:
     ns = [int(tok) for tok in args.n_set.split(",") if tok]
+    if any(n > N_MAX for n in ns):
+        raise ValueError(f"--n-set entries must be at most {N_MAX}")
     res = clt_table(args.family, ns, min_n=args.min_n, fit_min_n=args.fit_min)
     table = Table(["n", "mean", "sd", "K", "scaled"])
     for r in res.records:
@@ -310,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("csv", "json", "tsv"), default="csv")
         p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=_bounded_int(1, THREADS_MAX),
+                       default=min(os.cpu_count() or 1, THREADS_MAX))
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     families = ("eulerian", "involution", "derangement", "excedance", "fibonacci")
@@ -318,14 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("triangle", help="emit triangle rows")
     p.add_argument("--family", choices=families, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_bounded_int(None, N_MAX), required=True)
     common(p)
     p.set_defaults(func=cmd_triangle)
 
     p = sub.add_parser("simulate", help="Monte Carlo runs of a jump process")
     p.add_argument("--process", choices=processes, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--replicates", type=int, default=10_000)
+    p.add_argument("--n", type=_bounded_int(None, N_MAX), required=True)
+    p.add_argument("--replicates", type=_bounded_int(1, REPLICATES_MAX),
+                   default=10_000)
     p.add_argument("--record", default=None,
                    help="write a per-replicate decomposition audit file")
     common(p)
@@ -333,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="exact moment table with asymptotics")
     p.add_argument("--family", choices=families, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_bounded_int(None, N_MAX), required=True)
     common(p)
     p.set_defaults(func=cmd_moments)
 
@@ -357,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="dump one recorded trajectory")
     p.add_argument("--process", choices=processes, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_bounded_int(None, N_MAX), required=True)
     common(p)
     p.set_defaults(func=cmd_decompose)
 

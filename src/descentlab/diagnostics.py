@@ -188,7 +188,7 @@ def identity_check(which: str, n: int, budget: int = _DEFAULT_BUDGET) -> Identit
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > budget:
-        raise BudgetError(f"n={n} exceeds the enumeration budget {budget}")
+        raise BudgetError(f"n={n} exceeds the size budget {budget}")
 
     if which == "stan1":
         lhs = _product_sum(n, lambda p: p - 1)
@@ -300,7 +300,7 @@ def condition_scan(
 # ---------------------------------------------------------------------------
 
 def psi_variance_check(
-    specs: Sequence[BernoulliSpec], n: int
+    specs: Sequence[BernoulliSpec], n: int, budget: int = 14
 ) -> tuple[Fraction, Fraction, bool]:
     """(Var T_n, Var psi(T_n), holds), exactly, in O(n) operations.
 
@@ -312,11 +312,13 @@ def psi_variance_check(
     The discard reduction's composition law factors over ending positions,
     so (E psi, E psi^2) over the compositions of p follow from those of p-1
     (a 1-part ends at p) and p-2 (a 2-part ends at p); each has total mass 1.
+    An n above ``budget`` raises ``BudgetError``; pass a larger budget for
+    larger n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > 14:
-        raise BudgetError("exact enumeration is limited to n <= 14")
+    if n > budget:
+        raise BudgetError(f"n={n} exceeds the size budget {budget}")
     if len(specs) < n:
         raise IndexError(f"need {n} specs, got {len(specs)}")
     specs = list(specs[:n])

@@ -15,4 +15,4 @@ class RuleError(ValueError):
 
 
 class BudgetError(ValueError):
-    """Raised when an exact-enumeration request exceeds its size budget."""
+    """Raised when an exact computation is asked for a size above its budget."""

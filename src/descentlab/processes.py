@@ -5,11 +5,13 @@ two-jumps (from the value two stages back), with transition probabilities
 built from the family's counting sequence.  That law is written once per
 (kind, stage), in integers (``_stage_law``); the exact ``Fraction`` entries,
 the scalar draw, the exact marginal and the batch engine's gates all read
-it.  Recording a run keeps the
-stage-by-stage jump word; its discard reduction yields a composition, and the
-run decomposes over the composition's parts into differences, deterministic
-adjustments, and multiplicative factors that reconstruct the centered, scaled
-final value exactly.
+it.  Recording a run keeps the stage-by-stage jump word; its discard
+reduction yields a composition, and the run decomposes over the
+composition's parts into differences, deterministic adjustments, and
+multiplicative factors that reconstruct the centered, scaled final value
+exactly.  Each kind keeps one grow-only table of its stage laws and of the
+per-stage constants a recorded part reads (``_StageTable``), so runs after
+the first build nothing per stage.
 
 Stage bookkeeping: involution and fibonacci runs decompose over compositions
 of n (part position == stage).  Derangement and excedance runs start at stage
@@ -20,6 +22,7 @@ part ending at position p describes the jump into stage p + 2.
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -237,8 +240,7 @@ def jump_distribution(state: ProcessState) -> JumpDistribution:
             f"{kind.value}: no transition into stage {m}; "
             f"the first update is into stage {kind.start[0]}"
         )
-    entries = _entries(_stage_law(kind, m, counting_sequence(kind.family, m)),
-                       state.prev, state.last)
+    entries = _entries(_TABLES[kind].laws_through(m)[m], state.prev, state.last)
     if any(p < 0 or p > 1 for _, _, p in entries):
         raise InfeasibleStateError(
             f"{kind.value}: state ({state.prev}, {state.last}) at stage {state.n} "
@@ -449,6 +451,87 @@ class Trajectory:
         return vals
 
 
+def _mean_shift(kind: ProcessKind, i: int, order: int, means) -> Fraction:
+    """The exact-mean part of the difference realized by a jump of the given
+    order into stage i; the rest is an integer in the source and new values
+    (``_difference_value``)."""
+    if kind is _FIBONACCI:  # i (new - mu_i) - (i - order) (src - mu_{i-order})
+        return i * means[i] - (i - order) * means[i - order]
+    if kind is ProcessKind.EXCEDANCE and order == 2:  # 2 (src - mu_{i-2})
+        return 2 * means[i - 2]
+    return ZERO
+
+
+def _difference_value(kind: ProcessKind, i: int, order: int, src: int, new: int,
+                      shift: Fraction) -> Fraction:
+    """The decomposition difference realized by the recorded jump of the given
+    order into stage i, from the value ``src`` to the value ``new``, given
+    the stage's ``_mean_shift``."""
+    if kind is _INVOLUTION:
+        # centered source w = src - (i - order - 1)/2
+        if order == 1:  # w -/+ i/2
+            d = src - i + 1 if new == src else src + 1
+        else:  # 2w + (new - src - 1) i
+            d = 2 * src - i + 3 + (new - src - 1) * i
+    elif kind is _FIBONACCI:
+        d = i * new - (i - order) * src
+    elif kind is _DERANGEMENT:
+        # both jump types land on src+1 or src+2 (two-jump) / src, src+1 (one)
+        d = src - i + 2 if new == src + order - 1 else src + 1
+    elif order == 2:  # excedance
+        d = 2 * src
+    else:
+        d = src - i + 1 if new == src else src
+    return d - shift if shift else F(d)
+
+
+class _StageTable:
+    """Grow-only stage constants of one process kind.
+
+    ``laws[m]`` is the law into stage m (``None`` before the first update);
+    ``parts[m][order - 1]`` is the (``alpha_term``, ``_mean_shift``) pair of
+    a recorded part that ends at stage m with a jump of that order
+    (``None`` before the first part's stage, which takes one-jumps only).
+    Each list grows on demand from its last entry, under a lock, and is
+    never rebuilt; callers read the lists but never write them.  No entry
+    depends on the size of the run that asks for it.
+    """
+
+    def __init__(self, kind: ProcessKind):
+        self.kind = kind
+        self.laws: list[StageLaw | None] = [None] * kind.start[0]
+        self.parts: list[tuple | None] = [None] * (kind.composition_offset + 1)
+        self.lock = threading.RLock()
+
+    def laws_through(self, n: int) -> list[StageLaw | None]:
+        laws = self.laws
+        if len(laws) <= n:
+            with self.lock:
+                if len(laws) <= n:
+                    counts = counting_sequence(self.kind.family, n)
+                    laws.extend(_stage_law(self.kind, m, counts)
+                                for m in range(len(laws), n + 1))
+        return laws
+
+    def parts_through(self, n: int) -> list[tuple | None]:
+        parts = self.parts
+        if len(parts) <= n:
+            with self.lock:
+                if len(parts) <= n:
+                    kind, means = self.kind, exact_means(self.kind, n)
+                    # a 2-part ends one stage after the first part at the earliest
+                    twos = kind.composition_offset + 2
+                    for m in range(len(parts), n + 1):
+                        orders = (1, 2) if m >= twos else (1,)
+                        parts.append(tuple((alpha_term(kind, m, order, means),
+                                            _mean_shift(kind, m, order, means))
+                                           for order in orders))
+        return parts
+
+
+_TABLES = {kind: _StageTable(kind) for kind in ProcessKind}
+
+
 def simulate(kind: str | ProcessKind, n: int, seed: int, record: bool = False,
              stream_index: int = 0) -> Trajectory:
     """Run the process to stage n, deterministically in (seed, stream_index).
@@ -459,78 +542,49 @@ def simulate(kind: str | ProcessKind, n: int, seed: int, record: bool = False,
     kind = parse_kind(kind)
     if n < kind.n_min:
         raise FamilyError(f"{kind.value}: n={n} below minimum {kind.n_min}")
-    stream = Stream(seed, stream_index)
+    next_u64 = Stream(seed, stream_index).next_u64
     first, v0, v1 = kind.start
-    counts = counting_sequence(kind.family, n)
-    values = {first - 2: v0, first - 1: v1}
-    initial = tuple(values.items())
+    laws = _TABLES[kind].laws_through(n)
+    values = [0] * (n + 1)
+    values[first - 2], values[first - 1] = v0, v1
     steps = []
     word = [1] if kind.composition_offset == 0 else []
     for m in range(first, n + 1):
-        law = _stage_law(kind, m, counts)
+        law = laws[m]
         # every stage consumes one type draw and one value draw, so all
         # engines stay in lockstep
-        two = stream.next_u64() * law.den < law.two_num * TWO64
+        two = next_u64() * law.den < law.two_num * TWO64
         src = values[m - 2] if two else values[m - 1]
-        values[m] = src + (law.two if two else law.one).draw(src, stream.next_u64())
+        values[m] = src + (law.two if two else law.one).draw(src, next_u64())
         order = 2 if two else 1
         steps.append((m, order, values[m]))
         word.append(order)
 
-    final = values[n]
-    decomposition = None
-    if record:
-        decomposition = _decompose(kind, n, values, word)
-    return Trajectory(kind, n, seed, initial, tuple(steps), final, decomposition)
+    decomposition = _decompose(kind, n, values, word) if record else None
+    return Trajectory(kind, n, seed, ((first - 2, v0), (first - 1, v1)),
+                      tuple(steps), values[n], decomposition)
 
 
-def _decompose(kind: ProcessKind, n: int, values: dict[int, int],
+def _decompose(kind: ProcessKind, n: int, values: list[int],
                word: list[int]) -> Decomposition:
     offset = kind.composition_offset
-    if not word:
-        comp = Composition(())
-    else:
-        comp = discard_map(word)
-    means = exact_means(kind, n)
+    comp = discard_map(word) if word else Composition(())
+    table = _TABLES[kind].parts_through(n)
     pairs = comp.position_pairs()
     # gamma_factor of every part, as one right-to-left suffix product
     gammas, g = [], F(1)
     for pos, size in reversed(pairs):
         gammas.append(g)
-        if size == 2 and kind is ProcessKind.DERANGEMENT:
+        if size == 2 and kind is _DERANGEMENT:
             g *= F(pos, pos - 1)
     parts = []
     for (pos, size), gamma in zip(pairs, reversed(gammas)):
         stage = pos + offset
-        x = _difference_value(kind, stage, size, values, means)
-        alpha = alpha_term(kind, stage, size, means) if offset else ZERO
+        alpha, shift = table[stage][size - 1]
+        x = _difference_value(kind, stage, size, values[stage - size],
+                              values[stage], shift)
         parts.append(PartRecord(pos, size, stage, x, alpha, gamma))
     return Decomposition(comp.parts, tuple(parts))
-
-
-def _difference_value(kind: ProcessKind, i: int, order: int,
-                      values: dict[int, int], means) -> Fraction:
-    """The decomposition difference realized by the recorded jump into stage i."""
-    src = values[i - order]
-    new = values[i]
-    if kind is ProcessKind.INVOLUTION:
-        w = src - F(i - order - 1, 2)
-        if order == 1:
-            return w - F(i, 2) if new == src else w + F(i, 2)
-        delta = new - src
-        return 2 * w + (delta - 1) * i
-    if kind is ProcessKind.FIBONACCI:
-        zi = i * (new - means[i])
-        zs = (i - order) * (src - means[i - order])
-        return zi - zs
-    if kind is ProcessKind.DERANGEMENT:
-        # both jump types land on src+1 or src+2 (two-jump) / src, src+1 (one)
-        low = new == src + (1 if order == 2 else 0)
-        return F(src - i + 2) if low else F(src + 1)
-    # excedance
-    if order == 2:
-        return 2 * (src - means[i - 2])
-    return F(src - i + 1) if new == src else F(src)
 
 
 def reconstruct(traj: Trajectory) -> Fraction:
@@ -546,9 +600,19 @@ def reconstruct(traj: Trajectory) -> Fraction:
         raise ValueError("trajectory was not recorded with a decomposition")
     kind = traj.kind
     means = exact_means(kind, traj.n)
-    total = sum(
-        (p.gamma * (p.x + p.alpha) for p in traj.decomposition.parts), ZERO
-    )
+    # exact throughout: the zero alphas, unit gammas and integer terms that
+    # most parts carry only skip Fraction operations that would not change
+    # the sum
+    whole, total = 0, ZERO
+    for p in traj.decomposition.parts:
+        term = p.x + p.alpha if p.alpha else p.x
+        if p.gamma != 1:
+            term *= p.gamma
+        if term.denominator == 1:
+            whole += term.numerator
+        else:
+            total += term
+    total += whole
     if kind in (ProcessKind.DERANGEMENT, ProcessKind.EXCEDANCE):
         z = (traj.n - 1) * (traj.final - means[traj.n])
     else:
@@ -563,9 +627,9 @@ def exact_marginal(kind: str | ProcessKind, n: int) -> ExactPmf:
         raise FamilyError(f"{kind.value}: n={n} below minimum {kind.n_min}")
     first, v0, v1 = kind.start
     pairs = {(v0, v1): F(1)}
-    counts = counting_sequence(kind.family, n)
+    laws = _TABLES[kind].laws_through(n)
     for m in range(first, n + 1):
-        law = _stage_law(kind, m, counts)
+        law = laws[m]
         nxt: dict[tuple[int, int], Fraction] = {}
         for (v, u), p in pairs.items():
             for src, inc, q in _entries(law, v, u):

@@ -221,3 +221,56 @@ print(loaded)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[False, False, True]"
+
+
+def _simulate_argv(**flags):
+    argv = ["simulate", "--process", "involution", "--n", "12", "--replicates", "5",
+            "--threads", "1"]
+    for flag, value in flags.items():
+        argv[argv.index(f"--{flag}") + 1] = value
+    return argv
+
+
+@pytest.mark.parametrize("argv", [
+    _simulate_argv(n="1001"),
+    _simulate_argv(replicates="1000001"),
+    _simulate_argv(replicates="0"),
+    _simulate_argv(replicates="-4"),
+    _simulate_argv(threads="0"),
+    _simulate_argv(threads="-1"),
+    _simulate_argv(threads="257"),
+    ["triangle", "--family", "derangement", "--n", "1001"],
+    ["moments", "--family", "involution", "--n", "5000"],
+    ["decompose", "--process", "fibonacci", "--n", "1001"],
+    ["clt", "--family", "involution", "--n-set", "16,1001"],
+])
+def test_sizes_outside_the_limits_exit_2_before_any_work(argv, monkeypatch, capsys):
+    import descentlab.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("_sim_chunk", "descent_triangle", "moment_table", "clt_table",
+                 "simulate"):
+        monkeypatch.setattr(cli, name, no_work)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's refusal
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_limits_admit_the_benchmark_sizes():
+    from descentlab.cli import N_MAX, REPLICATES_MAX, THREADS_MAX, build_parser
+
+    args = build_parser().parse_args(
+        _simulate_argv(n="600", replicates="1000000", threads="2"))
+    assert (args.n, args.replicates, args.threads) == (600, 1_000_000, 2)
+    assert N_MAX >= 600 and REPLICATES_MAX >= 1_000_000 and THREADS_MAX >= 2
+
+
+def test_nonpositive_threads_exit_2_from_the_command_line():
+    proc = run_cli(*_simulate_argv(threads="0"), check=False)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--threads: must be in 1..256, got 0" in proc.stderr

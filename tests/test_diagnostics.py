@@ -290,6 +290,23 @@ def test_psi_variance_budget():
         psi_variance_check(specs, 20)
 
 
+def test_psi_variance_holds_at_large_n_with_a_budget():
+    # the fibonacci rule's centered two-jump indicators scaled by f_i, so the
+    # values are integers: unscaled, Var psi at n = 1000 is exact with a
+    # 2e5-bit denominator and takes some 20 s
+    n = 1000
+    rule = family_rule("fibonacci")
+    f = counting_sequence("fibonacci", n)
+    specs = [BernoulliSpec(F(0), F(1), F(0))]
+    for i in range(2, n + 1):
+        q = rule.two_jump(i)
+        specs.append(BernoulliSpec(q, f[i] * (1 - q), -f[i] * q))
+    with pytest.raises(BudgetError, match="size budget 14"):
+        psi_variance_check(specs, n)
+    vt, vp, holds = psi_variance_check(specs, n, budget=n)
+    assert holds and vp <= vt
+
+
 def test_psi_variance_random_specs_hold():
     # randomized zero-mean specs across several word lengths
     stream = Stream(2024)

@@ -1,11 +1,14 @@
 """Jump transitions, martingale differences, simulation, reconstruction."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from descentlab import processes
 from descentlab.compositions import Composition, enumerate_compositions
 from descentlab.errors import FamilyError, InfeasibleStateError
 from descentlab.families import counting_sequence, descent_triangle, triangle_row_pmf
@@ -449,3 +452,130 @@ def test_jump_distribution_splits_types_as_the_law(kind, data):
     assert all(p >= 0 for _, _, p in dist.entries)
     law = _stage_law(kind, n + 2, counting_sequence(kind.family, n + 2))
     assert dist.two_jump_probability() == F(law.two_num, law.den)
+
+
+# ---------------------------------------------------------------------------
+# the per-kind stage table
+# ---------------------------------------------------------------------------
+
+def reference_difference(kind, i, order, values, means):
+    """The difference of a recorded jump into stage i, written with the
+    exact means in every term."""
+    src, new = values[i - order], values[i]
+    if kind is ProcessKind.INVOLUTION:
+        w = src - F(i - order - 1, 2)
+        if order == 1:
+            return w - F(i, 2) if new == src else w + F(i, 2)
+        return 2 * w + (new - src - 1) * i
+    if kind is ProcessKind.FIBONACCI:
+        return i * (new - means[i]) - (i - order) * (src - means[i - order])
+    if kind is ProcessKind.DERANGEMENT:
+        low = new == src + (1 if order == 2 else 0)
+        return F(src - i + 2) if low else F(src + 1)
+    if order == 2:
+        return 2 * (src - means[i - 2])
+    return F(src - i + 1) if new == src else F(src)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=kinds, n=st.integers(2, 120), seed=seeds, index=indices)
+def test_recorded_parts_equal_the_reference_definitions(kind, n, seed, index):
+    traj = simulate(kind, n, seed=seed, record=True, stream_index=index)
+    means = exact_means(kind, n)
+    values = traj.values()
+    comp = Composition(traj.decomposition.composition)
+    derangement = kind is ProcessKind.DERANGEMENT
+    for part in traj.decomposition.parts:
+        assert part.stage == part.position + kind.composition_offset
+        assert part.alpha == alpha_term(kind, part.stage, part.size, means)
+        # only derangement runs carry factors; the others' are identically 1
+        gamma = gamma_factor(comp, part.position) if derangement else 1
+        assert part.gamma == gamma
+        assert part.x == reference_difference(kind, part.stage, part.size, values, means)
+        assert type(part.x) is Fraction
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty stage tables for every kind for the test's duration."""
+    tables = {kind: processes._StageTable(kind) for kind in ProcessKind}
+    monkeypatch.setattr(processes, "_TABLES", tables)
+    return tables
+
+
+def law_summary(law):
+    """A stage law's numbers, with each cumulative numerator evaluated at a
+    few sources (the numerators are functions, which compare by identity)."""
+    if law is None:
+        return None
+    return (law.two_num, law.den) + tuple(
+        (jump.base, jump.den, tuple(cum(s) for cum in jump.cums for s in range(4)))
+        for jump in (law.two, law.one))
+
+
+def test_one_stage_table_per_kind_whatever_the_sizes_asked(fresh_tables):
+    for n in (10, 300, 50):
+        for kind in ProcessKind:
+            assert reconstruct(simulate(kind, n, seed=n, record=True)) == 0
+    assert processes._TABLES is fresh_tables and set(fresh_tables) == set(ProcessKind)
+    for kind, table in fresh_tables.items():
+        assert len(table.laws) == 301 and len(table.parts) == 301
+        first = kind.start[0]
+        assert table.laws[:first] == [None] * first
+        counts = counting_sequence(kind.family, 300)
+        assert [law_summary(table.laws[m]) for m in (first, 77, 300)] == [
+            law_summary(_stage_law(kind, m, counts)) for m in (first, 77, 300)]
+    assert not any(hasattr(obj, "cache_info") for obj in vars(processes).values())
+
+
+def test_plain_runs_build_no_part_constants(fresh_tables):
+    simulate("derangement", 40, seed=1)
+    table = fresh_tables[ProcessKind.DERANGEMENT]
+    assert len(table.laws) == 41 and len(table.parts) == 3  # the placeholders
+
+
+def test_concurrent_table_growth_matches_a_fresh_build(fresh_tables):
+    expected = {kind: processes._StageTable(kind) for kind in ProcessKind}
+    for table in expected.values():
+        table.laws_through(90)
+        table.parts_through(90)
+    errors = []
+
+    def grow(sizes):
+        try:
+            for m in sizes:
+                for kind in ProcessKind:
+                    simulate(kind, m, seed=m, record=True)
+        except Exception as exc:  # reported through the list below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(range(10 + t, 91, 4),))
+                   for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and not errors
+    for kind, table in fresh_tables.items():
+        assert table.parts == expected[kind].parts
+        assert ([law_summary(law) for law in table.laws]
+                == [law_summary(law) for law in expected[kind].laws])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_reconstruct_reports_a_corrupted_part_exactly(kind):
+    from dataclasses import replace
+
+    traj = simulate(kind, 30, seed=3, record=True)
+    parts = list(traj.decomposition.parts)
+    for j, bump in ((0, F(1)), (len(parts) // 2, F(1, 7)), (len(parts) - 1, F(-2))):
+        changed = list(parts)
+        changed[j] = replace(parts[j], x=parts[j].x + bump)
+        bad = replace(traj, decomposition=replace(traj.decomposition,
+                                                  parts=tuple(changed)))
+        assert reconstruct(bad) == -parts[j].gamma * bump
