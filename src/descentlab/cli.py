@@ -8,8 +8,9 @@ as decimal strings in JSON since they outgrow 64-bit integers quickly.
 
 Exit codes: 0 success, 2 bad flags, 3 nonzero reconstruction residual,
 4 failed exact identity.  Sizes are bounded before any work starts: ``--n``
-(and each ``--n-set`` entry) at most ``N_MAX``, ``--replicates`` in
-1..``REPLICATES_MAX`` and ``--threads`` in 1..``THREADS_MAX``; a value
+(and each ``--n-set`` entry) at most ``N_MAX``, ``--n-set`` not empty,
+``--replicates`` in 1..``REPLICATES_MAX``, ``--threads`` in
+1..``THREADS_MAX`` and ``--n-max`` in 1..``IDENTITY_BUDGET``; a value
 outside its range exits with code 2.
 """
 
@@ -23,7 +24,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .diagnostics import IDENTITY_CHECKS, clt_table, identity_check
+from .diagnostics import IDENTITY_BUDGET, IDENTITY_CHECKS, clt_table, identity_check
 from .families import descent_triangle, parse_family
 from .moments import moment_table
 from .processes import parse_kind, reconstruct, simulate
@@ -266,6 +267,8 @@ def cmd_moments(args) -> int:
 
 def cmd_clt(args) -> int:
     ns = [int(tok) for tok in args.n_set.split(",") if tok]
+    if not ns:
+        raise ValueError("--n-set must name at least one row size")
     if any(n > N_MAX for n in ns):
         raise ValueError(f"--n-set entries must be at most {N_MAX}")
     res = clt_table(args.family, ns, min_n=args.min_n, fit_min_n=args.fit_min)
@@ -377,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(c.replace("_", "-") for c in IDENTITY_CHECKS),
         required=True,
     )
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_bounded_int(1, IDENTITY_BUDGET), required=True)
     common(p)
     p.set_defaults(func=cmd_identities)
 

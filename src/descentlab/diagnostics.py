@@ -5,7 +5,7 @@ deviation and compare the exact CDF against the standard normal at every
 jump, from both sides.  Identity checks sum over compositions exactly by a
 forward recurrence over ending positions, in O(n) exact operations.
 Condition scans evaluate the normalized conditional moment norms of the
-martingale differences over the exact law of the conditioning value.
+martingale differences over the exact law of their source value.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Callable, Sequence
 from .compositions import BernoulliSpec
 from .errors import BudgetError, FamilyError
 from .families import (
-    CountTriangle,
     ExactPmf,
     Family,
     counting_sequence,
@@ -26,7 +25,7 @@ from .families import (
     parse_family,
     triangle_row_pmf,
 )
-from .processes import ProcessKind, conditional_moment, parse_kind
+from .processes import ProcessKind, _difference_moments, parse_kind
 
 F = Fraction
 ZERO = F(0)
@@ -104,7 +103,7 @@ def clt_table(
     """
     fam = parse_family(family)
     ns = sorted(set(n_values))
-    tri = descent_triangle(fam, max(ns))
+    tri = descent_triangle(fam, ns[-1]) if ns else None
     exponent = _rate_exponent(fam)
     records, skipped = [], []
     for n in ns:
@@ -144,7 +143,7 @@ def _least_squares(points: list[tuple[float, float]]) -> tuple[float, float]:
 
 IDENTITY_CHECKS = ("stan1", "stan2", "derangement_sum", "fibonacci_pmf")
 
-_DEFAULT_BUDGET = 22
+IDENTITY_BUDGET = 22
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,7 @@ def _product_sum(n: int, two: Callable[[int], int | Fraction]) -> Fraction:
     return F(cur)
 
 
-def identity_check(which: str, n: int, budget: int = _DEFAULT_BUDGET) -> IdentityReport:
+def identity_check(which: str, n: int, budget: int = IDENTITY_BUDGET) -> IdentityReport:
     """Verify one exact identity at size n, exactly, in O(n) operations.
 
     stan1: the composition sum weighted by surviving two-jump positions
@@ -234,19 +233,6 @@ class ConditionRow:
     fourth_sup: float    # || E[Y^4|F] ||_inf
 
 
-def _conditioning_law(kind: ProcessKind, i: int, order: int, tri: CountTriangle):
-    """Exact law of the centered conditioning value at stage i - order."""
-    j = i - order
-    pmf = triangle_row_pmf(tri, j)
-    if kind is ProcessKind.INVOLUTION:
-        center = F(j - 1, 2)
-    elif kind is ProcessKind.DERANGEMENT:
-        center = F(i - 3, 2)
-    else:
-        raise FamilyError("condition scans cover involution and derangement")
-    return [(k - center, w) for k, w in pmf.items() if w > 0]
-
-
 def condition_scan(
     kind: str | ProcessKind,
     i_range: Sequence[int],
@@ -256,8 +242,9 @@ def condition_scan(
 ) -> list[ConditionRow]:
     """Normalized conditional-moment norms of the stage-i differences.
 
-    The conditioning value W is exact (triangle law); norms combine exact
-    conditional moments with float fractional powers.  All three columns stay
+    The law of the source value at stage i - order is exact (its triangle
+    row) and its conditional moments come from the stage law; norms combine
+    them with float fractional powers.  All three columns stay
     bounded over the scanned range when the normal limit applies.
     """
     kind = parse_kind(kind)
@@ -268,29 +255,25 @@ def condition_scan(
     i_values = sorted(set(i_range))
     if not i_values:
         return []
+    if kind not in (ProcessKind.INVOLUTION, ProcessKind.DERANGEMENT):
+        raise FamilyError("condition scans cover involution and derangement")
     tri = descent_triangle(kind.family, i_values[-1] - order)
     rows = []
     for i in i_values:
-        law = _conditioning_law(kind, i, order, tri)
-        second = [conditional_moment(kind, i, order, w, 2) for w, _ in law]
-        sigma2 = sum(m2 * pr for m2, (_, pr) in zip(second, law))
+        # (E[X^2|src], E[X^3|src], E[X^4|src]) and P(src) over the source row
+        law = [(_difference_moments(kind, i, order, k), pr)
+               for k, pr in triangle_row_pmf(tri, i - order).items() if pr > 0]
+        sigma2 = sum(m2 * pr for (m2, _, _), pr in law)
         s2f = float(sigma2)
         # || E[Y^2|F] - 1 ||_p with Y = X / sigma
-        acc2 = sum(
-            abs(float(m2) / s2f - 1.0) ** float(p) * float(pr)
-            for m2, (_, pr) in zip(second, law)
-        )
+        acc2 = sum(abs(float(m2) / s2f - 1.0) ** float(p) * float(pr)
+                   for (m2, _, _), pr in law)
         col2 = math.sqrt(i) * acc2 ** (1.0 / float(p))
         s3 = s2f**1.5
-        acc3 = sum(
-            abs(float(conditional_moment(kind, i, order, w, 3)) / s3) ** float(pp)
-            * float(pr)
-            for w, pr in law
-        )
+        acc3 = sum(abs(float(m3) / s3) ** float(pp) * float(pr)
+                   for (_, m3, _), pr in law)
         col3 = i ** (1.0 / (2.0 * float(pp))) * acc3 ** (1.0 / float(pp))
-        col4 = max(
-            float(conditional_moment(kind, i, order, w, 4)) / s2f**2 for w, pr in law
-        )
+        col4 = max(float(m4) / s2f**2 for (_, _, m4), _ in law)
         rows.append(ConditionRow(i, col2, col3, col4))
     return rows
 

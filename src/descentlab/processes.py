@@ -4,9 +4,10 @@ Each statistic family evolves by one-jumps (from the previous value) and
 two-jumps (from the value two stages back), with transition probabilities
 built from the family's counting sequence.  That law is written once per
 (kind, stage), in integers (``_stage_law``); the exact ``Fraction`` entries,
-the scalar draw, the exact marginal and the batch engine's gates all read
-it.  Recording a run keeps the stage-by-stage jump word; its discard
-reduction yields a composition, and the run decomposes over the
+the scalar draw, the exact marginal, the batch engine's gates and the
+martingale differences' laws and conditional moments all read it.
+Recording a run keeps the stage-by-stage jump word; its discard reduction
+yields a composition, and the run decomposes over the
 composition's parts into differences, deterministic adjustments, and
 multiplicative factors that reconstruct the centered, scaled final value
 exactly.  Each kind keeps one grow-only table of its stage laws and of the
@@ -34,7 +35,6 @@ from .rng import TWO64, Stream
 
 F = Fraction
 ZERO = F(0)
-HALF = F(1, 2)
 
 
 class ProcessKind(enum.Enum):
@@ -167,6 +167,17 @@ class Jump(NamedTuple):
             inc += 1
         return inc
 
+    def increments(self, src) -> list[tuple[int, int]]:
+        """(increment, integer weight over ``den``) of every branch, zero
+        weights included."""
+        out, below, inc = [], 0, self.base
+        for cum in self.cums:
+            c = cum(src)
+            out.append((inc, c - below))
+            below, inc = c, inc + 1
+        out.append((inc, self.den - below))
+        return out
+
 
 _STAY, _STEP = Jump(0, (), 1), Jump(1, (), 1)  # deterministic increments
 
@@ -214,16 +225,11 @@ def _stage_law(kind: ProcessKind, m: int, counts: list[int]) -> StageLaw:
 def _entries(law: StageLaw, prev: int, last: int) -> list[tuple[str, int, Fraction]]:
     """(source, increment, probability) of every branch, two-jumps first,
     zero-probability branches included."""
-    out = []
-    for name, jump, src, p_type in (
-        ("prev", law.two, prev, F(law.two_num, law.den)),
-        ("last", law.one, last, F(law.den - law.two_num, law.den)),
-    ):
-        below = 0
-        for j, c in enumerate([cum(src) for cum in jump.cums] + [jump.den]):
-            out.append((name, jump.base + j, p_type * F(c - below, jump.den)))
-            below = c
-    return out
+    return [(name, inc, p_type * F(c, jump.den))
+            for name, jump, src, p_type in (
+                ("prev", law.two, prev, F(law.two_num, law.den)),
+                ("last", law.one, last, F(law.den - law.two_num, law.den)))
+            for inc, c in jump.increments(src)]
 
 
 def jump_distribution(state: ProcessState) -> JumpDistribution:
@@ -316,13 +322,51 @@ class RationalPmf:
         return sum(v**r * p for v, p in self.outcomes)
 
 
-def _two_point(w: Fraction, half_width: Fraction, tilt_den: int) -> RationalPmf:
-    p_low = HALF + w / tilt_den
-    if not 0 <= p_low <= 1:
+def _center(kind: ProcessKind, i: int, order: int) -> Fraction:
+    """The center of the conditioning value, written only here: a
+    difference's ``w`` is its source value (at stage i - order) minus this."""
+    if kind is _INVOLUTION:
+        return F(i - order - 1, 2)
+    if kind is _DERANGEMENT:
+        return F(i - 3, 2)
+    if kind is _FIBONACCI:
+        return ZERO
+    return F(i - 1, 2)  # excedance
+
+
+def _difference_law(kind: ProcessKind, i: int, order: int, src) -> list[tuple]:
+    """(difference, integer weight over the jump's ``den``) of every branch of
+    the jump that ends a part of the given order at stage i, from the value
+    ``src``, zero weights included.
+
+    A random jump's ``_difference`` already has conditional mean zero; a
+    deterministic jump (empty ``cums``) realizes a function of its source
+    alone, so its centered difference is the point mass 0.
+    """
+    if order not in (1, 2):
+        raise ValueError(f"jump order must be 1 or 2, got {order}")
+    first = kind.composition_offset + order
+    if i < first:
         raise InfeasibleStateError(
-            f"centered value {w} is infeasible (probability {p_low} outside [0, 1])"
+            f"{kind.value}: stage {i} below the first order-{order} part stage {first}"
         )
-    return RationalPmf(((w - half_width, p_low), (w + half_width, 1 - p_low)))
+    if i < kind.start[0]:  # the first part of a run from stage 0 stays at 0
+        jump = _STAY
+    else:
+        law = _TABLES[kind].laws_through(i)[i]
+        jump = law.two if order == 2 else law.one
+    if not jump.cums:
+        return [(0, jump.den)]
+    return [(_difference(kind, i, order, src, src + inc), c)
+            for inc, c in jump.increments(src)]
+
+
+def _difference_moments(kind: ProcessKind, i: int, order: int, src) -> tuple:
+    """(E[X^2], E[X^3], E[X^4]) of the centered difference given the source
+    value, each summed in integers over the branches."""
+    law = _difference_law(kind, i, order, src)
+    den = sum(c for _, c in law)
+    return tuple(F(sum(d**r * c for d, c in law), den) for r in (2, 3, 4))
 
 
 def martingale_difference_distribution(
@@ -330,84 +374,39 @@ def martingale_difference_distribution(
 ) -> RationalPmf:
     """Conditional law of the centered decomposition difference at stage i.
 
-    ``w`` is the centered source value: for involutions the value at stage
-    i-order minus (i-order-1)/2, for derangements the value at stage i-order
-    minus (i-3)/2, for excedance one-jumps the value at stage i-1 minus
-    (i-1)/2.  The returned pmf has mean exactly zero.  Fibonacci jumps and
+    ``w`` is the centered source value: the value at stage i-order minus
+    (i-order-1)/2 for involutions, (i-3)/2 for derangements, (i-1)/2 for
+    excedances (both orders) and 0 for fibonacci.  The law, like
+    ``conditional_moment``, is derived from the stage's transition law,
+    branch by branch, and has mean exactly zero.  Fibonacci jumps and
     excedance two-jumps carry no randomness beyond their source value, so
     their centered law is a point mass at zero; their deterministic drift
-    appears in recorded trajectories instead.
+    appears in recorded trajectories instead.  Stages start where a part of
+    the given order can end.
     """
     kind = parse_kind(kind)
-    w = F(w)
-    if order not in (1, 2):
-        raise ValueError(f"jump order must be 1 or 2, got {order}")
-    if kind is ProcessKind.FIBONACCI:
-        return RationalPmf(((ZERO, F(1)),))
-    if kind is ProcessKind.INVOLUTION:
-        if i < 2:
-            raise InfeasibleStateError(f"stage {i} below first update stage 2")
-        if order == 1:
-            return _two_point(w, F(i, 2), i)
-        c = F(i - 1, 2)
-        den = i * (i - 1)
-        probs = (
-            F((c + w) ** 2 + i - 2) / den,
-            (2 * (c + w) * (c - w) - i + 3) / den,
-            F((c - w) ** 2 + i - 2) / den,
-        )
-        if any(p < 0 or p > 1 for p in probs):
-            raise InfeasibleStateError(
-                f"centered value {w} infeasible for a two-jump into stage {i}"
-            )
-        shift = F(i, 2)
-        values = (2 * (w - shift), 2 * w, 2 * (w + shift))
-        return RationalPmf(tuple(zip(values, probs)))
-    # derangement or excedance
-    if i < order + 2:
+    law = _difference_law(kind, i, order, F(w) + _center(kind, i, order))
+    den = sum(c for _, c in law)
+    if any(not 0 <= c <= den for _, c in law):
         raise InfeasibleStateError(
-            f"{kind.value}: stage {i} below the first order-{order} update stage"
+            f"{kind.value}: centered value {w} is infeasible for an "
+            f"order-{order} jump into stage {i}"
         )
-    if kind is ProcessKind.EXCEDANCE and order == 2:
-        return RationalPmf(((ZERO, F(1)),))
-    return _two_point(w, F(i - 1, 2), i - 1)
+    return RationalPmf(tuple((F(d), F(c, den)) for d, c in law))
 
 
 def conditional_moment(
     kind: str | ProcessKind, i: int, order: int, w: Fraction, r: int
 ) -> Fraction:
-    """Closed-form conditional moment E[X^r | w] of the centered difference.
+    """Conditional moment E[X^r | w] of the centered difference, r in 2..4.
 
-    Agrees exactly with the direct moment of
-    ``martingale_difference_distribution`` for every feasible state.
+    Derived, like ``martingale_difference_distribution``, from the stage's
+    transition law, so the two agree exactly for every feasible state.
     """
-    kind = parse_kind(kind)
     if r not in (2, 3, 4):
         raise ValueError(f"moment order must be 2, 3 or 4, got {r}")
-    if order not in (1, 2):
-        raise ValueError(f"jump order must be 1 or 2, got {order}")
-    w = F(w)
-    if kind is ProcessKind.FIBONACCI or (
-        kind is ProcessKind.EXCEDANCE and order == 2
-    ):
-        return ZERO
-    if kind is ProcessKind.INVOLUTION and order == 2:
-        if r == 2:
-            return F(i * (i - 1), 2) + F(2 * i * (i - 2), i - 1) - F(2 * (i - 2), i - 1) * w**2
-        if r == 3:
-            return F(16 - 4 * i, i - 1) * w**3 + F(i * (i * i + 8 * i - 21), i - 1) * w
-        return (
-            48 * w**4
-            - 2 * i * (i * i - 20 * i + 42) * w**2
-            + F(i**3 * (i * i + 2 * i - 7), 2)
-        ) / (i - 1)
-    # symmetric two-point law at w +/- h with tilt w/(2h)
-    h = F(i, 2) if kind is ProcessKind.INVOLUTION else F(i - 1, 2)
-    if r == 2:
-        return h * h - w * w
-    if r == 3:
-        return 2 * h * h * w - 2 * w**3
-    return h**4 + 2 * h * h * w * w - 3 * w**4
+    kind = parse_kind(kind)
+    return _difference_moments(kind, i, order, F(w) + _center(kind, i, order))[r - 2]
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +453,7 @@ class Trajectory:
 def _mean_shift(kind: ProcessKind, i: int, order: int, means) -> Fraction:
     """The exact-mean part of the difference realized by a jump of the given
     order into stage i; the rest is an integer in the source and new values
-    (``_difference_value``)."""
+    (``_difference``)."""
     if kind is _FIBONACCI:  # i (new - mu_i) - (i - order) (src - mu_{i-order})
         return i * means[i] - (i - order) * means[i - order]
     if kind is ProcessKind.EXCEDANCE and order == 2:  # 2 (src - mu_{i-2})
@@ -462,27 +461,22 @@ def _mean_shift(kind: ProcessKind, i: int, order: int, means) -> Fraction:
     return ZERO
 
 
-def _difference_value(kind: ProcessKind, i: int, order: int, src: int, new: int,
-                      shift: Fraction) -> Fraction:
-    """The decomposition difference realized by the recorded jump of the given
-    order into stage i, from the value ``src`` to the value ``new``, given
-    the stage's ``_mean_shift``."""
+def _difference(kind: ProcessKind, i: int, order: int, src: int, new: int) -> int:
+    """The integer part of the decomposition difference realized by a jump of
+    the given order into stage i, from the value ``src`` to the value
+    ``new``: the difference is this minus the stage's ``_mean_shift``."""
     if kind is _INVOLUTION:
-        # centered source w = src - (i - order - 1)/2
         if order == 1:  # w -/+ i/2
-            d = src - i + 1 if new == src else src + 1
-        else:  # 2w + (new - src - 1) i
-            d = 2 * src - i + 3 + (new - src - 1) * i
-    elif kind is _FIBONACCI:
-        d = i * new - (i - order) * src
-    elif kind is _DERANGEMENT:
+            return src - i + 1 if new == src else src + 1
+        return 2 * src - i + 3 + (new - src - 1) * i  # 2w + (new - src - 1) i
+    if kind is _FIBONACCI:
+        return i * new - (i - order) * src
+    if kind is _DERANGEMENT:
         # both jump types land on src+1 or src+2 (two-jump) / src, src+1 (one)
-        d = src - i + 2 if new == src + order - 1 else src + 1
-    elif order == 2:  # excedance
-        d = 2 * src
-    else:
-        d = src - i + 1 if new == src else src
-    return d - shift if shift else F(d)
+        return src - i + 2 if new == src + order - 1 else src + 1
+    if order == 2:  # excedance
+        return 2 * src
+    return src - i + 1 if new == src else src
 
 
 class _StageTable:
@@ -581,8 +575,8 @@ def _decompose(kind: ProcessKind, n: int, values: list[int],
     for (pos, size), gamma in zip(pairs, reversed(gammas)):
         stage = pos + offset
         alpha, shift = table[stage][size - 1]
-        x = _difference_value(kind, stage, size, values[stage - size],
-                              values[stage], shift)
+        d = _difference(kind, stage, size, values[stage - size], values[stage])
+        x = d - shift if shift else F(d)
         parts.append(PartRecord(pos, size, stage, x, alpha, gamma))
     return Decomposition(comp.parts, tuple(parts))
 

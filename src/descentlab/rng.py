@@ -12,8 +12,6 @@ them to uint64 arrays, whose arithmetic wraps without the masks used here.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 MIX_SHIFTS = (30, 27, 31)
@@ -60,11 +58,3 @@ class Stream:
         self._counter += 1
         return out
 
-    def bernoulli(self, p: Fraction) -> bool:
-        """True with probability p, bias below 2**-64.
-
-        Compares one uniform draw against p by cross-multiplication, so no
-        rational division happens per decision; exact at p = 0 and p = 1.
-        """
-        u = self.next_u64()
-        return u * p.denominator < p.numerator * TWO64

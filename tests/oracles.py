@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from descentlab.compositions import enumerate_compositions, word_statistic
+from descentlab.processes import ProcessKind
 
 
 def descents(perm: tuple[int, ...]) -> int:
@@ -129,3 +130,36 @@ def word_psi_moments(specs, n: int) -> tuple[Fraction, Fraction]:
         m1 += prob * value
         m2 += prob * value * value
     return m1, m2
+
+
+def closed_form_moment(kind, i: int, order: int, w, r: int) -> Fraction:
+    """E[X^r | w] of the centered martingale difference, r in 2..4, by the
+    hand-derived polynomials in the centered source value ``w``.
+
+    One-jumps (and derangement two-jumps) are the symmetric two-point law at
+    w -/+ h with tilt w/(2h); an involution two-jump is the three-point law
+    2w + (j - 1) i, j = 0, 1, 2; the other jumps are deterministic.
+    """
+    F = Fraction
+    kind = ProcessKind(kind)
+    w = F(w)
+    if kind is ProcessKind.FIBONACCI or (
+        kind is ProcessKind.EXCEDANCE and order == 2
+    ):
+        return F(0)
+    if kind is ProcessKind.INVOLUTION and order == 2:
+        if r == 2:
+            return F(i * (i - 1), 2) + F(2 * i * (i - 2), i - 1) - F(2 * (i - 2), i - 1) * w**2
+        if r == 3:
+            return F(16 - 4 * i, i - 1) * w**3 + F(i * (i * i + 8 * i - 21), i - 1) * w
+        return (
+            48 * w**4
+            - 2 * i * (i * i - 20 * i + 42) * w**2
+            + F(i**3 * (i * i + 2 * i - 7), 2)
+        ) / (i - 1)
+    h = F(i, 2) if kind is ProcessKind.INVOLUTION else F(i - 1, 2)
+    if r == 2:
+        return h * h - w * w
+    if r == 3:
+        return 2 * h * h * w - 2 * w**3
+    return h**4 + 2 * h * h * w * w - 3 * w**4

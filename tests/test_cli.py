@@ -243,6 +243,10 @@ def _simulate_argv(**flags):
     ["moments", "--family", "involution", "--n", "5000"],
     ["decompose", "--process", "fibonacci", "--n", "1001"],
     ["clt", "--family", "involution", "--n-set", "16,1001"],
+    ["clt", "--family", "involution", "--n-set", ","],
+    ["identities", "--check", "stan1", "--n-max", "-3"],
+    ["identities", "--check", "stan1", "--n-max", "0"],
+    ["identities", "--check", "stan1", "--n-max", "23"],
 ])
 def test_sizes_outside_the_limits_exit_2_before_any_work(argv, monkeypatch, capsys):
     import descentlab.cli as cli
@@ -251,7 +255,7 @@ def test_sizes_outside_the_limits_exit_2_before_any_work(argv, monkeypatch, caps
         raise AssertionError("work started")
 
     for name in ("_sim_chunk", "descent_triangle", "moment_table", "clt_table",
-                 "simulate"):
+                 "identity_check", "simulate"):
         monkeypatch.setattr(cli, name, no_work)
     try:
         code = cli.main(argv)

@@ -118,6 +118,12 @@ def test_clt_table_derangement_scaling_and_skips():
         assert r.scaled == r.n ** (1 / 3) * r.K
 
 
+def test_clt_table_of_no_rows_is_empty():
+    res = clt_table("involution", [])
+    assert (res.records, res.skipped) == ((), ())
+    assert all(math.isnan(x) for x in (res.slope, res.intercept, res.max_scaled))
+
+
 def test_clt_record_rejects_a_distance_outside_the_unit_interval():
     for k in (-0.1, 1.5, math.nan):
         with pytest.raises(ValueError, match="Kolmogorov distance"):
@@ -215,9 +221,10 @@ def test_condition_scan_two_jump_order():
 
 def test_condition_scan_evaluates_each_conditional_moment_once(monkeypatch):
     import descentlab.diagnostics as diag
-    from descentlab.processes import conditional_moment
+    from descentlab.processes import _difference_moments, conditional_moment, parse_kind
+    from test_processes import centered
 
-    def reference_row(kind, i, order, law):  # the scan's formulas, one call per use
+    def reference_row(kind, i, order, law):  # the scan's formulas, public moments
         p, pp = 2.0, float(F(4, 3))
         sigma2 = sum(conditional_moment(kind, i, order, w, 2) * pr for w, pr in law)
         s2f = float(sigma2)
@@ -234,18 +241,23 @@ def test_condition_scan_evaluates_each_conditional_moment_once(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return conditional_moment(*args)
+        return _difference_moments(*args)
 
-    monkeypatch.setattr(diag, "conditional_moment", counted)
-    for kind, order in (("involution", 1), ("derangement", 1), ("involution", 2)):
+    monkeypatch.setattr(diag, "_difference_moments", counted)
+    for tag, order in (("involution", 1), ("derangement", 1), ("involution", 2)):
+        kind = parse_kind(tag)
         calls.clear()
-        rows = condition_scan(kind, range(10, 31), order=order)
-        assert len(calls) == len(set(calls))
-        tri = descent_triangle(kind, 30)
+        rows = condition_scan(tag, range(10, 31), order=order)
+        tri = descent_triangle(tag, 30)
+        sources = {row.i: [(k, pr) for k, pr in triangle_row_pmf(tri, row.i - order).items()
+                           if pr > 0] for row in rows}
+        # one call per (stage, source value) with positive probability
+        assert sorted(calls) == sorted((kind, i, order, k)
+                                       for i, law in sources.items() for k, _ in law)
         for row in rows:
-            law = diag._conditioning_law(diag.parse_kind(kind), row.i, order, tri)
+            law = [(centered(kind, row.i, order, k), pr) for k, pr in sources[row.i]]
             assert (row.second_norm, row.third_norm, row.fourth_sup) == \
-                reference_row(kind, row.i, order, law)
+                reference_row(tag, row.i, order, law)
 
 
 def test_condition_scan_invalid_exponent():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from descentlab import processes
 from descentlab.compositions import Composition, enumerate_compositions
 from descentlab.errors import FamilyError, InfeasibleStateError
@@ -184,7 +185,31 @@ def test_zero_mean_and_closed_form_moments(kind, order):
             assert dist.mean() == 0
             assert sum(p for _, p in dist.outcomes) == 1
             for r in (2, 3, 4):
-                assert dist.moment(r) == conditional_moment(kind, i, order, w, r)
+                closed = oracles.closed_form_moment(kind, i, order, w, r)
+                assert dist.moment(r) == closed
+                assert conditional_moment(kind, i, order, w, r) == closed
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(ALL_KINDS), order=st.sampled_from([1, 2]),
+       data=st.data())
+def test_derived_moments_match_the_closed_forms(kind, order, data):
+    # a source in the row support, or a rational w strictly between two
+    # support values, which no run attains but whose law is still feasible
+    lo = 2 if kind.composition_offset == 0 else order + 2
+    i = data.draw(st.integers(lo, 300), label="i")
+    sources = feasible_sources(kind, i - order)
+    value = data.draw(st.sampled_from(sources), label="source")
+    w = centered(kind, i, order, value)
+    if value < sources[-1] and data.draw(st.booleans(), label="between"):
+        den = data.draw(st.integers(2, 64), label="den")
+        w += F(data.draw(st.integers(1, den - 1), label="num"), den)
+    dist = martingale_difference_distribution(kind, i, order, w)
+    assert dist.mean() == 0
+    for r in (2, 3, 4):
+        closed = oracles.closed_form_moment(kind, i, order, w, r)
+        assert conditional_moment(kind, i, order, w, r) == closed
+        assert dist.moment(r) == closed
 
 
 def test_infeasible_w_rejected():
