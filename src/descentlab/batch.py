@@ -3,8 +3,8 @@
 Runs many replicates in lockstep with numpy uint64 arithmetic, drawing
 exactly the same pseudo-random numbers as the scalar simulator: replicate r
 uses the counter-based stream derived from (master_seed, r), two draws per
-stage.  Both engines read one integer transition law per stage, so
-``batch_finals`` is interchangeable with collecting ``simulate(...).final``
+stage.  Both engines read each stage's integer law from one stage table,
+so ``batch_finals`` is interchangeable with collecting ``simulate(...).final``
 over the same replicate indices, at a small fraction of the cost.
 
 The scalar test ``u * den < c * 2**64`` becomes ``u >= t`` with
@@ -18,8 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FamilyError
-from .families import counting_sequence
-from .processes import Jump, ProcessKind, _stage_law, _value_range, parse_kind
+from .processes import _TABLES, Jump, ProcessKind, _value_range, parse_kind
 from .rng import GOLDEN, MASK64, MIX_MULTIPLIERS, MIX_SHIFTS, TWO64, stream_key
 
 _U = np.uint64
@@ -88,10 +87,10 @@ def batch_finals(kind: str | ProcessKind, n: int, replicates: int,
     first, v0, v1 = kind.start
     prev = np.full(replicates, v0, dtype=np.int64)
     last = np.full(replicates, v1, dtype=np.int64)
-    counts = counting_sequence(kind.family, n)
+    laws = _TABLES[kind].laws.through(n)
     counter = 0
     for m in range(first, n + 1):
-        law = _stage_law(kind, m, counts)
+        law = laws[m]
         # t < 2**64: no family puts full mass on two-jumps
         t = -(-law.two_num * TWO64 // law.den)
         two = _mix64_vec(keys + _U(counter * GOLDEN & MASK64)) < _U(t)

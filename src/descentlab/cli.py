@@ -11,7 +11,9 @@ Exit codes: 0 success, 2 bad flags, 3 nonzero reconstruction residual,
 (and each ``--n-set`` entry) at most ``N_MAX``, ``--n-set`` not empty,
 ``--replicates`` in 1..``REPLICATES_MAX``, ``--threads`` in
 1..``THREADS_MAX`` and ``--n-max`` in 1..``IDENTITY_BUDGET``; a value
-outside its range exits with code 2.
+outside its range exits with code 2.  So does an ``--out`` or ``--record``
+path that cannot be written, with one ``error:`` line and no file left
+behind; a ``--record`` path is opened before any simulation work.
 """
 
 from __future__ import annotations
@@ -109,23 +111,33 @@ def _atomic_file(path: str):
     the target when the block ends; if the block raises, the temporary file
     is removed and the target is left as it was.  A symlink is followed, so
     the file it names is replaced and the link is kept.  A device or a pipe
-    (``/dev/stdout``, say) cannot be replaced and is written in place.
+    (``/dev/stdout``, say) cannot be replaced and is written in place.  A
+    path that cannot be opened for writing raises ``ValueError`` naming it.
     """
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with _open_for_writing(path, "w", path) as fh:
             yield fh
         return
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    fh = _open_for_writing(tmp, "x", path)
     try:
-        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+        with fh:
             yield fh
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def _open_for_writing(file: str, mode: str, path: str):
+    """``open(file, mode)`` as text, reporting a failure as a bad ``path``."""
+    try:
+        return open(file, mode, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _open_out(path: str | None):
@@ -211,25 +223,26 @@ def cmd_simulate(args) -> int:
         (kind.value, args.n, args.seed, start, count, record)
         for start, count in _split_chunks(args.replicates, workers)
     ]
-    if workers > 1 and args.replicates >= floor:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sim_chunk, payloads))
-    else:
-        results = [_sim_chunk(p) for p in payloads]
+    # the audit file is opened before the work, so an unwritable path costs none
+    with _atomic_file(args.record) if record else contextlib.nullcontext() as fh:
+        if workers > 1 and args.replicates >= floor:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_sim_chunk, payloads))
+        else:
+            results = [_sim_chunk(p) for p in payloads]
 
-    counts: dict[int, int] = {}
-    audit: list[list[str]] = []
-    for c, rows in results:
-        for v, k in c.items():
-            counts[v] = counts.get(v, 0) + k
-        audit.extend(rows)
+        counts: dict[int, int] = {}
+        audit: list[list[str]] = []
+        for c, rows in results:
+            for v, k in c.items():
+                counts[v] = counts.get(v, 0) + k
+            audit.extend(rows)
 
-    bad = 0
-    if record:
-        header = ["replicate", "final", "composition", "differences",
-                  "alphas", "gammas", "residual"]
-        sep = "\t" if args.format == "tsv" else ","
-        with _atomic_file(args.record) as fh:
+        bad = 0
+        if record:
+            header = ["replicate", "final", "composition", "differences",
+                      "alphas", "gammas", "residual"]
+            sep = "\t" if args.format == "tsv" else ","
             fh.write(sep.join(header) + "\n")
             for row in audit:
                 fh.write(sep.join(row) + "\n")

@@ -15,11 +15,12 @@ All triangle entries are arbitrary-precision integers computed bottom-up from
 the family's row recurrence.  A row pmf is the row itself: integer counts over
 the row total, whose moments are exact ``Fraction`` values.
 
-Each family has one grow-only store holding its counting sequence, its
-triangle rows and its row means.  A request beyond the stored index extends
-the store from its last entries, under a lock; nothing is rebuilt, and an
-entry once stored never changes, so triangles handed out earlier stay valid
-and the store is safe to share across threads.
+Every per-index cache is a grow-only list of one type, ``_Grown``: each
+family's counting sequence, triangle rows and row means here, and each
+process kind's stage laws and part constants in ``processes``.  A request
+beyond the stored index extends a list from its last entries under the
+list's own lock; nothing is rebuilt and no entry changes, so triangles handed
+out earlier stay valid and the lists are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import FamilyError
 
@@ -152,35 +153,49 @@ _SEED_ROWS = {
 }
 
 
+class _Grown(list):
+    """A grow-only list: ``through(n)`` appends ``step(entries)`` under the
+    list's own lock until index n exists, and returns the list.
+
+    A step may grow other lists but never its own, so locks nest in one
+    direction only.  Entries never change, so readers take no lock; callers
+    read the list but never write it.
+    """
+
+    def __init__(self, seed: Iterable, step: Callable[[list], object]):
+        super().__init__(seed)
+        self._step = step
+        self._lock = threading.Lock()
+
+    def through(self, n: int) -> _Grown:
+        if len(self) <= n:
+            with self._lock:
+                while len(self) <= n:
+                    self.append(self._step(self))
+        return self
+
+
 class _Store:
     """Grow-only counting sequence, triangle rows and row means of one family.
 
-    ``counts[n]``, ``rows[n]`` and ``means[n]`` belong to index n.  Each list
-    grows on demand from its own last entries and is never rebuilt; callers
-    read the lists but never write them.
+    ``counts[n]``, ``rows[n]`` and ``means[n]`` belong to index n; a row
+    mean is read from the store's rows (see ``row_means``).
     """
 
     def __init__(self, family: Family):
         self.family = family
-        self.counts = list(_SEED_COUNTS[family])
-        self.rows = list(_SEED_ROWS[family])
-        self.means: list[Fraction] = []
-        self.lock = threading.RLock()
+        self.counts = _Grown(_SEED_COUNTS[family], lambda seq: _next_count(family, seq))
+        self.rows = _Grown(_SEED_ROWS[family], lambda rows: _next_row(
+            family, len(rows), rows[-1], rows[-2]))
+        self.means = _Grown((), self._next_mean)
 
-    def counts_through(self, n: int) -> list[int]:
-        if len(self.counts) <= n:
-            with self.lock:
-                while len(self.counts) <= n:
-                    self.counts.append(_next_count(self.family, self.counts))
-        return self.counts
-
-    def rows_through(self, n: int) -> list[tuple[int, ...]]:
-        rows = self.rows
-        if len(rows) <= n:
-            with self.lock:
-                while len(rows) <= n:
-                    rows.append(_next_row(self.family, len(rows), rows[-1], rows[-2]))
-        return rows
+    def _next_mean(self, means: list[Fraction]) -> Fraction:
+        n, fam = len(means), self.family
+        if fam is Family.INVOLUTION:
+            return Fraction(n - 1, 2) if n else ZERO
+        if n < fam.n_min:
+            return ZERO
+        return ExactPmf.from_counts(fam.k_min, self.rows.through(n)[n]).mean()
 
 
 _STORES = {fam: _Store(fam) for fam in Family}
@@ -189,9 +204,8 @@ _STORES = {fam: _Store(fam) for fam in Family}
 def counting_sequence(family: str | Family, n_max: int) -> list[int]:
     """Exact class sizes for indices 0..n_max.
 
-    Derangement counts are cross-checked as they are stored against the
-    closed form n! * sum_{i<=n} (-1)^i / i! (accumulated as the integer
-    recurrence a_n = n a_{n-1} + (-1)^n, which is that sum's factored form).
+    Derangement counts are cross-checked against their closed form as they
+    are stored (``_next_count``).
     """
     fam = parse_family(family)
     if n_max < fam.n_min:
@@ -199,7 +213,7 @@ def counting_sequence(family: str | Family, n_max: int) -> list[int]:
             f"n_max={n_max} is below the minimum index {fam.n_min} "
             f"for family {fam.value}"
         )
-    return _STORES[fam].counts_through(n_max)[: n_max + 1]
+    return _STORES[fam].counts.through(n_max)[: n_max + 1]
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -348,7 +362,7 @@ def descent_triangle(family: str | Family, n_max: int) -> CountTriangle:
             f"n_max={n_max} is below the minimum row {fam.n_min} "
             f"for family {fam.value}"
         )
-    return CountTriangle(fam, n_max, _STORES[fam].rows_through(n_max))
+    return CountTriangle(fam, n_max, _STORES[fam].rows.through(n_max))
 
 
 def triangle_row_pmf(triangle: CountTriangle, n: int) -> ExactPmf:
@@ -366,16 +380,4 @@ def row_means(family: str | Family, n_max: int) -> tuple[Fraction, ...]:
     triangle; the others are triangle row means.  The means are kept in the
     family's store, so a repeat call is a lookup.
     """
-    fam = parse_family(family)
-    store = _STORES[fam]
-    means = store.means
-    if len(means) <= n_max:
-        with store.lock:
-            ns = range(len(means), n_max + 1)
-            if fam is Family.INVOLUTION:
-                means.extend(Fraction(n - 1, 2) if n else ZERO for n in ns)
-            elif ns:
-                tri = descent_triangle(fam, n_max)
-                means.extend(triangle_row_pmf(tri, n).mean() if n >= fam.n_min else ZERO
-                             for n in ns)
-    return tuple(means[: n_max + 1])
+    return tuple(_STORES[parse_family(family)].means.through(n_max)[: n_max + 1])

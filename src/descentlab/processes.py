@@ -10,9 +10,9 @@ Recording a run keeps the stage-by-stage jump word; its discard reduction
 yields a composition, and the run decomposes over the
 composition's parts into differences, deterministic adjustments, and
 multiplicative factors that reconstruct the centered, scaled final value
-exactly.  Each kind keeps one grow-only table of its stage laws and of the
-per-stage constants a recorded part reads (``_StageTable``), so runs after
-the first build nothing per stage.
+exactly.  Each kind keeps two grow-only lists (``_StageTable``): the stage
+laws, which every engine reads, the batch engine too, and the per-stage
+constants a recorded part reads; runs after the first build nothing.
 
 Stage bookkeeping: involution and fibonacci runs decompose over compositions
 of n (part position == stage).  Derangement and excedance runs start at stage
@@ -23,14 +23,13 @@ part ending at position p describes the jump into stage p + 2.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .compositions import Composition, discard_map
 from .errors import FamilyError, InfeasibleStateError
-from .families import ExactPmf, Family, counting_sequence, row_means
+from .families import _STORES, ExactPmf, Family, _Grown, row_means
 from .rng import TWO64, Stream
 
 F = Fraction
@@ -86,6 +85,16 @@ def _value_range(kind: ProcessKind, j: int) -> tuple[int, int]:
     return (0, max(0, j - 1))
 
 
+def _check_value(kind: ProcessKind, j: int, value) -> None:
+    """Raise ``InfeasibleStateError`` unless ``value`` lies in the range of
+    attainable values at stage j."""
+    lo, hi = _value_range(kind, j)
+    if not lo <= value <= hi:
+        raise InfeasibleStateError(
+            f"{kind.value}: value {value} at stage {j} outside [{lo}, {hi}]"
+        )
+
+
 @dataclass(frozen=True)
 class ProcessState:
     """Values at two consecutive stages: ``prev`` at stage n, ``last`` at
@@ -97,18 +106,8 @@ class ProcessState:
     last: int
 
     def __post_init__(self):
-        lo, hi = _value_range(self.kind, self.n)
-        if not lo <= self.prev <= hi:
-            raise InfeasibleStateError(
-                f"{self.kind.value}: value {self.prev} at stage {self.n} "
-                f"outside [{lo}, {hi}]"
-            )
-        lo, hi = _value_range(self.kind, self.n + 1)
-        if not lo <= self.last <= hi:
-            raise InfeasibleStateError(
-                f"{self.kind.value}: value {self.last} at stage {self.n + 1} "
-                f"outside [{lo}, {hi}]"
-            )
+        _check_value(self.kind, self.n, self.prev)
+        _check_value(self.kind, self.n + 1, self.last)
 
 
 @dataclass(frozen=True)
@@ -246,7 +245,7 @@ def jump_distribution(state: ProcessState) -> JumpDistribution:
             f"{kind.value}: no transition into stage {m}; "
             f"the first update is into stage {kind.start[0]}"
         )
-    entries = _entries(_TABLES[kind].laws_through(m)[m], state.prev, state.last)
+    entries = _entries(_TABLES[kind].laws.through(m)[m], state.prev, state.last)
     if any(p < 0 or p > 1 for _, _, p in entries):
         raise InfeasibleStateError(
             f"{kind.value}: state ({state.prev}, {state.last}) at stage {state.n} "
@@ -350,10 +349,11 @@ def _difference_law(kind: ProcessKind, i: int, order: int, src) -> list[tuple]:
         raise InfeasibleStateError(
             f"{kind.value}: stage {i} below the first order-{order} part stage {first}"
         )
+    _check_value(kind, i - order, src)
     if i < kind.start[0]:  # the first part of a run from stage 0 stays at 0
         jump = _STAY
     else:
-        law = _TABLES[kind].laws_through(i)[i]
+        law = _TABLES[kind].laws.through(i)[i]
         jump = law.two if order == 2 else law.one
     if not jump.cums:
         return [(0, jump.den)]
@@ -480,47 +480,31 @@ def _difference(kind: ProcessKind, i: int, order: int, src: int, new: int) -> in
 
 
 class _StageTable:
-    """Grow-only stage constants of one process kind.
+    """Stage constants of one process kind, in two grow-only lists.
 
     ``laws[m]`` is the law into stage m (``None`` before the first update);
     ``parts[m][order - 1]`` is the (``alpha_term``, ``_mean_shift``) pair of
     a recorded part that ends at stage m with a jump of that order
     (``None`` before the first part's stage, which takes one-jumps only).
-    Each list grows on demand from its last entry, under a lock, and is
-    never rebuilt; callers read the lists but never write them.  No entry
-    depends on the size of the run that asks for it.
+    No entry depends on the size of the run that asks for it.
     """
 
     def __init__(self, kind: ProcessKind):
         self.kind = kind
-        self.laws: list[StageLaw | None] = [None] * kind.start[0]
-        self.parts: list[tuple | None] = [None] * (kind.composition_offset + 1)
-        self.lock = threading.RLock()
+        self.laws = _Grown([None] * kind.start[0], self._next_law)
+        self.parts = _Grown([None] * (kind.composition_offset + 1), self._next_parts)
 
-    def laws_through(self, n: int) -> list[StageLaw | None]:
-        laws = self.laws
-        if len(laws) <= n:
-            with self.lock:
-                if len(laws) <= n:
-                    counts = counting_sequence(self.kind.family, n)
-                    laws.extend(_stage_law(self.kind, m, counts)
-                                for m in range(len(laws), n + 1))
-        return laws
+    def _next_law(self, laws: list) -> StageLaw:
+        m = len(laws)
+        return _stage_law(self.kind, m, _STORES[self.kind.family].counts.through(m))
 
-    def parts_through(self, n: int) -> list[tuple | None]:
-        parts = self.parts
-        if len(parts) <= n:
-            with self.lock:
-                if len(parts) <= n:
-                    kind, means = self.kind, exact_means(self.kind, n)
-                    # a 2-part ends one stage after the first part at the earliest
-                    twos = kind.composition_offset + 2
-                    for m in range(len(parts), n + 1):
-                        orders = (1, 2) if m >= twos else (1,)
-                        parts.append(tuple((alpha_term(kind, m, order, means),
-                                            _mean_shift(kind, m, order, means))
-                                           for order in orders))
-        return parts
+    def _next_parts(self, parts: list) -> tuple:
+        kind, m = self.kind, len(parts)
+        means = _STORES[kind.family].means.through(m)
+        # a 2-part ends one stage after the first part at the earliest
+        orders = (1, 2) if m >= kind.composition_offset + 2 else (1,)
+        return tuple((alpha_term(kind, m, order, means), _mean_shift(kind, m, order, means))
+                     for order in orders)
 
 
 _TABLES = {kind: _StageTable(kind) for kind in ProcessKind}
@@ -538,7 +522,7 @@ def simulate(kind: str | ProcessKind, n: int, seed: int, record: bool = False,
         raise FamilyError(f"{kind.value}: n={n} below minimum {kind.n_min}")
     next_u64 = Stream(seed, stream_index).next_u64
     first, v0, v1 = kind.start
-    laws = _TABLES[kind].laws_through(n)
+    laws = _TABLES[kind].laws.through(n)
     values = [0] * (n + 1)
     values[first - 2], values[first - 1] = v0, v1
     steps = []
@@ -563,7 +547,7 @@ def _decompose(kind: ProcessKind, n: int, values: list[int],
                word: list[int]) -> Decomposition:
     offset = kind.composition_offset
     comp = discard_map(word) if word else Composition(())
-    table = _TABLES[kind].parts_through(n)
+    table = _TABLES[kind].parts.through(n)
     pairs = comp.position_pairs()
     # gamma_factor of every part, as one right-to-left suffix product
     gammas, g = [], F(1)
@@ -621,7 +605,7 @@ def exact_marginal(kind: str | ProcessKind, n: int) -> ExactPmf:
         raise FamilyError(f"{kind.value}: n={n} below minimum {kind.n_min}")
     first, v0, v1 = kind.start
     pairs = {(v0, v1): F(1)}
-    laws = _TABLES[kind].laws_through(n)
+    laws = _TABLES[kind].laws.through(n)
     for m in range(first, n + 1):
         law = laws[m]
         nxt: dict[tuple[int, int], Fraction] = {}

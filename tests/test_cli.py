@@ -183,6 +183,32 @@ def test_out_file_is_complete_or_absent(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["moments.csv"]
 
 
+def test_unwritable_out_exits_2(tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    proc = run_cli("triangle", "--family", "involution", "--n", "3",
+                   "--out", str(path), check=False)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: cannot write {path}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_record_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
+    from descentlab import cli
+
+    def no_work(payload):
+        raise AssertionError("simulated before opening the audit file")
+
+    monkeypatch.setattr(cli, "_sim_chunk", no_work)
+    path = tmp_path / "missing" / "a.csv"
+    assert cli.main(["simulate", "--process", "involution", "--n", "12",
+                     "--replicates", "5", "--threads", "1",
+                     "--record", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {path}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_through_a_symlink_keeps_the_link(tmp_path):
     target = tmp_path / "tri.csv"
     target.write_text("stale\n")

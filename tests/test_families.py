@@ -254,8 +254,8 @@ def test_store_rows_do_not_depend_on_request_order(family, a, b):
     a, b = max(a, family.n_min), max(b, family.n_min)
     top = max(a, b)
     fresh = families._Store(family)
-    expected_rows = fresh.rows_through(top)
-    expected_counts = fresh.counts_through(top)
+    expected_rows = fresh.rows.through(top)
+    expected_counts = fresh.counts.through(top)
     saved = families._STORES[family]
     families._STORES[family] = families._Store(family)
     try:
@@ -299,7 +299,7 @@ def test_exact_means_are_kept_in_the_store(fresh_stores):
 
 def test_concurrent_growth_matches_a_fresh_build(fresh_stores):
     family = Family.INVOLUTION
-    expected = families._Store(family).rows_through(90)
+    expected = families._Store(family).rows.through(90)
     errors = []
 
     def grow(sizes):
@@ -330,11 +330,11 @@ def test_derangement_closed_form_check_raises_on_disagreement():
     store = families._Store(Family.DERANGEMENT)
     store.counts[1] = 1  # d_1 corrupted: the next recurrence step disagrees
     with pytest.raises(ArithmeticError, match="closed form"):
-        store.counts_through(2)
+        store.counts.through(2)
 
 
 def test_involution_row_division_check_raises_on_a_remainder():
     store = families._Store(Family.INVOLUTION)
     store.rows[2] = (1, 2)  # not row 2: row 3's recurrence no longer divides by 3
     with pytest.raises(ArithmeticError, match="not divisible by 3"):
-        store.rows_through(3)
+        store.rows.through(3)

@@ -217,6 +217,12 @@ def test_infeasible_w_rejected():
         martingale_difference_distribution("involution", 6, 1, F(7, 2))
     with pytest.raises(InfeasibleStateError):
         martingale_difference_distribution("derangement", 6, 2, F(99))
+    with pytest.raises(InfeasibleStateError):
+        conditional_moment("involution", 6, 1, F(7, 2), 2)
+    with pytest.raises(InfeasibleStateError):
+        martingale_difference_distribution("fibonacci", 5, 1, 99)
+    with pytest.raises(InfeasibleStateError):
+        martingale_difference_distribution("excedance", 6, 2, -40)
     with pytest.raises(ValueError):
         conditional_moment("involution", 6, 1, 0, 5)
 
@@ -521,11 +527,13 @@ def test_recorded_parts_equal_the_reference_definitions(kind, n, seed, index):
 
 
 @pytest.fixture
-def fresh_tables(monkeypatch):
-    """Empty stage tables for every kind for the test's duration."""
-    tables = {kind: processes._StageTable(kind) for kind in ProcessKind}
-    monkeypatch.setattr(processes, "_TABLES", tables)
-    return tables
+def fresh_tables():
+    """Empty stage tables for every kind for the test's duration, swapped
+    into the one table dict in place, since the batch engine holds it too."""
+    saved = dict(processes._TABLES)
+    processes._TABLES.update({kind: processes._StageTable(kind) for kind in ProcessKind})
+    yield processes._TABLES
+    processes._TABLES.update(saved)
 
 
 def law_summary(law):
@@ -554,16 +562,21 @@ def test_one_stage_table_per_kind_whatever_the_sizes_asked(fresh_tables):
 
 
 def test_plain_runs_build_no_part_constants(fresh_tables):
-    simulate("derangement", 40, seed=1)
-    table = fresh_tables[ProcessKind.DERANGEMENT]
-    assert len(table.laws) == 41 and len(table.parts) == 3  # the placeholders
+    from descentlab.batch import batch_finals
+
+    kind = ProcessKind.DERANGEMENT
+    for run in (lambda: simulate(kind, 40, seed=1),
+                lambda: batch_finals(kind, 40, 8, 1)):
+        table = fresh_tables[kind] = processes._StageTable(kind)
+        run()
+        assert len(table.laws) == 41 and len(table.parts) == 3  # the placeholders
 
 
 def test_concurrent_table_growth_matches_a_fresh_build(fresh_tables):
     expected = {kind: processes._StageTable(kind) for kind in ProcessKind}
     for table in expected.values():
-        table.laws_through(90)
-        table.parts_through(90)
+        table.laws.through(90)
+        table.parts.through(90)
     errors = []
 
     def grow(sizes):

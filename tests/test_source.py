@@ -19,3 +19,21 @@ def test_no_assert_statements(path):
 
 def test_the_package_sources_are_found():
     assert any(p.name == "processes.py" for p in SOURCES)
+
+
+def _imported_packages(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_families_imports_threading():
+    # The per-index caches grow, and lock, in one place: ``families._Grown``.
+    offenders = [p.name for p in SOURCES
+                 if p.name != "families.py" and "threading" in _imported_packages(p)]
+    assert not offenders, f"modules importing threading: {offenders}"
