@@ -13,7 +13,8 @@ Exit codes: 0 success, 2 bad flags, 3 nonzero reconstruction residual,
 1..``THREADS_MAX`` and ``--n-max`` in 1..``IDENTITY_BUDGET``; a value
 outside its range exits with code 2.  So does an ``--out`` or ``--record``
 path that cannot be written, with one ``error:`` line and no file left
-behind; a ``--record`` path is opened before any simulation work.
+behind; ``simulate`` checks its ``--record`` and ``--out`` paths before any
+simulation work.
 """
 
 from __future__ import annotations
@@ -114,13 +115,11 @@ def _atomic_file(path: str):
     (``/dev/stdout``, say) cannot be replaced and is written in place.  A
     path that cannot be opened for writing raises ``ValueError`` naming it.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
+    if _in_place(path):
         with _open_for_writing(path, "w", path) as fh:
             yield fh
         return
-    target = os.path.realpath(path)
-    directory, name = os.path.split(target)
-    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    target, tmp = _temp_beside(path)
     fh = _open_for_writing(tmp, "x", path)
     try:
         with fh:
@@ -130,6 +129,28 @@ def _atomic_file(path: str):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def _in_place(path: str) -> bool:
+    """True for a device or a pipe, which is written in place."""
+    return os.path.exists(path) and not os.path.isfile(path)
+
+
+def _temp_beside(path: str) -> tuple[str, str]:
+    """The file ``path`` names, and a fresh temporary name beside it."""
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    return target, os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+
+
+def _check_writable(path: str | None) -> None:
+    """Raise ``ValueError`` unless ``_atomic_file(path)`` could create its
+    temporary file, leaving nothing behind; stdout and devices pass."""
+    if path is None or path == "-" or _in_place(path):
+        return
+    _, tmp = _temp_beside(path)
+    _open_for_writing(tmp, "x", path).close()
+    os.remove(tmp)
 
 
 def _open_for_writing(file: str, mode: str, path: str):
@@ -223,26 +244,27 @@ def cmd_simulate(args) -> int:
         (kind.value, args.n, args.seed, start, count, record)
         for start, count in _split_chunks(args.replicates, workers)
     ]
-    # the audit file is opened before the work, so an unwritable path costs none
-    with _atomic_file(args.record) if record else contextlib.nullcontext() as fh:
-        if workers > 1 and args.replicates >= floor:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_sim_chunk, payloads))
-        else:
-            results = [_sim_chunk(p) for p in payloads]
+    for path in (args.record, args.out):  # refuse an unwritable path before the work
+        _check_writable(path)
+    if workers > 1 and args.replicates >= floor:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_sim_chunk, payloads))
+    else:
+        results = [_sim_chunk(p) for p in payloads]
 
-        counts: dict[int, int] = {}
-        audit: list[list[str]] = []
-        for c, rows in results:
-            for v, k in c.items():
-                counts[v] = counts.get(v, 0) + k
-            audit.extend(rows)
+    counts: dict[int, int] = {}
+    audit: list[list[str]] = []
+    for c, rows in results:
+        for v, k in c.items():
+            counts[v] = counts.get(v, 0) + k
+        audit.extend(rows)
 
-        bad = 0
-        if record:
-            header = ["replicate", "final", "composition", "differences",
-                      "alphas", "gammas", "residual"]
-            sep = "\t" if args.format == "tsv" else ","
+    bad = 0
+    if record:
+        header = ["replicate", "final", "composition", "differences",
+                  "alphas", "gammas", "residual"]
+        sep = "\t" if args.format == "tsv" else ","
+        with _atomic_file(args.record) as fh:
             fh.write(sep.join(header) + "\n")
             for row in audit:
                 fh.write(sep.join(row) + "\n")

@@ -88,9 +88,9 @@ def _next_count(family: Family, seq: list[int]) -> int:
     return value
 
 
-def _next_row(family: Family, n: int, r1: tuple[int, ...],
-              r2: tuple[int, ...]) -> tuple[int, ...]:
-    """Row n from rows n-1 (``r1``) and n-2 (``r2``)."""
+def _next_row(family: Family, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Row n = len(rows), from rows n-1 (``r1``) and n-2 (``r2``) before it."""
+    n, r1, r2 = len(rows), rows[-1], rows[-2]
     if family is Family.EULERIAN:
         # A_{n,k} = (k+1) A_{n-1,k} + (n-k) A_{n-1,k-1}, k = 0..n-1
         a = (0, *r1, 0)  # A_{n-1,k} = a[k+1]
@@ -179,14 +179,13 @@ class _Store:
     """Grow-only counting sequence, triangle rows and row means of one family.
 
     ``counts[n]``, ``rows[n]`` and ``means[n]`` belong to index n; a row
-    mean is read from the store's rows (see ``row_means``).
+    mean goes through ``triangle_row_pmf``, a use the benchmark counts.
     """
 
     def __init__(self, family: Family):
         self.family = family
         self.counts = _Grown(_SEED_COUNTS[family], lambda seq: _next_count(family, seq))
-        self.rows = _Grown(_SEED_ROWS[family], lambda rows: _next_row(
-            family, len(rows), rows[-1], rows[-2]))
+        self.rows = _Grown(_SEED_ROWS[family], lambda rows: _next_row(family, rows))
         self.means = _Grown((), self._next_mean)
 
     def _next_mean(self, means: list[Fraction]) -> Fraction:
@@ -195,10 +194,19 @@ class _Store:
             return Fraction(n - 1, 2) if n else ZERO
         if n < fam.n_min:
             return ZERO
-        return ExactPmf.from_counts(fam.k_min, self.rows.through(n)[n]).mean()
+        return triangle_row_pmf(CountTriangle(fam, n, self.rows.through(n)), n).mean()
 
 
 _STORES = {fam: _Store(fam) for fam in Family}
+
+
+def _reaching(family: str | Family, n_max: int, what: str) -> Family:
+    """The family, if ``n_max`` reaches its first ``what`` (index or row)."""
+    fam = parse_family(family)
+    if n_max < fam.n_min:
+        raise FamilyError(f"n_max={n_max} is below the minimum {what} {fam.n_min} "
+                          f"for family {fam.value}")
+    return fam
 
 
 def counting_sequence(family: str | Family, n_max: int) -> list[int]:
@@ -207,12 +215,7 @@ def counting_sequence(family: str | Family, n_max: int) -> list[int]:
     Derangement counts are cross-checked against their closed form as they
     are stored (``_next_count``).
     """
-    fam = parse_family(family)
-    if n_max < fam.n_min:
-        raise FamilyError(
-            f"n_max={n_max} is below the minimum index {fam.n_min} "
-            f"for family {fam.value}"
-        )
+    fam = _reaching(family, n_max, "index")
     return _STORES[fam].counts.through(n_max)[: n_max + 1]
 
 
@@ -356,12 +359,7 @@ class CountTriangle:
 
 def descent_triangle(family: str | Family, n_max: int) -> CountTriangle:
     """The family's triangle for rows n_min..n_max, from its store."""
-    fam = parse_family(family)
-    if n_max < fam.n_min:
-        raise FamilyError(
-            f"n_max={n_max} is below the minimum row {fam.n_min} "
-            f"for family {fam.value}"
-        )
+    fam = _reaching(family, n_max, "row")
     return CountTriangle(fam, n_max, _STORES[fam].rows.through(n_max))
 
 
@@ -377,7 +375,12 @@ def row_means(family: str | Family, n_max: int) -> tuple[Fraction, ...]:
     """Exact row means for indices 0..n_max; 0 below the family's first row.
 
     Involution rows are palindromic, so their means are (n-1)/2 without a
-    triangle; the others are triangle row means.  The means are kept in the
-    family's store, so a repeat call is a lookup.
+    triangle; the others are triangle row means, read from the rows one
+    ``descent_triangle`` call builds.  The means are kept in the family's
+    store, so a repeat call is a lookup.
     """
-    return tuple(_STORES[parse_family(family)].means.through(n_max)[: n_max + 1])
+    fam = parse_family(family)
+    means = _STORES[fam].means
+    if len(means) <= n_max and fam is not Family.INVOLUTION and n_max >= fam.n_min:
+        descent_triangle(fam, n_max)
+    return tuple(means.through(n_max)[: n_max + 1])

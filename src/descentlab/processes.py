@@ -547,7 +547,10 @@ def _decompose(kind: ProcessKind, n: int, values: list[int],
                word: list[int]) -> Decomposition:
     offset = kind.composition_offset
     comp = discard_map(word) if word else Composition(())
-    table = _TABLES[kind].parts.through(n)
+    table = _TABLES[kind].parts
+    if len(table) <= n:  # grow the means that new parts read in one call
+        exact_means(kind, n)
+    table.through(n)
     pairs = comp.position_pairs()
     # gamma_factor of every part, as one right-to-left suffix product
     gammas, g = [], F(1)
@@ -591,11 +594,8 @@ def reconstruct(traj: Trajectory) -> Fraction:
         else:
             total += term
     total += whole
-    if kind in (ProcessKind.DERANGEMENT, ProcessKind.EXCEDANCE):
-        z = (traj.n - 1) * (traj.final - means[traj.n])
-    else:
-        z = traj.n * (traj.final - means[traj.n])
-    return z - total
+    scale = traj.n - 1 if kind.composition_offset else traj.n
+    return scale * (traj.final - means[traj.n]) - total
 
 
 def exact_marginal(kind: str | ProcessKind, n: int) -> ExactPmf:

@@ -192,17 +192,18 @@ def test_unwritable_out_exits_2(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_unwritable_record_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("flag", ["--record", "--out"])
+def test_unwritable_simulate_path_exits_2_before_any_work(flag, tmp_path, monkeypatch,
+                                                          capsys):
     from descentlab import cli
 
     def no_work(payload):
-        raise AssertionError("simulated before opening the audit file")
+        raise AssertionError("simulated before checking the output paths")
 
     monkeypatch.setattr(cli, "_sim_chunk", no_work)
     path = tmp_path / "missing" / "a.csv"
     assert cli.main(["simulate", "--process", "involution", "--n", "12",
-                     "--replicates", "5", "--threads", "1",
-                     "--record", str(path)]) == 2
+                     "--replicates", "5", "--threads", "1", flag, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: cannot write {path}: No such file or directory\n"

@@ -289,12 +289,24 @@ def test_one_counting_sequence_per_family_whatever_the_sizes_asked(fresh_stores)
         assert not any(hasattr(obj, "cache_info") for obj in vars(module).values())
 
 
-def test_exact_means_are_kept_in_the_store(fresh_stores):
+def test_exact_means_are_kept_in_the_store(fresh_stores, monkeypatch):
+    built = []
+
+    def counted(family, n_max):
+        built.append((family, n_max))
+        return descent_triangle(family, n_max)
+
+    monkeypatch.setattr(families, "descent_triangle", counted)
     store = fresh_stores[Family.DERANGEMENT]
     means = processes.exact_means(ProcessKind.DERANGEMENT, 40)
     assert len(store.means) == 41 and len(store.rows) == 41
+    assert built == [(Family.DERANGEMENT, 40)]  # the rows, as one triangle
     assert processes.exact_means("derangement", 20) == means[:21]
-    assert len(store.means) == 41  # a smaller request is a lookup
+    assert len(store.means) == 41 and len(built) == 1  # a smaller request is a lookup
+    # below the first row a mean is 0, also on a first request
+    assert families.row_means("excedance", 1) == (0, 0)
+    assert families.row_means("eulerian", 0) == (0,)
+    assert len(built) == 1
 
 
 def test_concurrent_growth_matches_a_fresh_build(fresh_stores):

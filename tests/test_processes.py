@@ -550,7 +550,9 @@ def test_one_stage_table_per_kind_whatever_the_sizes_asked(fresh_tables):
     for n in (10, 300, 50):
         for kind in ProcessKind:
             assert reconstruct(simulate(kind, n, seed=n, record=True)) == 0
-    assert processes._TABLES is fresh_tables and set(fresh_tables) == set(ProcessKind)
+    from descentlab import batch
+
+    assert batch._TABLES is processes._TABLES and set(fresh_tables) == set(ProcessKind)
     for kind, table in fresh_tables.items():
         assert len(table.laws) == 301 and len(table.parts) == 301
         first = kind.start[0]
