@@ -11,10 +11,13 @@ Exit codes: 0 success, 2 bad flags, 3 nonzero reconstruction residual,
 (and each ``--n-set`` entry) at most ``N_MAX``, ``--n-set`` not empty,
 ``--replicates`` in 1..``REPLICATES_MAX``, ``--threads`` in
 1..``THREADS_MAX`` and ``--n-max`` in 1..``IDENTITY_BUDGET``; a value
-outside its range exits with code 2.  So does an ``--out`` or ``--record``
-path that cannot be written, with one ``error:`` line and no file left
-behind; ``simulate`` checks its ``--record`` and ``--out`` paths before any
-simulation work.
+outside its range exits with code 2, as does a ``moments --n`` below the
+family's first row.  So does an ``--out`` or ``--record`` path that
+cannot be written, with one ``error:`` line and no file left behind.
+``simulate`` opens its ``--record`` and ``--out`` files before any work
+(exit 2 if both name one file), runs the replicates in fixed-size chunks
+and streams the audit rows in replicate order as each chunk finishes; the
+table is written last.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .diagnostics import IDENTITY_BUDGET, IDENTITY_CHECKS, clt_table, identity_check
-from .families import descent_triangle, parse_family
+from .families import _reaching, descent_triangle, parse_family
 from .moments import moment_table
 from .processes import parse_kind, reconstruct, simulate
 
@@ -40,6 +43,12 @@ IDENTITY_EXIT = 4
 N_MAX = 1000
 REPLICATES_MAX = 1_000_000
 THREADS_MAX = 256
+
+# Replicates per simulate chunk, whatever --threads is: a recorded chunk
+# holds its audit rows (about 27 KB each for derangements at n=100), a plain
+# one about ten batch-engine arrays of its size.
+RECORD_CHUNK = 64
+PLAIN_CHUNK = 1 << 16
 
 
 def _bounded_int(lo: int | None, hi: int):
@@ -115,11 +124,13 @@ def _atomic_file(path: str):
     (``/dev/stdout``, say) cannot be replaced and is written in place.  A
     path that cannot be opened for writing raises ``ValueError`` naming it.
     """
-    if _in_place(path):
+    if os.path.exists(path) and not os.path.isfile(path):
         with _open_for_writing(path, "w", path) as fh:
             yield fh
         return
-    target, tmp = _temp_beside(path)
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
     fh = _open_for_writing(tmp, "x", path)
     try:
         with fh:
@@ -129,28 +140,6 @@ def _atomic_file(path: str):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
-
-
-def _in_place(path: str) -> bool:
-    """True for a device or a pipe, which is written in place."""
-    return os.path.exists(path) and not os.path.isfile(path)
-
-
-def _temp_beside(path: str) -> tuple[str, str]:
-    """The file ``path`` names, and a fresh temporary name beside it."""
-    target = os.path.realpath(path)
-    directory, name = os.path.split(target)
-    return target, os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-
-
-def _check_writable(path: str | None) -> None:
-    """Raise ``ValueError`` unless ``_atomic_file(path)`` could create its
-    temporary file, leaving nothing behind; stdout and devices pass."""
-    if path is None or path == "-" or _in_place(path):
-        return
-    _, tmp = _temp_beside(path)
-    _open_for_writing(tmp, "x", path).close()
-    os.remove(tmp)
 
 
 def _open_for_writing(file: str, mode: str, path: str):
@@ -238,43 +227,41 @@ def _split_chunks(total: int, parts: int) -> list[tuple[int, int]]:
 def cmd_simulate(args) -> int:
     kind = parse_kind(args.process)
     record = args.record is not None
-    floor = 2_000 if record else 50_000
-    workers = args.threads
+    floor, chunk = (2_000, RECORD_CHUNK) if record else (50_000, PLAIN_CHUNK)
+    parts = max(args.threads, -(-args.replicates // chunk))
     payloads = [
         (kind.value, args.n, args.seed, start, count, record)
-        for start, count in _split_chunks(args.replicates, workers)
+        for start, count in _split_chunks(args.replicates, parts)
     ]
-    for path in (args.record, args.out):  # refuse an unwritable path before the work
-        _check_writable(path)
-    if workers > 1 and args.replicates >= floor:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sim_chunk, payloads))
-    else:
-        results = [_sim_chunk(p) for p in payloads]
-
+    if record and args.out not in (None, "-") and (
+            os.path.realpath(args.record) == os.path.realpath(args.out)):
+        raise ValueError(f"--record and --out name the same file {args.out}")
+    sep = "\t" if args.format == "tsv" else ","
     counts: dict[int, int] = {}
-    audit: list[list[str]] = []
-    for c, rows in results:
-        for v, k in c.items():
-            counts[v] = counts.get(v, 0) + k
-        audit.extend(rows)
-
     bad = 0
-    if record:
-        header = ["replicate", "final", "composition", "differences",
-                  "alphas", "gammas", "residual"]
-        sep = "\t" if args.format == "tsv" else ","
-        with _atomic_file(args.record) as fh:
-            fh.write(sep.join(header) + "\n")
-            for row in audit:
-                fh.write(sep.join(row) + "\n")
-                if row[-1] != "0":
-                    bad += 1
-
-    table = Table(["value", "count"])
-    for v in sorted(counts):
-        table.add(v, counts[v])
-    _emit(table, args)
+    with _open_out(args.out) as out:
+        with contextlib.ExitStack() as stack:
+            if record:
+                audit = stack.enter_context(_atomic_file(args.record))
+                audit.write(sep.join(["replicate", "final", "composition",
+                                      "differences", "alphas", "gammas",
+                                      "residual"]) + "\n")
+            if args.threads > 1 and args.replicates >= floor:
+                pool = stack.enter_context(ProcessPoolExecutor(args.threads))
+                results = pool.map(_sim_chunk, payloads)
+            else:
+                results = map(_sim_chunk, payloads)
+            for c, rows in results:
+                for v, k in c.items():
+                    counts[v] = counts.get(v, 0) + k
+                for row in rows:
+                    audit.write(sep.join(row) + "\n")
+                    bad += row[-1] != "0"
+        # last, and after the audit is closed: the two may share one device
+        table = Table(["value", "count"])
+        for v in sorted(counts):
+            table.add(v, counts[v])
+        _write_table(table, args.format, out)
     if bad:
         print(f"error: {bad} replicates with nonzero residual", file=sys.stderr)
         return RESIDUAL_EXIT
@@ -282,9 +269,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    fam = parse_family(args.family)
+    fam = _reaching(args.family, args.n, "row")
     rows = moment_table(fam, range(fam.n_min, args.n + 1))
-    asym_cols = sorted(rows[0].asymptotics) if rows else []
+    asym_cols = sorted(rows[0].asymptotics)
     table = Table(
         ["n", "mean", "mean_float", "variance", "variance_float",
          "third_central", "fourth_central"] + asym_cols

@@ -95,6 +95,13 @@ def test_simulate_record_audit(tmp_path):
     assert set(comp) <= {"1", "2"} and sum(int(c) for c in comp) == 22
 
 
+def test_an_audit_sharing_stdout_comes_whole_before_the_table():
+    proc = run_cli("simulate", "--process", "involution", "--n", "16",
+                   "--replicates", "500", "--threads", "1", "--record", "/dev/stdout")
+    lines = proc.stdout.split("\n")
+    assert lines[0].startswith("replicate,") and lines[501] == "value,count"
+
+
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_determinism_across_threads(tmp_path, threads):
     audit = tmp_path / f"audit_{threads}.csv"
@@ -210,6 +217,89 @@ def test_unwritable_simulate_path_exits_2_before_any_work(flag, tmp_path, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out_name", ["a.csv", "link.csv"])
+def test_record_and_out_naming_one_file_exit_2_before_any_work(out_name, tmp_path,
+                                                               monkeypatch, capsys):
+    from descentlab import cli
+
+    def no_work(payload):
+        raise AssertionError("simulated before checking the output paths")
+
+    monkeypatch.setattr(cli, "_sim_chunk", no_work)
+    (tmp_path / "link.csv").symlink_to(tmp_path / "a.csv")
+    out = tmp_path / out_name
+    assert cli.main(["simulate", "--process", "involution", "--n", "12",
+                     "--replicates", "5", "--threads", "1",
+                     "--record", str(tmp_path / "a.csv"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --record and --out name the same file {out}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["link.csv"]
+
+
+def test_simulate_outputs_are_complete_or_absent_when_a_chunk_fails(tmp_path,
+                                                                     monkeypatch):
+    from descentlab import cli
+
+    real, calls = cli._sim_chunk, []
+
+    def second_call_fails(payload):
+        calls.append(payload)
+        if len(calls) == 2:
+            raise RuntimeError("chunk failed")
+        return real(payload)
+
+    monkeypatch.setattr(cli, "_sim_chunk", second_call_fails)
+    audit, table = tmp_path / "a.csv", tmp_path / "t.csv"
+    argv = ["simulate", "--process", "derangement", "--n", "12",
+            "--replicates", str(3 * cli.RECORD_CHUNK), "--threads", "1",
+            "--record", str(audit), "--out", str(table)]
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        cli.main(argv)
+    assert list(tmp_path.iterdir()) == []
+    audit.write_text("earlier run\n")
+    calls.clear()
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        cli.main(argv)
+    assert audit.read_text() == "earlier run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+
+# A child's peak RSS as ``wait4`` reports it is at least its parent's at the
+# fork, so the CLI is started from a fresh, small interpreter, not from pytest.
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_mb(*argv) -> float:
+    """Peak resident set of one CLI run, as ``os.wait4`` reports it, in MB."""
+    out = subprocess.run([sys.executable, "-c", _PEAK_RSS, *CLI, *argv],
+                         capture_output=True, text=True, check=True).stdout
+    code, rss_kb = map(int, out.split())
+    assert code == 0
+    return rss_kb / 1024
+
+
+def test_recorded_simulate_memory_does_not_grow_with_replicates(tmp_path):
+    peaks = [
+        _peak_rss_mb("simulate", "--process", "derangement", "--n", "100",
+                     "--replicates", str(replicates), "--threads", "1",
+                     "--record", str(tmp_path / "a.csv"))
+        for replicates in (200, 1600)
+    ]
+    assert abs(peaks[1] - peaks[0]) <= 8, peaks
+
+
+def test_plain_simulate_memory_is_bounded_at_a_million_replicates():
+    peak = _peak_rss_mb("simulate", "--process", "involution", "--n", "32",
+                        "--replicates", "1000000", "--threads", "1")
+    assert peak < 50, peak
+
+
 def test_out_through_a_symlink_keeps_the_link(tmp_path):
     target = tmp_path / "tri.csv"
     target.write_text("stale\n")
@@ -268,6 +358,9 @@ def _simulate_argv(**flags):
     _simulate_argv(threads="257"),
     ["triangle", "--family", "derangement", "--n", "1001"],
     ["moments", "--family", "involution", "--n", "5000"],
+    ["moments", "--family", "excedance", "--n", "1"],
+    ["moments", "--family", "excedance", "--n", "-3"],
+    ["moments", "--family", "involution", "--n", "0"],
     ["decompose", "--process", "fibonacci", "--n", "1001"],
     ["clt", "--family", "involution", "--n-set", "16,1001"],
     ["clt", "--family", "involution", "--n-set", ","],
