@@ -7,17 +7,19 @@ significant digits, and rationals render exactly as p/q.  Counts serialize
 as decimal strings in JSON since they outgrow 64-bit integers quickly.
 
 Exit codes: 0 success, 2 bad flags, 3 nonzero reconstruction residual,
-4 failed exact identity.  Sizes are bounded before any work starts: ``--n``
-(and each ``--n-set`` entry) at most ``N_MAX``, ``--n-set`` not empty,
-``--replicates`` in 1..``REPLICATES_MAX``, ``--threads`` in
-1..``THREADS_MAX`` and ``--n-max`` in 1..``IDENTITY_BUDGET``; a value
-outside its range exits with code 2, as does a ``moments --n`` below the
-family's first row.  So does an ``--out`` or ``--record`` path that
-cannot be written, with one ``error:`` line and no file left behind.
-``simulate`` opens its ``--record`` and ``--out`` files before any work
-(exit 2 if both name one file), runs the replicates in fixed-size chunks
-and streams the audit rows in replicate order as each chunk finishes; the
-table is written last.
+4 failed exact identity, 141 stdout closed by its reader before the output
+ended (``| head``, say), with nothing on stderr.  Sizes are bounded before
+any work starts: ``--n`` (and each ``--n-set`` entry) at most ``N_MAX``,
+``--n-set`` not empty, ``--replicates`` in 1..``REPLICATES_MAX``,
+``--threads`` in 1..``THREADS_MAX`` and ``--n-max`` in
+1..``IDENTITY_BUDGET``; a value outside its range exits with code 2, as
+does a ``moments --n`` below the family's first row.  So does an ``--out``
+or ``--record`` path that cannot be written, with one ``error:`` line and
+no file left behind.  For either, ``-`` means stdout.  ``simulate`` opens
+its ``--record`` and ``--out`` files before any work (exit 2 if both name
+one file), runs the replicates in fixed-size chunks and streams the audit
+rows in replicate order as each chunk finishes; the table is written last,
+so an audit on stdout comes whole before it.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ from fractions import Fraction
 from .diagnostics import IDENTITY_BUDGET, IDENTITY_CHECKS, clt_table, identity_check
 from .families import _reaching, descent_triangle, parse_family
 from .moments import moment_table
-from .processes import parse_kind, reconstruct, simulate
+from .processes import _TABLES, parse_kind, reconstruct, simulate
 
 RESIDUAL_EXIT = 3
 IDENTITY_EXIT = 4
+BROKEN_PIPE_EXIT = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 # A 1000-row derangement triangle holds about 0.3 GB of integers; 10^6
 # replicates is a second's work for the batch engine at n=32.
@@ -205,12 +208,31 @@ def _sim_chunk(payload) -> tuple[dict[int, int], list[list[str]]]:
                 str(traj.final),
                 "".join(str(p) for p in dec.composition),
                 ";".join(str(p.x) for p in dec.parts),
-                ";".join(str(p.alpha) for p in dec.parts),
-                ";".join(str(p.gamma) for p in dec.parts),
+                ";".join(_alpha_texts(traj)),
+                _gamma_texts(dec.parts),
                 str(residual),
             ]
         )
     return counts, audit
+
+
+def _alpha_texts(traj) -> list[str]:
+    """The printed adjustments of a recorded run's parts: each is its
+    stage's, formatted once in the stage table."""
+    table = _TABLES[traj.kind].parts
+    return [table[p.stage][p.size - 1].alpha_text for p in traj.decomposition.parts]
+
+
+def _gamma_texts(parts) -> str:
+    """The parts' factors joined by ``;``, each distinct factor object
+    formatted once: a recorded run shares one between consecutive equal
+    factors."""
+    texts, gamma, text = [], None, ""
+    for p in parts:
+        if p.gamma is not gamma:
+            gamma, text = p.gamma, str(p.gamma)
+        texts.append(text)
+    return ";".join(texts)
 
 
 def _split_chunks(total: int, parts: int) -> list[tuple[int, int]]:
@@ -233,8 +255,8 @@ def cmd_simulate(args) -> int:
         (kind.value, args.n, args.seed, start, count, record)
         for start, count in _split_chunks(args.replicates, parts)
     ]
-    if record and args.out not in (None, "-") and (
-            os.path.realpath(args.record) == os.path.realpath(args.out)):
+    files = [f for f in (args.record, args.out) if f not in (None, "-")]
+    if len(files) == 2 and os.path.realpath(files[0]) == os.path.realpath(files[1]):
         raise ValueError(f"--record and --out name the same file {args.out}")
     sep = "\t" if args.format == "tsv" else ","
     counts: dict[int, int] = {}
@@ -242,7 +264,7 @@ def cmd_simulate(args) -> int:
     with _open_out(args.out) as out:
         with contextlib.ExitStack() as stack:
             if record:
-                audit = stack.enter_context(_atomic_file(args.record))
+                audit = stack.enter_context(_open_out(args.record))
                 audit.write(sep.join(["replicate", "final", "composition",
                                       "differences", "alphas", "gammas",
                                       "residual"]) + "\n")
@@ -330,8 +352,8 @@ def cmd_decompose(args) -> int:
     residual = reconstruct(traj)
     dec = traj.decomposition
     table = Table(["part", "position", "size", "stage", "x", "alpha", "gamma"])
-    for idx, p in enumerate(dec.parts, start=1):
-        table.add(idx, p.position, p.size, p.stage, p.x, p.alpha, p.gamma)
+    for idx, (p, alpha) in enumerate(zip(dec.parts, _alpha_texts(traj)), start=1):
+        table.add(idx, p.position, p.size, p.stage, p.x, alpha, p.gamma)
     table.trailer = {
         "run": {
             "process": traj.kind.value,
@@ -423,6 +445,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # domain errors from bad flag values
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout early (``| head``)
+        # what is still buffered goes to the null device, so the
+        # interpreter's final flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE_EXIT
 
 
 if __name__ == "__main__":

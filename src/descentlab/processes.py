@@ -14,6 +14,13 @@ exactly.  Each kind keeps two grow-only lists (``_StageTable``): the stage
 laws, which every engine reads, the batch engine too, and the per-stage
 constants a recorded part reads; runs after the first build nothing.
 
+The reconstruction proves the identity with small integers: each part's
+adjustment is an integer constant plus two mean terms, checked once per
+stage as the table grows, and the mean terms of adjacent parts cancel
+through the factors, so a run's residual needs only the parts' integer
+differences and one exact mean.  A decomposition not in that recorded form
+is summed term by term instead.
+
 Stage bookkeeping: involution and fibonacci runs decompose over compositions
 of n (part position == stage).  Derangement and excedance runs start at stage
 2 with a deterministic value, so their compositions have total n - 2 and a
@@ -289,6 +296,33 @@ def alpha_term(kind: str | ProcessKind, i: int, order: int, mu) -> Fraction:
     return ZERO
 
 
+def _scale(kind: ProcessKind, i: int) -> int:
+    """The factor of the centered stage-i value in the identity that
+    ``reconstruct`` checks: i - 1 for runs that start at stage 2
+    (derangement, excedance), i otherwise."""
+    return i - 1 if kind.composition_offset else i
+
+
+def _telescoped_constants(kind: ProcessKind, i: int, order: int) -> tuple[int, int]:
+    """(c, k) of a part that ends at stage i with a jump of the given order:
+    its adjustment less its mean shift is ``c - _scale(i) mu_i + k mu_{i-order}``.
+
+    c is an integer; k is ``_scale`` of the source stage times the factor
+    the part gives the parts before it, so that k mu_{i-order} cancels the
+    previous part's mean term.  The excedance two-jump's shift 2 mu_{i-2}
+    is folded into its k; a fibonacci part's adjustment is zero and its
+    mean terms are its shift; an involution part has neither, and its c is
+    i mu_i - (i-order) mu_{i-order}, an integer since mu_i = (i-1)/2.
+    """
+    if kind is _DERANGEMENT:
+        return (i - 2 if order == 1 else 2 * i - 3), i - 2
+    if kind is ProcessKind.EXCEDANCE:
+        return i - 1, i - 1 - order
+    if kind is _INVOLUTION:
+        return (i - 1 if order == 1 else 2 * i - 3), i - order
+    return 0, i - order  # fibonacci
+
+
 def gamma_factor(comp: Composition, i: int) -> Fraction:
     """Product of k/(k-1) over 2-part ending positions k later than i.
 
@@ -479,14 +513,31 @@ def _difference(kind: ProcessKind, i: int, order: int, src: int, new: int) -> in
     return src - i + 1 if new == src else src
 
 
+class _Part(NamedTuple):
+    """Constants of a recorded part that ends at one stage with a jump of one
+    order: its adjustment, its mean shift (the part's x is an integer d less
+    this), the ``_telescoped_constants`` c and k, and the adjustment as the
+    audit prints it."""
+
+    alpha: Fraction
+    shift: Fraction
+    c: int
+    k: int
+    alpha_text: str
+
+
 class _StageTable:
     """Stage constants of one process kind, in two grow-only lists.
 
     ``laws[m]`` is the law into stage m (``None`` before the first update);
-    ``parts[m][order - 1]`` is the (``alpha_term``, ``_mean_shift``) pair of
-    a recorded part that ends at stage m with a jump of that order
-    (``None`` before the first part's stage, which takes one-jumps only).
-    No entry depends on the size of the run that asks for it.
+    ``parts[m][order - 1]`` is the ``_Part`` of a recorded part that ends at
+    stage m with a jump of that order (``None`` before the first part's
+    stage, which takes one-jumps only).  As an entry is added, its
+    adjustment less its shift is checked to equal
+    ``c - _scale(m) mu_m + k mu_{m-order}`` exactly, which is what lets
+    ``reconstruct`` cancel the mean terms; a mismatch raises
+    ``ArithmeticError``.  No entry depends on the size of the run that asks
+    for it.
     """
 
     def __init__(self, kind: ProcessKind):
@@ -498,16 +549,34 @@ class _StageTable:
         m = len(laws)
         return _stage_law(self.kind, m, _STORES[self.kind.family].counts.through(m))
 
-    def _next_parts(self, parts: list) -> tuple:
+    def _next_parts(self, parts: list) -> tuple[_Part, ...]:
         kind, m = self.kind, len(parts)
         means = _STORES[kind.family].means.through(m)
         # a 2-part ends one stage after the first part at the earliest
         orders = (1, 2) if m >= kind.composition_offset + 2 else (1,)
-        return tuple((alpha_term(kind, m, order, means), _mean_shift(kind, m, order, means))
-                     for order in orders)
+        out = []
+        for order in orders:
+            alpha = alpha_term(kind, m, order, means)
+            shift = _mean_shift(kind, m, order, means)
+            c, k = _telescoped_constants(kind, m, order)
+            if alpha - shift != c - _scale(kind, m) * means[m] + k * means[m - order]:
+                raise ArithmeticError(
+                    f"{kind.value}: the order-{order} part constants at stage {m} "
+                    "do not telescope"
+                )
+            out.append(_Part(alpha, shift, c, k, str(alpha)))
+        return tuple(out)
 
 
 _TABLES = {kind: _StageTable(kind) for kind in ProcessKind}
+
+
+def _part_table(kind: ProcessKind, n: int) -> _Grown:
+    """The kind's recorded-part constants through stage n."""
+    table = _TABLES[kind].parts
+    if len(table) <= n:  # grow the means that new parts read in one call
+        exact_means(kind, n)
+    return table.through(n)
 
 
 def simulate(kind: str | ProcessKind, n: int, seed: int, record: bool = False,
@@ -547,12 +616,11 @@ def _decompose(kind: ProcessKind, n: int, values: list[int],
                word: list[int]) -> Decomposition:
     offset = kind.composition_offset
     comp = discard_map(word) if word else Composition(())
-    table = _TABLES[kind].parts
-    if len(table) <= n:  # grow the means that new parts read in one call
-        exact_means(kind, n)
-    table.through(n)
+    table = _part_table(kind, n)
     pairs = comp.position_pairs()
-    # gamma_factor of every part, as one right-to-left suffix product
+    # gamma_factor of every part, as one right-to-left suffix product; parts
+    # with equal factors share one object, which reconstruct and the audit
+    # rely on only for speed
     gammas, g = [], F(1)
     for pos, size in reversed(pairs):
         gammas.append(g)
@@ -561,10 +629,10 @@ def _decompose(kind: ProcessKind, n: int, values: list[int],
     parts = []
     for (pos, size), gamma in zip(pairs, reversed(gammas)):
         stage = pos + offset
-        alpha, shift = table[stage][size - 1]
+        entry = table[stage][size - 1]
         d = _difference(kind, stage, size, values[stage - size], values[stage])
-        x = d - shift if shift else F(d)
-        parts.append(PartRecord(pos, size, stage, x, alpha, gamma))
+        x = d - entry.shift if entry.shift else F(d)
+        parts.append(PartRecord(pos, size, stage, x, entry.alpha, gamma))
     return Decomposition(comp.parts, tuple(parts))
 
 
@@ -576,26 +644,79 @@ def reconstruct(traj: Trajectory) -> Fraction:
     derangement and excedance runs satisfy
         (n-1) (value_n - mean_n) = sum_i gamma_i (x_i + alpha_i),
     with excedance factors identically 1.
+
+    The sum is not formed term by term.  Each part's x is an integer d less
+    its stage's mean shift, and its alpha less that shift is an integer c
+    plus two mean terms (``_StageTable``), so x + alpha is
+    d + c - scale(i) mu_i + k mu_{i-order}.  Through the factors gamma, the
+    mean terms of each part cancel those of the part before it, and the
+    last part's cancel mean_n, which leaves
+        residual = scale(n) value_n - sum_i gamma_i (d_i + c_i)
+                   - gamma_1 k_1 mu_s,
+    with s the first part's source stage (mu_s is 1 for derangement and
+    excedance runs, 0 for the others).  The integers d + c are summed
+    exactly between the 2-parts of a derangement run, where gamma changes.
+
+    That shortcut is taken only for a decomposition in the recorded form.
+    The part sizes, each 1 or 2, add up to the run's composition total and
+    so place every part, right to left, at a stage; there each alpha must
+    be the stage table's own object, each x an integer less the table's
+    shift (checked in integers), and each gamma the product of k/(k-1)
+    over the later 2-part positions k of a derangement run, 1 otherwise.
+    The positions and stages the parts carry are not read, as the full sum
+    does not read them either.  Any other decomposition, a run with no
+    parts among them, is summed term by term, so the residual is exact in
+    every case.
     """
     if traj.decomposition is None:
         raise ValueError("trajectory was not recorded with a decomposition")
-    kind = traj.kind
-    means = exact_means(kind, traj.n)
-    # exact throughout: the zero alphas, unit gammas and integer terms that
-    # most parts carry only skip Fraction operations that would not change
-    # the sum
-    whole, total = 0, ZERO
-    for p in traj.decomposition.parts:
-        term = p.x + p.alpha if p.alpha else p.x
-        if p.gamma != 1:
-            term *= p.gamma
-        if term.denominator == 1:
-            whole += term.numerator
-        else:
-            total += term
-    total += whole
-    scale = traj.n - 1 if kind.composition_offset else traj.n
-    return scale * (traj.final - means[traj.n]) - total
+    kind, n = traj.kind, traj.n
+    table = _part_table(kind, n)
+    means = _STORES[kind.family].means.through(n)
+    parts = traj.decomposition.parts
+    total = _telescoped_sum(kind, n, parts, table, means)
+    if total is None:  # term by term
+        total = sum((p.gamma * (p.x + p.alpha) for p in parts), ZERO)
+        return _scale(kind, n) * (traj.final - means[n]) - total
+    return _scale(kind, n) * traj.final - total
+
+
+def _telescoped_sum(kind: ProcessKind, n: int, parts, table, means) -> Fraction | None:
+    """``sum_i gamma_i (d_i + c_i) + gamma_1 k_1 mu_s`` of ``reconstruct``,
+    or ``None`` for parts that are not in the recorded form."""
+    if not parts:
+        return None
+    offset = kind.composition_offset
+    factors = kind is _DERANGEMENT
+    pos = n - offset  # where the next part, right to left, ends
+    # the sum of the runs of equal gamma so far is num / den, and the
+    # current gamma is gnum / den; run sums d + c under the current gamma
+    num, gnum, den, run = 0, 1, 1, 0
+    unchecked = gamma = object()  # gamma: the last one found equal to gnum / den
+    for p in reversed(parts):
+        size = p.size
+        if size not in (1, 2) or size > pos:
+            return None
+        entry = table[pos + offset][size - 1]
+        x, shift = p.x, entry.shift
+        if p.alpha is not entry.alpha or x.denominator != shift.denominator:
+            return None
+        d, rem = divmod(x.numerator + shift.numerator, shift.denominator)
+        if rem:
+            return None
+        if p.gamma is not gamma:
+            gamma = p.gamma
+            if gamma.numerator * den != gamma.denominator * gnum:
+                return None
+        run += d + entry.c
+        if factors and size == 2:  # the parts before carry pos / (pos - 1) more
+            num = (num + run * gnum) * (pos - 1)
+            gnum, den, run, gamma = gnum * pos, den * (pos - 1), 0, unchecked
+        pos -= size
+    if pos:
+        return None
+    # p and entry are the first part's
+    return F(num + run * gnum, den) + p.gamma * entry.k * means[offset]
 
 
 def exact_marginal(kind: str | ProcessKind, n: int) -> ExactPmf:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from descentlab.compositions import enumerate_compositions, word_statistic
-from descentlab.processes import ProcessKind
+from descentlab.processes import ProcessKind, exact_means
 
 
 def descents(perm: tuple[int, ...]) -> int:
@@ -163,3 +163,15 @@ def closed_form_moment(kind, i: int, order: int, w, r: int) -> Fraction:
     if r == 3:
         return 2 * h * h * w - 2 * w**3
     return h**4 + 2 * h * h * w * w - 3 * w**4
+
+
+def full_sum_residual(traj) -> Fraction:
+    """Residual of the decomposition identity, summed part by part:
+    scale (value_n - mean_n) - sum_i gamma_i (x_i + alpha_i), with scale
+    n - 1 for derangement and excedance runs and n for the others."""
+    kind = ProcessKind(traj.kind)
+    total = Fraction(0)
+    for p in traj.decomposition.parts:
+        total += p.gamma * (p.x + p.alpha)
+    scale = traj.n - 1 if kind in (ProcessKind.DERANGEMENT, ProcessKind.EXCEDANCE) else traj.n
+    return scale * (traj.final - exact_means(kind, traj.n)[traj.n]) - total

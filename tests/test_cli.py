@@ -102,6 +102,59 @@ def test_an_audit_sharing_stdout_comes_whole_before_the_table():
     assert lines[0].startswith("replicate,") and lines[501] == "value,count"
 
 
+# sha256 of the audit bytes followed by the stdout bytes of
+# ``simulate --process KIND --n 40 --replicates 50 --seed 2021 --threads 1
+# --record AUDIT``, recorded with the term-by-term reconstruction, so that
+# they pin the audit bytes through any change to how the residual is found.
+AUDIT_DIGESTS = {
+    "involution": "b7971fc2ef36ed7ff2d53791d924050ade8cfe6fca0db06e64ce1e3732011bf2",
+    "derangement": "21c74dbe6d83c563fcb1b6e5dd27f601f2e44cda7776b9076b776b04c4c13daa",
+    "fibonacci": "e5fcd53caeebeb5db0d1b1d8858398b7cef6ff88663a437e8223addfb9c99c81",
+    "excedance": "f08817af77e6bfe814c55a816251e22458552b7e3ebaae954f95880981c195d0",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(AUDIT_DIGESTS))
+def test_recorded_audit_bytes_are_pinned(kind, tmp_path):
+    import hashlib
+
+    audit = tmp_path / "audit.csv"
+    proc = run_cli("simulate", "--process", kind, "--n", "40", "--replicates", "50",
+                   "--seed", "2021", "--threads", "1", "--record", str(audit))
+    digest = hashlib.sha256(audit.read_bytes() + proc.stdout.encode()).hexdigest()
+    assert digest == AUDIT_DIGESTS[kind]
+
+
+def test_record_dash_writes_the_audit_to_stdout_before_the_table(tmp_path):
+    import os
+    from pathlib import Path
+
+    import descentlab
+
+    argv = ["simulate", "--process", "fibonacci", "--n", "20", "--replicates", "100",
+            "--seed", "3", "--threads", "1", "--record"]
+    audit = tmp_path / "audit.csv"
+    table = run_cli(*argv, str(audit)).stdout
+    # run where a file named "-" would land, with the package still found
+    env = dict(os.environ, PYTHONPATH=str(Path(descentlab.__file__).parents[1]))
+    proc = subprocess.run(CLI + argv + ["-"], capture_output=True, text=True,
+                          cwd=tmp_path, env=env, check=True)
+    assert proc.stdout == audit.read_text() + table
+    assert [p.name for p in tmp_path.iterdir()] == ["audit.csv"]
+
+
+def test_a_closed_stdout_ends_the_command_quietly():
+    from descentlab.cli import BROKEN_PIPE_EXIT
+
+    # the table is megabytes long, far more than a pipe buffers
+    proc = subprocess.Popen(CLI + ["triangle", "--family", "derangement", "--n", "300"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"n,k,count\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (BROKEN_PIPE_EXIT, b"")
+
+
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_determinism_across_threads(tmp_path, threads):
     audit = tmp_path / f"audit_{threads}.csv"

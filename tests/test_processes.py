@@ -5,7 +5,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -619,3 +619,92 @@ def test_reconstruct_reports_a_corrupted_part_exactly(kind):
         bad = replace(traj, decomposition=replace(traj.decomposition,
                                                   parts=tuple(changed)))
         assert reconstruct(bad) == -parts[j].gamma * bump
+
+
+@st.composite
+def corruptions(draw, parts):
+    """None, or (part index, what to corrupt, by how much) for one part."""
+    if not parts or draw(st.booleans(), label="clean"):
+        return None
+    j = draw(st.integers(0, len(parts) - 1), label="part")
+    what = draw(st.sampled_from(["x", "alpha", "fresh alpha", "gamma", "size", "drop"]),
+                label="what")
+    if what == "size":
+        return j, what, draw(st.integers(0, 3).filter(lambda s: s != parts[j].size))
+    return j, what, draw(st.fractions(max_denominator=12).filter(bool), label="bump")
+
+
+def corrupted(traj, corruption):
+    """The run with one part's x, alpha or gamma bumped, its alpha swapped
+    for an equal-valued fresh Fraction, its size changed, or the part
+    dropped."""
+    from dataclasses import replace
+
+    if corruption is None:
+        return traj
+    j, what, change = corruption
+    parts = list(traj.decomposition.parts)
+    p = parts[j]
+    if what == "drop":
+        del parts[j]
+    elif what == "fresh alpha":
+        parts[j] = replace(p, alpha=F(p.alpha.numerator, p.alpha.denominator))
+    elif what == "size":
+        parts[j] = replace(p, size=change)
+    else:
+        parts[j] = replace(p, **{what: getattr(p, what) + change})
+    return replace(traj, decomposition=replace(traj.decomposition, parts=tuple(parts)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=kinds, n=st.integers(2, 120), seed=seeds, index=indices, data=st.data())
+@example(kind=ProcessKind.DERANGEMENT, n=2, seed=0, index=0, data=None)
+@example(kind=ProcessKind.EXCEDANCE, n=2, seed=0, index=0, data=None)
+def test_reconstruct_equals_the_full_sum(kind, n, seed, index, data):
+    traj = simulate(kind, n, seed=seed, record=True, stream_index=index)
+    corruption = data.draw(corruptions(traj.decomposition.parts)) if data else None
+    bad = corrupted(traj, corruption)
+    assert reconstruct(bad) == oracles.full_sum_residual(bad)
+    if corruption is None:
+        assert reconstruct(traj) == 0
+
+
+def test_part_constants_check_raises_on_a_corrupted_mean(monkeypatch):
+    from descentlab.families import _STORES, Family, _Store
+
+    # an involution part's c is i mu_i - (i - order) mu_{i-order}, so its
+    # constants pin the means; for the other kinds the check is an identity
+    # in the means and pins the adjustments and shifts instead (below)
+    store = _Store(Family.INVOLUTION)
+    store.means.through(9)
+    store.means[7] += F(1, 3)
+    monkeypatch.setitem(_STORES, Family.INVOLUTION, store)
+    table = processes._StageTable(ProcessKind.INVOLUTION)
+    table.parts.through(6)
+    with pytest.raises(ArithmeticError, match="stage 7 do not telescope"):
+        table.parts.through(7)
+
+
+def test_part_constants_check_raises_on_a_wrong_adjustment(monkeypatch):
+    real = processes.alpha_term
+
+    def alpha_off_at_stage_7(kind, i, order, mu):
+        return real(kind, i, order, mu) + (i == 7)
+
+    monkeypatch.setattr(processes, "alpha_term", alpha_off_at_stage_7)
+    table = processes._StageTable(ProcessKind.DERANGEMENT)
+    table.parts.through(6)
+    with pytest.raises(ArithmeticError, match="order-1 part constants at stage 7"):
+        table.parts.through(7)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_reconstruct_sums_parts_of_the_wrong_size_in_full(kind):
+    traj = simulate(kind, 30, seed=3, record=True)
+    parts = traj.decomposition.parts
+    one = next(j for j, p in enumerate(parts) if p.size == 1)
+    last = len(parts) - 1
+    # a 1-part grown to 2 makes the parts overrun the run's first stage
+    for j, size in ((one, 2), (0, 3), (last, 0), (last, 3 - parts[last].size)):
+        bad = corrupted(traj, (j, "size", size))
+        assert reconstruct(bad) == oracles.full_sum_residual(bad)

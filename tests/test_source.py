@@ -21,6 +21,33 @@ def test_the_package_sources_are_found():
     assert any(p.name == "processes.py" for p in SOURCES)
 
 
+# The exact invariant checks made as a cache grows or a gate is built; each
+# must raise ArithmeticError, whatever the interpreter's optimization level.
+CHECKS = [
+    ("families.py", "_next_count"),
+    ("families.py", "_next_row"),
+    ("batch.py", "_gates"),
+    ("processes.py", "_StageTable._next_parts"),
+]
+
+
+def _function(path, qualname):
+    node = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for name in qualname.split("."):
+        node = next(n for n in node.body
+                    if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name)
+    return node
+
+
+@pytest.mark.parametrize("module, qualname", CHECKS, ids=lambda v: v)
+def test_invariant_checks_raise_arithmetic_errors(module, qualname):
+    path = next(p for p in SOURCES if p.name == module)
+    raised = [node.exc for node in ast.walk(_function(path, qualname))
+              if isinstance(node, ast.Raise)]
+    assert any(isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "ArithmeticError"
+               for exc in raised), f"{module}:{qualname} raises no ArithmeticError"
+
+
 def _imported_packages(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     names = set()
