@@ -29,7 +29,6 @@ import contextlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .diagnostics import IDENTITY_BUDGET, IDENTITY_CHECKS, clt_table, identity_check
@@ -235,26 +234,14 @@ def _gamma_texts(parts) -> str:
     return ";".join(texts)
 
 
-def _split_chunks(total: int, parts: int) -> list[tuple[int, int]]:
-    base, extra = divmod(total, parts)
-    chunks, start = [], 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        if size:
-            chunks.append((start, size))
-        start += size
-    return chunks
-
-
 def cmd_simulate(args) -> int:
     kind = parse_kind(args.process)
     record = args.record is not None
     floor, chunk = (2_000, RECORD_CHUNK) if record else (50_000, PLAIN_CHUNK)
     parts = max(args.threads, -(-args.replicates // chunk))
-    payloads = [
-        (kind.value, args.n, args.seed, start, count, record)
-        for start, count in _split_chunks(args.replicates, parts)
-    ]
+    bounds = [args.replicates * i // parts for i in range(parts + 1)]
+    payloads = [(kind.value, args.n, args.seed, lo, hi - lo, record)
+                for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     files = [f for f in (args.record, args.out) if f not in (None, "-")]
     if len(files) == 2 and os.path.realpath(files[0]) == os.path.realpath(files[1]):
         raise ValueError(f"--record and --out name the same file {args.out}")
@@ -269,7 +256,11 @@ def cmd_simulate(args) -> int:
                                       "differences", "alphas", "gammas",
                                       "residual"]) + "\n")
             if args.threads > 1 and args.replicates >= floor:
+                from concurrent.futures import ProcessPoolExecutor
+
                 pool = stack.enter_context(ProcessPoolExecutor(args.threads))
+                # leaving early (a closed stdout, say) drops the queued chunks
+                stack.callback(pool.shutdown, cancel_futures=True)
                 results = pool.map(_sim_chunk, payloads)
             else:
                 results = map(_sim_chunk, payloads)

@@ -2,18 +2,18 @@
 
 A run of a two-step jump process is a word over {1, 2} (1 = one-jump,
 2 = two-jump) whose first letter is always 1.  The discard reduction turns
-the word into an integer composition: scanning from the right, every
-surviving 2 absorbs the letter immediately to its left, so each surviving
-letter accounts for exactly as many positions as its value and the parts sum
-to the word length.  The probability of a composition then factors over its
+the word into an integer composition in one walk from the right: the letter
+c at the current position p is the part that ends at p, it absorbs the
+c - 1 letters to its left, and the walk goes on at p - c.  So each part
+accounts for exactly as many positions as its value and the parts sum to
+the word length.  The probability of a composition then factors over its
 parts: the two-jump probability at each position ending a 2-part, one minus
 it at each position ending a 1-part; the probabilities of discarded stages
 marginalize out exactly.
 
-The order-s generalization samples jump sizes 1..s per stage; a surviving
-letter j absorbs the j-1 letters to its left.  Stages too early for a jump of
-some size renormalize the rule over the feasible sizes (stage 1 is always a
-one-jump).
+The order-s generalization samples jump sizes 1..s per stage and reduces by
+the same walk.  Stages too early for a jump of some size renormalize the
+rule over the feasible sizes (stage 1 is always a one-jump).
 """
 
 from __future__ import annotations
@@ -79,32 +79,27 @@ class Composition:
 def discard_map(word: JumpWord | Sequence[int]) -> Composition:
     """Reduce a jump word to its composition.
 
-    Right-to-left scan: each not-yet-discarded letter j > 1 survives and
-    discards the j-1 nearest surviving letters to its left.  Surviving
-    letters, read left to right, are the parts; their sum is the word length.
+    The walk starts at the last position p.  The letter c there is the part
+    that ends at p and absorbs the c - 1 letters to its left, so the next
+    part ends at p - c; a letter c > p reaches below the first position and
+    raises ``ValueError``.  The parts, read left to right, sum to the word
+    length.
     """
     if not isinstance(word, JumpWord):
         word = JumpWord(tuple(word))
     letters = word.letters
-    keep = [True] * len(letters)
-    p = len(letters) - 1
-    while p >= 0:
-        c = letters[p]
-        if c > 1:
-            lo = p - (c - 1)
-            if lo < 0:
-                raise ValueError(
-                    f"malformed word: jump of size {c} at position {p + 1} "
-                    "reaches below the first position"
-                )
-            for j in range(lo, p):
-                keep[j] = False
-            p = lo - 1
-        else:
-            p -= 1
-    parts = tuple(c for c, k in zip(letters, keep) if k)
-    s = max(2, max(letters))
-    return Composition(parts, s)
+    parts, p = [], len(letters)
+    while p:
+        c = letters[p - 1]
+        if c > p:
+            raise ValueError(
+                f"malformed word: jump of size {c} at position {p} "
+                "reaches below the first position"
+            )
+        parts.append(c)
+        p -= c
+    parts.reverse()
+    return Composition(tuple(parts), max(2, max(letters)))
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ built from the family's counting sequence.  That law is written once per
 (kind, stage), in integers (``_stage_law``); the exact ``Fraction`` entries,
 the scalar draw, the exact marginal, the batch engine's gates and the
 martingale differences' laws and conditional moments all read it.
-Recording a run keeps the stage-by-stage jump word; its discard reduction
-yields a composition, and the run decomposes over the
+A recorded run reads its jump word off its steps; the word's discard
+reduction yields a composition, and the run decomposes over the
 composition's parts into differences, deterministic adjustments, and
 multiplicative factors that reconstruct the centered, scaled final value
 exactly.  Each kind keeps two grow-only lists (``_StageTable``): the stage
@@ -595,7 +595,6 @@ def simulate(kind: str | ProcessKind, n: int, seed: int, record: bool = False,
     values = [0] * (n + 1)
     values[first - 2], values[first - 1] = v0, v1
     steps = []
-    word = [1] if kind.composition_offset == 0 else []
     for m in range(first, n + 1):
         law = laws[m]
         # every stage consumes one type draw and one value draw, so all
@@ -603,36 +602,38 @@ def simulate(kind: str | ProcessKind, n: int, seed: int, record: bool = False,
         two = next_u64() * law.den < law.two_num * TWO64
         src = values[m - 2] if two else values[m - 1]
         values[m] = src + (law.two if two else law.one).draw(src, next_u64())
-        order = 2 if two else 1
-        steps.append((m, order, values[m]))
-        word.append(order)
+        steps.append((m, 2 if two else 1, values[m]))
 
-    decomposition = _decompose(kind, n, values, word) if record else None
+    decomposition = _decompose(kind, n, values, steps) if record else None
     return Trajectory(kind, n, seed, ((first - 2, v0), (first - 1, v1)),
                       tuple(steps), values[n], decomposition)
 
 
 def _decompose(kind: ProcessKind, n: int, values: list[int],
-               word: list[int]) -> Decomposition:
+               steps: list[tuple[int, int, int]]) -> Decomposition:
+    """The parts of a recorded run, in one walk from the right over the
+    discard reduction of its jump word.  A part's factor gamma is the
+    product of pos/(pos - 1) over the 2-parts after it in a derangement run,
+    1 otherwise; it changes only at a 2-part, so consecutive parts with equal
+    factors share one object (``reconstruct`` and the audit rely on that for
+    speed only)."""
     offset = kind.composition_offset
+    # a run from stage 0 starts with the one-jump into stage 1
+    word = [1] * (offset == 0) + [order for _, order, _ in steps]
     comp = discard_map(word) if word else Composition(())
     table = _part_table(kind, n)
-    pairs = comp.position_pairs()
-    # gamma_factor of every part, as one right-to-left suffix product; parts
-    # with equal factors share one object, which reconstruct and the audit
-    # rely on only for speed
-    gammas, g = [], F(1)
-    for pos, size in reversed(pairs):
-        gammas.append(g)
-        if size == 2 and kind is _DERANGEMENT:
-            g *= F(pos, pos - 1)
-    parts = []
-    for (pos, size), gamma in zip(pairs, reversed(gammas)):
+    factors = kind is _DERANGEMENT
+    parts, pos, gamma = [], comp.total, F(1)
+    for size in reversed(comp.parts):
         stage = pos + offset
         entry = table[stage][size - 1]
         d = _difference(kind, stage, size, values[stage - size], values[stage])
         x = d - entry.shift if entry.shift else F(d)
         parts.append(PartRecord(pos, size, stage, x, entry.alpha, gamma))
+        if factors and size == 2:  # the parts before carry pos / (pos - 1) more
+            gamma *= F(pos, pos - 1)
+        pos -= size
+    parts.reverse()
     return Decomposition(comp.parts, tuple(parts))
 
 

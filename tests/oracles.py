@@ -10,7 +10,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 
-from descentlab.compositions import enumerate_compositions, word_statistic
+from descentlab.compositions import (
+    Composition,
+    JumpWord,
+    enumerate_compositions,
+    word_statistic,
+)
 from descentlab.processes import ProcessKind, exact_means
 
 
@@ -90,6 +95,33 @@ def fibonacci_row(n: int) -> list[int]:
     return count_histogram(
         (descents(p) for p in fibonacci_permutations(n)), 0, n // 2
     )
+
+
+def keep_list_discard_map(word) -> Composition:
+    """The discard reduction by marking: right to left, each surviving
+    letter j > 1 marks the j - 1 letters to its left as discarded; the
+    unmarked letters, read left to right, are the parts."""
+    if not isinstance(word, JumpWord):
+        word = JumpWord(tuple(word))
+    letters = word.letters
+    keep = [True] * len(letters)
+    p = len(letters) - 1
+    while p >= 0:
+        c = letters[p]
+        if c > 1:
+            lo = p - (c - 1)
+            if lo < 0:
+                raise ValueError(
+                    f"malformed word: jump of size {c} at position {p + 1} "
+                    "reaches below the first position"
+                )
+            for j in range(lo, p):
+                keep[j] = False
+            p = lo - 1
+        else:
+            p -= 1
+    parts = tuple(c for c, k in zip(letters, keep) if k)
+    return Composition(parts, max(2, max(letters)))
 
 
 def composition_product_sum(n: int, two) -> Fraction:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -153,6 +154,22 @@ def test_a_closed_stdout_ends_the_command_quietly():
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (BROKEN_PIPE_EXIT, b"")
+
+
+def test_a_closed_stdout_stops_a_pooled_simulate():
+    from descentlab.cli import BROKEN_PIPE_EXIT
+
+    # about 20 s of work in all, queued as hundreds of chunks
+    proc = subprocess.Popen(CLI + ["simulate", "--process", "derangement", "--n", "60",
+                                   "--replicates", "50000", "--threads", "2",
+                                   "--record", "-"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"replicate,final,")
+    proc.stdout.close()
+    closed = time.monotonic()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (BROKEN_PIPE_EXIT, b"")
+    assert time.monotonic() - closed < 5
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
@@ -374,23 +391,27 @@ def test_exact_commands_do_not_load_numpy(tmp_path):
     code = f"""
 import sys
 import descentlab.cli as cli
-loaded = ["numpy" in sys.modules]
+def loaded():
+    return [m in sys.modules for m in ("numpy", "concurrent.futures.process")]
+seen = [loaded()]
 assert cli.main(["decompose", "--process", "derangement", "--n", "30",
                  "--out", {str(tmp_path / "d.csv")!r}]) == 0
+seen.append(loaded())
 assert cli.main(["simulate", "--process", "involution", "--n", "12",
                  "--replicates", "5", "--threads", "1",
                  "--record", {str(tmp_path / "a.csv")!r},
                  "--out", {str(tmp_path / "s.csv")!r}]) == 0
-loaded.append("numpy" in sys.modules)
+seen.append(loaded())
 import descentlab
 import descentlab.batch
 assert descentlab.batch_finals is descentlab.batch.batch_finals
-loaded.append("numpy" in sys.modules)
-print(loaded)
+seen.append("numpy" in sys.modules)
+print(seen)
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "[False, False, True]"
+    # neither numpy nor the process pool is loaded before a command needs it
+    assert proc.stdout.strip() == "[[False, False], [False, False], [False, False], True]"
 
 
 def _simulate_argv(**flags):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from descentlab.compositions import (
     BernoulliSpec,
@@ -26,6 +28,7 @@ from descentlab.families import counting_sequence
 from descentlab.rng import Stream
 
 from mc import chi_square_pvalue
+from oracles import keep_list_discard_map
 
 F = Fraction
 
@@ -58,6 +61,23 @@ def test_malformed_words_rejected():
         JumpWord((2, 1))
     with pytest.raises(ValueError):
         discard_map((1, 3, 1))  # surviving 3 would reach below position 1
+
+
+def _reduce(reduction, word):
+    """The composition ``reduction`` gives, or the message it raises."""
+    try:
+        return reduction(word)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tail=st.lists(st.integers(1, 4), max_size=59))
+@example(tail=[3, 1])
+@example(tail=[1, 2, 1, 4])
+def test_discard_map_walk_equals_the_keep_list_reduction(tail):
+    word = (1, *tail)
+    assert _reduce(discard_map, word) == _reduce(keep_list_discard_map, word)
 
 
 def test_composition_probability_examples():

@@ -472,6 +472,15 @@ def test_recorded_gammas_equal_gamma_factor(n, seed, index):
         assert part.gamma == gamma_factor(comp, part.position)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 120), seed=seeds, index=indices)
+def test_recorded_parts_share_a_gamma_exactly_when_equal(n, seed, index):
+    parts = simulate("derangement", n, seed=seed, record=True,
+                     stream_index=index).decomposition.parts
+    for a, b in zip(parts, parts[1:]):
+        assert (a.gamma is b.gamma) == (a.gamma == b.gamma)
+
+
 @settings(max_examples=150, deadline=None)
 @given(kind=kinds, data=st.data())
 def test_jump_distribution_splits_types_as_the_law(kind, data):
