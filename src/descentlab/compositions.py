@@ -13,18 +13,21 @@ marginalize out exactly.
 
 The order-s generalization samples jump sizes 1..s per stage and reduces by
 the same walk.  Stages too early for a jump of some size renormalize the
-rule over the feasible sizes (stage 1 is always a one-jump).
+rule over the feasible sizes (stage 1 is always a one-jump).  A family's
+rule is its ``families.two_jump_split``, and the sampler decides each stage
+by ``rng.Jump.draw``: the split and the draw of the family's jump process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .errors import RuleError
-from .families import Family, counting_sequence, parse_family
-from .rng import TWO64, Stream
+from .families import ExactPmf, Family, parse_family, two_jump_split
+from .rng import Jump, Stream
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -170,61 +173,37 @@ def constant_rule(q: Fraction | int) -> JumpProbabilityRule:
 
 
 def family_rule(family: str | Family) -> JumpProbabilityRule:
-    """The family's own two-jump probability at each stage.
-
-    involution: (i-1) i_{i-2} / i_i, derangement and excedance:
-    (i-1) d_{i-2} / d_i, fibonacci: f_{i-2} / f_i.
-    """
+    """The family's own two-jump probability at each stage i: its
+    ``two_jump_split`` from stage 2 on, 0 before; ``RuleError`` for eulerian."""
     fam = parse_family(family)
-    if fam is Family.EULERIAN:
-        raise RuleError("the eulerian family has a first-order recurrence; "
-                        "no two-jump rule exists")
-    weighted = fam is not Family.FIBONACCI
+    two_jump_split(fam, 2)  # the eulerian family raises here
 
     def q(i: int) -> Fraction:
-        seq = counting_sequence(fam, max(i, fam.n_min))
-        w = (i - 1) if weighted else 1
-        return Fraction(w * seq[i - 2], seq[i]) if i >= 2 else ZERO
+        return Fraction(*two_jump_split(fam, i)) if i >= 2 else ZERO
 
     return JumpProbabilityRule(q, name=f"family({fam.value})")
 
 
-def _stage_thresholds(vec: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """Cumulative integer thresholds over a common denominator."""
-    from math import lcm
-
-    den = lcm(*(v.denominator for v in vec))
-    cums, acc = [], 0
-    for v in vec:
-        acc += v.numerator * (den // v.denominator)
-        cums.append(acc)
-    return tuple(cums), den
-
-
 class WordSampler:
-    """Precomputed per-stage thresholds for repeated word draws.
-
-    One uniform 64-bit draw decides each stage against exact cumulative
-    thresholds by cross-multiplication; per-decision bias is below 2**-64.
-    """
+    """Per-stage jump laws for repeated word draws: each stage's feasible
+    distribution is a ``Jump`` from size 1 with constant cumulative numerators,
+    decided by one 64-bit ``Jump.draw``; per-decision bias is below 2**-64."""
 
     def __init__(self, rule: JumpProbabilityRule, n: int):
         if n < 1:
             raise ValueError("word length must be at least 1")
         self.n = n
-        self._stages = [_stage_thresholds(rule.feasible_vector(i)) for i in range(2, n + 1)]
+        self._stages = []
+        for i in range(2, n + 1):
+            law = ExactPmf(1, rule.feasible_vector(i))
+            # the last cumulative numerator is the total, which a Jump leaves implicit
+            *cums, _ = accumulate(law.counts)
+            self._stages.append(Jump(1, tuple((lambda _, c=c: c) for c in cums), law.total))
 
     def sample(self, stream: Stream) -> JumpWord:
         letters = [1]
-        for cums, den in self._stages:
-            u = stream.next_u64()
-            lhs = u * den
-            size = len(cums)
-            for j, c in enumerate(cums):
-                if lhs < c * TWO64:
-                    size = j + 1
-                    break
-            letters.append(size)
+        for jump in self._stages:
+            letters.append(jump.draw(0, stream.next_u64()))
         return JumpWord(tuple(letters))
 
 

@@ -103,11 +103,12 @@ def clt_table(
     """
     fam = parse_family(family)
     ns = sorted(set(n_values))
-    tri = descent_triangle(fam, ns[-1]) if ns else None
+    first = max(min_n, fam.n_min)
+    tri = descent_triangle(fam, ns[-1]) if ns and ns[-1] >= first else None
     exponent = _rate_exponent(fam)
     records, skipped = [], []
     for n in ns:
-        if n < max(min_n, fam.n_min):
+        if n < first:
             skipped.append(n)
             continue
         pmf = triangle_row_pmf(tri, n)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, Iterable
 
-from .errors import FamilyError
+from .errors import FamilyError, RuleError
 
 ZERO = Fraction(0)
 
@@ -86,6 +86,21 @@ def _next_count(family: Family, seq: list[int]) -> int:
             f"d_{n}: the derangement closed form disagrees with the recurrence"
         )
     return value
+
+
+def two_jump_split(family: str | Family, m: int) -> tuple[int, int]:
+    """(num, den) of the two-jump probability into stage m >= 2: the part of
+    the class size den = c_m built from index m - 2, num = (m-1) c_{m-2}
+    (m in a two-cycle), or c_{m-2} for fibonacci (m swapped with m - 1)."""
+    fam = parse_family(family)
+    if fam is Family.EULERIAN:
+        raise RuleError("the eulerian family has a first-order recurrence; "
+                        "no two-jump rule exists")
+    if m < 2:
+        raise FamilyError(f"no two-jump split below index 2, got {m}")
+    counts = _STORES[fam].counts.through(m)
+    w = 1 if fam is Family.FIBONACCI else m - 1
+    return w * counts[m - 2], counts[m]
 
 
 def _next_row(family: Family, rows: list[tuple[int, ...]]) -> tuple[int, ...]:

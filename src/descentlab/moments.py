@@ -21,6 +21,7 @@ from .families import (
     descent_triangle,
     parse_family,
     triangle_row_pmf,
+    two_jump_split,
 )
 
 F = Fraction
@@ -182,11 +183,10 @@ def involution_lambda_recurrence_residual(n_max: int) -> list[tuple[int, Fractio
     derivative relations and verified against the exact triangle.
     """
     tri = descent_triangle(Family.INVOLUTION, n_max)
-    counts = counting_sequence(Family.INVOLUTION, n_max)
     lam = {n: factorial_moment(triangle_row_pmf(tri, n), 2) for n in range(1, n_max + 1)}
     out = []
     for n in range(3, n_max + 1):
-        q = F((n - 1) * counts[n - 2], counts[n])
+        q = F(*two_jump_split(Family.INVOLUTION, n))
         rhs = (1 - q) * (F(n - 2, n) * lam[n - 1] + F((n - 2) ** 2, n)) + q * (
             F((n - 2) * (n - 3), n * (n - 1)) * lam[n - 2]
             + F((n - 2) * (2 * n * n - 9 * n + 13), n * (n - 1))

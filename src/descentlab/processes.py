@@ -1,13 +1,13 @@
 """Jump processes with exact rational transitions and their decompositions.
 
 Each statistic family evolves by one-jumps (from the previous value) and
-two-jumps (from the value two stages back), with transition probabilities
-built from the family's counting sequence.  That law is written once per
-(kind, stage), in integers (``_stage_law``); the exact ``Fraction`` entries,
-the scalar draw, the exact marginal, the batch engine's gates and the
-martingale differences' laws and conditional moments all read it.
-A recorded run reads its jump word off its steps; the word's discard
-reduction yields a composition, and the run decomposes over the
+two-jumps (from the value two stages back): the type split is the family's
+``two_jump_split``, and each increment is an ``rng.Jump``.  That law is
+written once per (kind, stage), in integers (``_stage_law``); the exact
+``Fraction`` entries, the scalar draw, the exact marginal, the batch
+engine's gates and the martingale differences' laws and conditional moments
+all read it.  A recorded run reads its jump word off its steps; the word's
+discard reduction yields a composition, and the run decomposes over the
 composition's parts into differences, deterministic adjustments, and
 multiplicative factors that reconstruct the centered, scaled final value
 exactly.  Each kind keeps two grow-only lists (``_StageTable``): the stage
@@ -32,12 +32,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .compositions import Composition, discard_map
 from .errors import FamilyError, InfeasibleStateError
-from .families import _STORES, ExactPmf, Family, _Grown, row_means
-from .rng import TWO64, Stream
+from .families import _STORES, ExactPmf, Family, _Grown, row_means, two_jump_split
+from .rng import TWO64, Jump, Stream
 
 F = Fraction
 ZERO = F(0)
@@ -147,44 +147,6 @@ def _ident(s):
     return s
 
 
-class Jump(NamedTuple):
-    """Increment law of one jump type into one stage.
-
-    The increment is ``base`` plus the number of cumulative numerators that
-    a uniform draw reaches: increment ``base + j`` has probability
-    ``(c_j(src) - c_{j-1}(src)) / den``, with ``c_{-1} = 0`` and a last
-    numerator ``den`` left implicit.  Each ``c_j`` is an integer expression
-    in the source value that evaluates alike on an int and on an int64
-    array; an empty ``cums`` is a deterministic branch.
-    """
-
-    base: int
-    cums: tuple[Callable, ...]
-    den: int
-
-    def draw(self, src: int, u64: int) -> int:
-        """Increment for the uniform 64-bit draw ``u64``, by the exact test
-        ``u64 * den < c * 2**64``."""
-        inc = self.base
-        lhs = u64 * self.den
-        for cum in self.cums:
-            if lhs < cum(src) * TWO64:
-                break
-            inc += 1
-        return inc
-
-    def increments(self, src) -> list[tuple[int, int]]:
-        """(increment, integer weight over ``den``) of every branch, zero
-        weights included."""
-        out, below, inc = [], 0, self.base
-        for cum in self.cums:
-            c = cum(src)
-            out.append((inc, c - below))
-            below, inc = c, inc + 1
-        out.append((inc, self.den - below))
-        return out
-
-
 _STAY, _STEP = Jump(0, (), 1), Jump(1, (), 1)  # deterministic increments
 
 
@@ -204,13 +166,12 @@ _INVOLUTION, _DERANGEMENT, _FIBONACCI = (
     ProcessKind.INVOLUTION, ProcessKind.DERANGEMENT, ProcessKind.FIBONACCI)
 
 
-def _stage_law(kind: ProcessKind, m: int, counts: list[int]) -> StageLaw:
+def _stage_law(kind: ProcessKind, m: int) -> StageLaw:
     """The transition law into stage m, in integers: the one place it is
-    written.  ``counts`` is the family counting sequence through index m;
-    the type split is the family's counting recurrence."""
+    written.  The type split is the family's (``two_jump_split``)."""
     if kind is _FIBONACCI:
-        return StageLaw(counts[m - 2], counts[m], _STEP, _STAY)
-    if kind is _INVOLUTION:
+        two, one = _STEP, _STAY
+    elif kind is _INVOLUTION:
         def le0(s):  # numerators of P(increment <= 0) and P(increment <= 1)
             return (s + 1) ** 2 + m - 2
 
@@ -225,7 +186,7 @@ def _stage_law(kind: ProcessKind, m: int, counts: list[int]) -> StageLaw:
     else:  # excedance
         two = _STEP
         one = Jump(0, (_ident,), m - 1)
-    return StageLaw((m - 1) * counts[m - 2], counts[m], two, one)
+    return StageLaw(*two_jump_split(kind.family, m), two, one)
 
 
 def _entries(law: StageLaw, prev: int, last: int) -> list[tuple[str, int, Fraction]]:
@@ -546,8 +507,7 @@ class _StageTable:
         self.parts = _Grown([None] * (kind.composition_offset + 1), self._next_parts)
 
     def _next_law(self, laws: list) -> StageLaw:
-        m = len(laws)
-        return _stage_law(self.kind, m, _STORES[self.kind.family].counts.through(m))
+        return _stage_law(self.kind, len(laws))
 
     def _next_parts(self, parts: list) -> tuple[_Part, ...]:
         kind, m = self.kind, len(parts)

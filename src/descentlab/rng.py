@@ -8,9 +8,13 @@ same numbers as a serial run.
 
 The constants and the key derivation live here once; the batch engine applies
 them to uint64 arrays, whose arithmetic wraps without the masks used here.
+So does the exact draw of the processes and the word sampler, ``Jump.draw``:
+one output u picks an outcome by the test ``u * den < c * 2**64``.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -58,3 +62,40 @@ class Stream:
         self._counter += 1
         return out
 
+
+class Jump(NamedTuple):
+    """Increment law of one jump into one stage, of a process or a word.
+
+    The increment is ``base`` plus the number of cumulative numerators that
+    a uniform draw reaches: increment ``base + j`` has probability
+    ``(c_j(src) - c_{j-1}(src)) / den``, with ``c_{-1} = 0`` and a last
+    numerator ``den`` left implicit.  Each ``c_j`` is an integer expression
+    in the source value that evaluates alike on an int and on an int64
+    array; an empty ``cums`` is a deterministic branch.
+    """
+
+    base: int
+    cums: tuple[Callable, ...]
+    den: int
+
+    def draw(self, src: int, u64: int) -> int:
+        """Increment for the uniform 64-bit draw ``u64``, by the exact test
+        ``u64 * den < c * 2**64``."""
+        inc = self.base
+        lhs = u64 * self.den
+        for cum in self.cums:
+            if lhs < cum(src) * TWO64:
+                break
+            inc += 1
+        return inc
+
+    def increments(self, src) -> list[tuple[int, int]]:
+        """(increment, integer weight over ``den``) of every branch, zero
+        weights included."""
+        out, below, inc = [], 0, self.base
+        for cum in self.cums:
+            c = cum(src)
+            out.append((inc, c - below))
+            below, inc = c, inc + 1
+        out.append((inc, self.den - below))
+        return out

@@ -2,21 +2,26 @@
 
 These enumerate permutation classes, compositions and jump words directly and
 count statistics from the definitions; they never touch the recurrences they
-check.
+check.  Two keep an implementation the package replaced, as the reference
+its successor is compared with: the keep-list discard reduction and the
+sampler's threshold loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 
 from descentlab.compositions import (
     Composition,
     JumpWord,
+    discard_map,
     enumerate_compositions,
     word_statistic,
 )
-from descentlab.processes import ProcessKind, exact_means
+from descentlab.processes import _TABLES, ProcessKind, exact_means
+from descentlab.rng import TWO64
 
 
 def descents(perm: tuple[int, ...]) -> int:
@@ -61,6 +66,31 @@ def fibonacci_permutations(n: int):
             yield from build(i + 2, prefix + (i + 1, i))
 
     yield from build(1, ())
+
+
+def derangements(n: int):
+    """All permutations of {1..n} without a fixed point, as one-line tuples."""
+    for p in permutations(range(1, n + 1)):
+        if all(v != i for i, v in enumerate(p, start=1)):
+            yield p
+
+
+def two_cycle_census(family: str, m: int) -> tuple[int, int]:
+    """(members in which m lies in a 2-cycle, class size) over the family's
+    class of permutations of {1..m}: involutions, derangements (for the
+    derangement and excedance families) or fibonacci permutations."""
+    members = {
+        "involution": involutions,
+        "derangement": derangements,
+        "excedance": derangements,
+        "fibonacci": fibonacci_permutations,
+    }[family](m)
+    size = in_two_cycle = 0
+    for p in members:
+        size += 1
+        j = p[m - 1]
+        in_two_cycle += j != m and p[j - 1] == m
+    return in_two_cycle, size
 
 
 def count_histogram(values, k_min: int, k_max: int) -> list[int]:
@@ -122,6 +152,57 @@ def keep_list_discard_map(word) -> Composition:
             p -= 1
     parts = tuple(c for c, k in zip(letters, keep) if k)
     return Composition(parts, max(2, max(letters)))
+
+
+def threshold_sample(rule, n: int, stream) -> tuple[int, ...]:
+    """The letters of one jump word of length n, drawn stage by stage
+    against the feasible distribution's cumulative integer thresholds over
+    their common denominator: size j + 1 at the first threshold c_j with
+    ``u * den < c_j * 2**64``, one uniform 64-bit draw per stage."""
+    letters = [1]
+    for i in range(2, n + 1):
+        vec = rule.feasible_vector(i)
+        den = lcm(*(v.denominator for v in vec))
+        cums, acc = [], 0
+        for v in vec:
+            acc += v.numerator * (den // v.denominator)
+            cums.append(acc)
+        lhs = stream.next_u64() * den
+        size = len(cums)
+        for j, c in enumerate(cums):
+            if lhs < c * TWO64:
+                size = j + 1
+                break
+        letters.append(size)
+    return tuple(letters)
+
+
+def process_word_fibers(kind, n: int) -> dict[tuple[int, ...], Fraction]:
+    """Probability of each composition that the discard reduction reads off
+    a run to stage n, summed over every jump word of the run.
+
+    A word's weight is the product over the stages of the stage table's
+    ``two_num / den`` for a two-jump and one minus it for a one-jump,
+    summed in integer numerators over the product of the dens.  Runs from
+    stage 0 start with the one-jump into stage 1; a derangement or
+    excedance run's first letter is its jump into stage 3.
+    """
+    kind = ProcessKind(kind)
+    first = kind.start[0]
+    laws = _TABLES[kind].laws.through(n)[first : n + 1]
+    lead = (1,) if kind.composition_offset == 0 else ()
+    den = 1
+    for law in laws:
+        den *= law.den
+    fibers: dict[tuple[int, ...], int] = {}
+    for tail in product((1, 2), repeat=len(laws)):
+        num = 1
+        for law, letter in zip(laws, tail):
+            num *= law.two_num if letter == 2 else law.den - law.two_num
+        if num:
+            parts = discard_map(lead + tail).parts
+            fibers[parts] = fibers.get(parts, 0) + num
+    return {parts: Fraction(num, den) for parts, num in fibers.items()}
 
 
 def composition_product_sum(n: int, two) -> Fraction:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descentlab.batch import _gates, batch_finals
-from descentlab.families import counting_sequence
 from descentlab.processes import (
     Jump,
     ProcessKind,
@@ -96,9 +95,8 @@ def _exact_gate(c: int, den: int) -> tuple[int, bool]:
 @pytest.mark.parametrize("kind", list(ProcessKind))
 def test_stage_gates_equal_exact_ceilings(kind):
     n = 150
-    counts = counting_sequence(kind.family, n)
     for m in range(kind.start[0], n + 1):
-        law = _stage_law(kind, m, counts)
+        law = _stage_law(kind, m)
         for jump, stage in ((law.two, m - 2), (law.one, m - 1)):
             hi = _value_range(kind, stage)[1]
             gates = _gates(jump, hi)

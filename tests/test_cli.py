@@ -209,6 +209,14 @@ def test_clt_command_fit_trailer():
     assert len(lines) == 7  # header + 5 rows + trailer
 
 
+def test_clt_command_skips_rows_below_the_family_first_row():
+    out = run_cli("clt", "--family", "derangement", "--n-set", "1").stdout
+    assert out == run_cli("clt", "--family", "involution", "--n-set", "1").stdout
+    lines = out.strip().split("\n")
+    assert lines[0] == "n,mean,sd,K,scaled" and len(lines) == 2
+    assert json.loads(lines[1])["fit"]["skipped"] == [1]
+
+
 def test_identities_command():
     out = run_cli("identities", "--check", "derangement-sum", "--n-max", "12").stdout
     lines = out.strip().split("\n")

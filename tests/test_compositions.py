@@ -28,7 +28,7 @@ from descentlab.families import counting_sequence
 from descentlab.rng import Stream
 
 from mc import chi_square_pvalue
-from oracles import keep_list_discard_map
+from oracles import keep_list_discard_map, threshold_sample
 
 F = Fraction
 
@@ -181,6 +181,32 @@ def test_sample_composition_chi_square():
         c.parts: composition_probability(rule, c) for c in enumerate_compositions(n)
     }
     assert chi_square_pvalue(counts, expected, reps) >= 0.001
+
+
+@st.composite
+def rational_rules(draw, n):
+    """A rule of order 2..4 with random rational stage vectors through stage
+    n, zero masses included; each stage keeps some mass on the sizes it can
+    take."""
+    order = draw(st.integers(2, 4))
+    weight = st.one_of(st.integers(0, 3), st.integers(0, 2**70))
+    vectors = {}
+    for i in range(2, n + 1):
+        ws = draw(st.lists(weight, min_size=order, max_size=order))
+        if not sum(ws[:i]):
+            ws[0] = 1
+        vectors[i] = tuple(F(w, sum(ws)) for w in ws)
+    return JumpProbabilityRule(vectors.__getitem__, order=order, name="random")
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 30), seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_sampler_draws_the_words_of_the_threshold_loop(n, seed, data):
+    rule = data.draw(rational_rules(n), label="rule")
+    sampler = WordSampler(rule, n)
+    ours, theirs = Stream(seed), Stream(seed)
+    for _ in range(3):
+        assert sampler.sample(ours).letters == threshold_sample(rule, n, theirs)
 
 
 def test_higher_order_reduces_to_binary():

@@ -118,6 +118,15 @@ def test_clt_table_derangement_scaling_and_skips():
         assert r.scaled == r.n ** (1 / 3) * r.K
 
 
+def test_clt_table_skips_rows_below_the_first_row():
+    # no row survives, so no triangle is built
+    for fam in ("derangement", "excedance"):
+        res = clt_table(fam, [1], min_n=1)
+        assert (res.records, res.skipped) == ((), (1,))
+    res = clt_table("derangement", [1, 5], min_n=1)
+    assert [r.n for r in res.records] == [5] and res.skipped == (1,)
+
+
 def test_clt_table_of_no_rows_is_empty():
     res = clt_table("involution", [])
     assert (res.records, res.skipped) == ((), ())

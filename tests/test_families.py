@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from descentlab import families, processes
 from descentlab.compositions import family_rule
 from descentlab.diagnostics import kolmogorov_distance, normal_cdf
-from descentlab.errors import FamilyError
+from descentlab.errors import FamilyError, RuleError
 from descentlab.families import (
     CountTriangle,
     ExactPmf,
@@ -20,6 +20,7 @@ from descentlab.families import (
     counting_sequence,
     descent_triangle,
     triangle_row_pmf,
+    two_jump_split,
 )
 from descentlab.moments import factorial_moment
 from descentlab.processes import ProcessKind, exact_marginal
@@ -275,6 +276,22 @@ def test_store_rows_do_not_depend_on_request_order(family, a, b):
 def test_exact_marginal_equals_triangle_row_pmf(kind, n):
     n = max(n, kind.n_min)
     assert exact_marginal(kind, n) == triangle_row_pmf(descent_triangle(kind.family, n), n)
+
+
+@pytest.mark.parametrize("fam", ["involution", "derangement", "excedance", "fibonacci"])
+def test_two_jump_split_counts_the_members_with_m_in_a_two_cycle(fam):
+    for m in range(2, 10):
+        assert two_jump_split(fam, m) == oracles.two_cycle_census(fam, m)
+
+
+def test_two_jump_split_needs_a_second_order_recurrence_and_index_two():
+    message = "the eulerian family has a first-order recurrence"
+    with pytest.raises(RuleError, match=message):
+        two_jump_split("eulerian", 5)
+    with pytest.raises(RuleError, match=message):
+        family_rule("eulerian")
+    with pytest.raises(FamilyError):
+        two_jump_split("involution", 1)
 
 
 def test_one_counting_sequence_per_family_whatever_the_sizes_asked(fresh_stores):

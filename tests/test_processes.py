@@ -10,9 +10,15 @@ from hypothesis import strategies as st
 
 import oracles
 from descentlab import processes
-from descentlab.compositions import Composition, enumerate_compositions
+from descentlab.compositions import (
+    Composition,
+    JumpProbabilityRule,
+    composition_probability,
+    enumerate_compositions,
+    family_rule,
+)
 from descentlab.errors import FamilyError, InfeasibleStateError
-from descentlab.families import counting_sequence, descent_triangle, triangle_row_pmf
+from descentlab.families import descent_triangle, triangle_row_pmf
 from descentlab.processes import (
     ProcessKind,
     ProcessState,
@@ -352,6 +358,20 @@ def test_recorded_composition_law_matches_shifted_product_rule():
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
+def test_process_law_factors_over_the_composition_parts(kind):
+    # the words the process draws, weighed by its own stage laws, sum over
+    # each discard image to the product rule of the stage-shifted split
+    offset = kind.composition_offset
+    rule = family_rule(kind.family)
+    shifted = JumpProbabilityRule(lambda p: rule.two_jump(p + offset), name="shifted")
+    for n in range(kind.start[0], 15):
+        fibers = oracles.process_word_fibers(kind, n)
+        assert sum(fibers.values()) == 1
+        for comp in enumerate_compositions(n - offset):
+            assert fibers.get(comp.parts, F(0)) == composition_probability(shifted, comp)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_reconstruction_residual_zero(kind):
     for seed in range(200):
         traj = simulate(kind, 40, seed=seed, record=True)
@@ -490,7 +510,7 @@ def test_jump_distribution_splits_types_as_the_law(kind, data):
     dist = jump_distribution(ProcessState(kind, n, prev, last))
     assert sum(p for _, _, p in dist.entries) == 1
     assert all(p >= 0 for _, _, p in dist.entries)
-    law = _stage_law(kind, n + 2, counting_sequence(kind.family, n + 2))
+    law = _stage_law(kind, n + 2)
     assert dist.two_jump_probability() == F(law.two_num, law.den)
 
 
@@ -566,9 +586,8 @@ def test_one_stage_table_per_kind_whatever_the_sizes_asked(fresh_tables):
         assert len(table.laws) == 301 and len(table.parts) == 301
         first = kind.start[0]
         assert table.laws[:first] == [None] * first
-        counts = counting_sequence(kind.family, 300)
         assert [law_summary(table.laws[m]) for m in (first, 77, 300)] == [
-            law_summary(_stage_law(kind, m, counts)) for m in (first, 77, 300)]
+            law_summary(_stage_law(kind, m)) for m in (first, 77, 300)]
     assert not any(hasattr(obj, "cache_info") for obj in vars(processes).values())
 
 

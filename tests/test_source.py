@@ -64,3 +64,19 @@ def test_only_families_imports_threading():
     offenders = [p.name for p in SOURCES
                  if p.name != "families.py" and "threading" in _imported_packages(p)]
     assert not offenders, f"modules importing threading: {offenders}"
+
+
+def _imported_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+def test_only_the_engines_import_the_exact_draw_constant():
+    # The exact test ``u * den < c * 2**64`` is written once, in
+    # ``rng.Jump.draw``; the scalar process and the batch engine's ceilings
+    # are the only other places 2**64 may enter a draw.
+    allowed = {"rng.py", "processes.py", "batch.py"}
+    offenders = [p.name for p in SOURCES
+                 if p.name not in allowed and "TWO64" in _imported_names(p)]
+    assert not offenders, f"modules importing TWO64: {offenders}"
