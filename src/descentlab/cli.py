@@ -32,9 +32,9 @@ import sys
 from fractions import Fraction
 
 from .diagnostics import IDENTITY_BUDGET, IDENTITY_CHECKS, clt_table, identity_check
-from .families import _reaching, descent_triangle, parse_family
+from .families import Family, _reaching, descent_triangle, parse_family
 from .moments import moment_table
-from .processes import _TABLES, parse_kind, reconstruct, simulate
+from .processes import _TABLES, ProcessKind, parse_kind, reconstruct, simulate
 
 RESIDUAL_EXIT = 3
 IDENTITY_EXIT = 4
@@ -376,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=min(os.cpu_count() or 1, THREADS_MAX))
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
-    families = ("eulerian", "involution", "derangement", "excedance", "fibonacci")
-    processes = ("involution", "derangement", "fibonacci", "excedance")
+    families = tuple(f.value for f in Family)
+    processes = tuple(k.value for k in ProcessKind)
 
     p = sub.add_parser("triangle", help="emit triangle rows")
     p.add_argument("--family", choices=families, required=True)

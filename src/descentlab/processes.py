@@ -14,12 +14,14 @@ exactly.  Each kind keeps two grow-only lists (``_StageTable``): the stage
 laws, which every engine reads, the batch engine too, and the per-stage
 constants a recorded part reads; runs after the first build nothing.
 
-The reconstruction proves the identity with small integers: each part's
-adjustment is an integer constant plus two mean terms, checked once per
-stage as the table grows, and the mean terms of adjacent parts cancel
-through the factors, so a run's residual needs only the parts' integer
-differences and one exact mean.  A decomposition not in that recorded form
-is summed term by term instead.
+The reconstruction proves the identity with small integers, and one
+function owns a part's integer arithmetic (``_telescoped_constants``): the
+part's difference is an integer in its source and new values less a mean
+shift, and its adjustment an integer plus two mean terms, checked once per
+stage as the table grows; the mean terms of adjacent parts cancel through
+the factors, so a run's residual needs only the parts' integers and one
+exact mean.  A decomposition not in that recorded form is summed term by
+term instead.
 
 Stage bookkeeping: involution and fibonacci runs decompose over compositions
 of n (part position == stage).  Derangement and excedance runs start at stage
@@ -257,23 +259,28 @@ def alpha_term(kind: str | ProcessKind, i: int, order: int, mu) -> Fraction:
     return ZERO
 
 
-def _scale(kind: ProcessKind, i: int) -> int:
+def _scale(offset: int, i: int) -> int:
     """The factor of the centered stage-i value in the identity that
-    ``reconstruct`` checks: i - 1 for runs that start at stage 2
-    (derangement, excedance), i otherwise."""
-    return i - 1 if kind.composition_offset else i
+    ``reconstruct`` checks: i - 1 for runs that start at stage 2 (a nonzero
+    ``composition_offset``), i otherwise.  It takes the offset, which the
+    per-part loops hold, as an enum property costs more than the rest."""
+    return i - 1 if offset else i
 
 
 def _telescoped_constants(kind: ProcessKind, i: int, order: int) -> tuple[int, int]:
-    """(c, k) of a part that ends at stage i with a jump of the given order:
-    its adjustment less its mean shift is ``c - _scale(i) mu_i + k mu_{i-order}``.
+    """(c, k) of a part that ends at stage i with a jump of order s: the one
+    owner of a part's integer arithmetic.  From v_{i-s} to v_i the part adds
+        x + alpha = scale(i) (v_i - mu_i) - k (v_{i-s} - mu_{i-s}),
+    where scale is ``_scale``, x is d = scale(i) v_i - k v_{i-s} - c less the
+    stage's ``_mean_shift``, and so alpha less that shift is
+    c - scale(i) mu_i + k mu_{i-s}.
 
-    c is an integer; k is ``_scale`` of the source stage times the factor
-    the part gives the parts before it, so that k mu_{i-order} cancels the
+    c is an integer; k is the scale of the source stage times the factor
+    the part gives the parts before it, so that k mu_{i-s} cancels the
     previous part's mean term.  The excedance two-jump's shift 2 mu_{i-2}
     is folded into its k; a fibonacci part's adjustment is zero and its
     mean terms are its shift; an involution part has neither, and its c is
-    i mu_i - (i-order) mu_{i-order}, an integer since mu_i = (i-1)/2.
+    i mu_i - (i-s) mu_{i-s}, an integer since mu_i = (i-1)/2.
     """
     if kind is _DERANGEMENT:
         return (i - 2 if order == 1 else 2 * i - 3), i - 2
@@ -333,13 +340,14 @@ def _difference_law(kind: ProcessKind, i: int, order: int, src) -> list[tuple]:
     the jump that ends a part of the given order at stage i, from the value
     ``src``, zero weights included.
 
-    A random jump's ``_difference`` already has conditional mean zero; a
-    deterministic jump (empty ``cums``) realizes a function of its source
+    A random jump's d (``_telescoped_constants``) has conditional mean zero;
+    a deterministic jump (empty ``cums``) realizes a function of its source
     alone, so its centered difference is the point mass 0.
     """
     if order not in (1, 2):
         raise ValueError(f"jump order must be 1 or 2, got {order}")
-    first = kind.composition_offset + order
+    offset = kind.composition_offset
+    first = offset + order
     if i < first:
         raise InfeasibleStateError(
             f"{kind.value}: stage {i} below the first order-{order} part stage {first}"
@@ -352,8 +360,10 @@ def _difference_law(kind: ProcessKind, i: int, order: int, src) -> list[tuple]:
         jump = law.two if order == 2 else law.one
     if not jump.cums:
         return [(0, jump.den)]
-    return [(_difference(kind, i, order, src, src + inc), c)
-            for inc, c in jump.increments(src)]
+    c, k = _telescoped_constants(kind, i, order)
+    scale = _scale(offset, i)
+    return [(scale * (src + inc) - k * src - c, weight)
+            for inc, weight in jump.increments(src)]
 
 
 def _difference_moments(kind: ProcessKind, i: int, order: int, src) -> tuple:
@@ -448,7 +458,7 @@ class Trajectory:
 def _mean_shift(kind: ProcessKind, i: int, order: int, means) -> Fraction:
     """The exact-mean part of the difference realized by a jump of the given
     order into stage i; the rest is an integer in the source and new values
-    (``_difference``)."""
+    (the d of ``_telescoped_constants``)."""
     if kind is _FIBONACCI:  # i (new - mu_i) - (i - order) (src - mu_{i-order})
         return i * means[i] - (i - order) * means[i - order]
     if kind is ProcessKind.EXCEDANCE and order == 2:  # 2 (src - mu_{i-2})
@@ -456,28 +466,10 @@ def _mean_shift(kind: ProcessKind, i: int, order: int, means) -> Fraction:
     return ZERO
 
 
-def _difference(kind: ProcessKind, i: int, order: int, src: int, new: int) -> int:
-    """The integer part of the decomposition difference realized by a jump of
-    the given order into stage i, from the value ``src`` to the value
-    ``new``: the difference is this minus the stage's ``_mean_shift``."""
-    if kind is _INVOLUTION:
-        if order == 1:  # w -/+ i/2
-            return src - i + 1 if new == src else src + 1
-        return 2 * src - i + 3 + (new - src - 1) * i  # 2w + (new - src - 1) i
-    if kind is _FIBONACCI:
-        return i * new - (i - order) * src
-    if kind is _DERANGEMENT:
-        # both jump types land on src+1 or src+2 (two-jump) / src, src+1 (one)
-        return src - i + 2 if new == src + order - 1 else src + 1
-    if order == 2:  # excedance
-        return 2 * src
-    return src - i + 1 if new == src else src
-
-
 class _Part(NamedTuple):
     """Constants of a recorded part that ends at one stage with a jump of one
-    order: its adjustment, its mean shift (the part's x is an integer d less
-    this), the ``_telescoped_constants`` c and k, and the adjustment as the
+    order: its adjustment, its mean shift (x is d less this), the
+    ``_telescoped_constants`` c and k that give d, and the adjustment as the
     audit prints it."""
 
     alpha: Fraction
@@ -494,11 +486,10 @@ class _StageTable:
     ``parts[m][order - 1]`` is the ``_Part`` of a recorded part that ends at
     stage m with a jump of that order (``None`` before the first part's
     stage, which takes one-jumps only).  As an entry is added, its
-    adjustment less its shift is checked to equal
-    ``c - _scale(m) mu_m + k mu_{m-order}`` exactly, which is what lets
-    ``reconstruct`` cancel the mean terms; a mismatch raises
-    ``ArithmeticError``.  No entry depends on the size of the run that asks
-    for it.
+    adjustment less its shift is checked against its
+    ``_telescoped_constants`` exactly, which is what lets ``reconstruct``
+    cancel the mean terms; a mismatch raises ``ArithmeticError``.  No entry
+    depends on the size of the run that asks for it.
     """
 
     def __init__(self, kind: ProcessKind):
@@ -519,7 +510,8 @@ class _StageTable:
             alpha = alpha_term(kind, m, order, means)
             shift = _mean_shift(kind, m, order, means)
             c, k = _telescoped_constants(kind, m, order)
-            if alpha - shift != c - _scale(kind, m) * means[m] + k * means[m - order]:
+            scale = _scale(kind.composition_offset, m)
+            if alpha - shift != c - scale * means[m] + k * means[m - order]:
                 raise ArithmeticError(
                     f"{kind.value}: the order-{order} part constants at stage {m} "
                     "do not telescope"
@@ -576,7 +568,8 @@ def _decompose(kind: ProcessKind, n: int, values: list[int],
     product of pos/(pos - 1) over the 2-parts after it in a derangement run,
     1 otherwise; it changes only at a 2-part, so consecutive parts with equal
     factors share one object (``reconstruct`` and the audit rely on that for
-    speed only)."""
+    speed only).  A part's x is its d (``_telescoped_constants``, from the
+    stage entry's c and k) less the entry's mean shift."""
     offset = kind.composition_offset
     # a run from stage 0 starts with the one-jump into stage 1
     word = [1] * (offset == 0) + [order for _, order, _ in steps]
@@ -587,7 +580,7 @@ def _decompose(kind: ProcessKind, n: int, values: list[int],
     for size in reversed(comp.parts):
         stage = pos + offset
         entry = table[stage][size - 1]
-        d = _difference(kind, stage, size, values[stage - size], values[stage])
+        d = _scale(offset, stage) * values[stage] - entry.k * values[stage - size] - entry.c
         x = d - entry.shift if entry.shift else F(d)
         parts.append(PartRecord(pos, size, stage, x, entry.alpha, gamma))
         if factors and size == 2:  # the parts before carry pos / (pos - 1) more
@@ -606,10 +599,10 @@ def reconstruct(traj: Trajectory) -> Fraction:
         (n-1) (value_n - mean_n) = sum_i gamma_i (x_i + alpha_i),
     with excedance factors identically 1.
 
-    The sum is not formed term by term.  Each part's x is an integer d less
-    its stage's mean shift, and its alpha less that shift is an integer c
-    plus two mean terms (``_StageTable``), so x + alpha is
-    d + c - scale(i) mu_i + k mu_{i-order}.  Through the factors gamma, the
+    The sum is not formed term by term.  A part that ends at stage i with a
+    jump of order s has x + alpha = scale(i) (v_i - mu_i) - k (v_{i-s} - mu_{i-s})
+    = d + c - scale(i) mu_i + k mu_{i-s} (``_telescoped_constants``, checked
+    per stage by ``_StageTable``).  Through the factors gamma, the
     mean terms of each part cancel those of the part before it, and the
     last part's cancel mean_n, which leaves
         residual = scale(n) value_n - sum_i gamma_i (d_i + c_i)
@@ -628,6 +621,9 @@ def reconstruct(traj: Trajectory) -> Fraction:
     does not read them either.  Any other decomposition, a run with no
     parts among them, is summed term by term, so the residual is exact in
     every case.
+
+    As ``_decompose`` computes d from the same c and k, a zero residual does
+    not re-check that each d is a branch of its stage's jump law; tests do.
     """
     if traj.decomposition is None:
         raise ValueError("trajectory was not recorded with a decomposition")
@@ -638,8 +634,8 @@ def reconstruct(traj: Trajectory) -> Fraction:
     total = _telescoped_sum(kind, n, parts, table, means)
     if total is None:  # term by term
         total = sum((p.gamma * (p.x + p.alpha) for p in parts), ZERO)
-        return _scale(kind, n) * (traj.final - means[n]) - total
-    return _scale(kind, n) * traj.final - total
+        return _scale(kind.composition_offset, n) * (traj.final - means[n]) - total
+    return _scale(kind.composition_offset, n) * traj.final - total
 
 
 def _telescoped_sum(kind: ProcessKind, n: int, parts, table, means) -> Fraction | None:

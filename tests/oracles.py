@@ -2,9 +2,10 @@
 
 These enumerate permutation classes, compositions and jump words directly and
 count statistics from the definitions; they never touch the recurrences they
-check.  Two keep an implementation the package replaced, as the reference
-its successor is compared with: the keep-list discard reduction and the
-sampler's threshold loop.
+check.  Three keep an implementation the package replaced, as the reference
+its successor is compared with: the keep-list discard reduction, the
+sampler's threshold loop and the per-kind branch formula of a part's
+integer difference.
 """
 
 from __future__ import annotations
@@ -288,3 +289,23 @@ def full_sum_residual(traj) -> Fraction:
         total += p.gamma * (p.x + p.alpha)
     scale = traj.n - 1 if kind in (ProcessKind.DERANGEMENT, ProcessKind.EXCEDANCE) else traj.n
     return scale * (traj.final - exact_means(kind, traj.n)[traj.n]) - total
+
+
+def branch_difference(kind, i: int, order: int, src, new) -> int:
+    """The integer part of the decomposition difference realized by a jump of
+    the given order into stage i, from the value ``src`` to the value
+    ``new``, written per kind and per branch: the difference is this minus
+    the stage's mean shift."""
+    kind = ProcessKind(kind)
+    if kind is ProcessKind.INVOLUTION:
+        if order == 1:  # w -/+ i/2
+            return src - i + 1 if new == src else src + 1
+        return 2 * src - i + 3 + (new - src - 1) * i  # 2w + (new - src - 1) i
+    if kind is ProcessKind.FIBONACCI:
+        return i * new - (i - order) * src
+    if kind is ProcessKind.DERANGEMENT:
+        # both jump types land on src+1 or src+2 (two-jump) / src, src+1 (one)
+        return src - i + 2 if new == src + order - 1 else src + 1
+    if order == 2:  # excedance
+        return 2 * src
+    return src - i + 1 if new == src else src

@@ -56,6 +56,26 @@ def test_bad_flags_exit_2():
     assert proc.returncode == 2 and "derangement" in proc.stderr
 
 
+def test_family_and_process_choices_are_the_enum_values():
+    import argparse
+
+    from descentlab.cli import build_parser
+    from descentlab.families import Family
+    from descentlab.processes import ProcessKind
+
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    expected = {"family": [f.value for f in Family],
+                "process": [k.value for k in ProcessKind]}
+    seen = set()
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.dest in expected:
+                assert list(action.choices) == expected[action.dest], command
+                seen.add(action.dest)
+    assert seen == set(expected)
+
+
 def test_simulate_matches_exact_pmf():
     proc = run_cli(
         "simulate", "--process", "derangement", "--n", "4",

@@ -5,7 +5,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -216,6 +216,56 @@ def test_derived_moments_match_the_closed_forms(kind, order, data):
         closed = oracles.closed_form_moment(kind, i, order, w, r)
         assert conditional_moment(kind, i, order, w, r) == closed
         assert dist.moment(r) == closed
+
+
+def part_jump(kind, i, order):
+    """The jump that ends a part of the given order at stage i, or None for
+    the first part of a run from stage 0, which precedes the first update."""
+    if i < kind.start[0]:
+        return None
+    law = _stage_law(kind, i)
+    return law.two if order == 2 else law.one
+
+
+def branch_law(kind, i, order, src, jump):
+    """(difference, weight) of every branch of a random jump, by the
+    per-kind branch formula."""
+    return [(oracles.branch_difference(kind, i, order, src, src + inc), weight)
+            for inc, weight in jump.increments(src)]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_difference_laws_equal_the_branch_formula(kind):
+    # every stage up to 150 and every value the source stage may take,
+    # zero-weight branches included
+    for order in (1, 2):
+        for i in range(kind.composition_offset + order, 151):
+            jump = part_jump(kind, i, order)
+            if jump is None or not jump.cums:
+                continue
+            lo, hi = _value_range(kind, i - order)
+            for src in range(lo, hi + 1):
+                assert (processes._difference_law(kind, i, order, src)
+                        == branch_law(kind, i, order, src, jump))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(ALL_KINDS), order=st.sampled_from([1, 2]),
+       data=st.data())
+def test_difference_laws_equal_the_branch_formula_between_support_values(
+        kind, order, data):
+    # a rational source strictly between two support values, which no run
+    # attains; a deterministic jump's law is the point mass 0 there too
+    lo = 2 if kind.composition_offset == 0 else order + 2
+    i = data.draw(st.integers(lo, 300), label="i")
+    sources = feasible_sources(kind, i - order)
+    assume(len(sources) > 1)
+    value = data.draw(st.sampled_from(sources[:-1]), label="source")
+    den = data.draw(st.integers(2, 64), label="den")
+    src = value + F(data.draw(st.integers(1, den - 1), label="num"), den)
+    jump = part_jump(kind, i, order)
+    expected = branch_law(kind, i, order, src, jump) if jump.cums else [(0, jump.den)]
+    assert processes._difference_law(kind, i, order, src) == expected
 
 
 def test_infeasible_w_rejected():
@@ -553,6 +603,28 @@ def test_recorded_parts_equal_the_reference_definitions(kind, n, seed, index):
         assert part.gamma == gamma
         assert part.x == reference_difference(kind, part.stage, part.size, values, means)
         assert type(part.x) is Fraction
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=kinds, n=st.integers(2, 120), seed=seeds, index=indices)
+def test_recorded_parts_are_positive_weight_branches_of_their_jumps(kind, n, seed, index):
+    # a part's d is read off its stage's constants, so a zero residual does
+    # not show that the part is a jump the run took; this pins it
+    traj = simulate(kind, n, seed=seed, record=True, stream_index=index)
+    values = traj.values()
+    orders = {stage: order for stage, order, _ in traj.steps}
+    for j, part in enumerate(traj.decomposition.parts):
+        i, size = part.stage, part.size
+        jump = part_jump(kind, i, size)
+        if jump is None:  # the fixed one-jump into stage 1 of a run from stage 0
+            assert (j, part.position, i, size) == (0, 1, 1, 1)
+            assert values[0] == values[1] == 0
+            continue
+        assert orders[i] == size
+        law = _stage_law(kind, i)
+        assert (law.two_num if size == 2 else law.den - law.two_num) > 0
+        src, new = values[i - size], values[i]
+        assert dict(jump.increments(src)).get(new - src, 0) > 0
 
 
 @pytest.fixture

@@ -80,3 +80,50 @@ def test_only_the_engines_import_the_exact_draw_constant():
     offenders = [p.name for p in SOURCES
                  if p.name not in allowed and "TWO64" in _imported_names(p)]
     assert not offenders, f"modules importing TWO64: {offenders}"
+
+
+def _private_definitions(tree):
+    """(name, defining statement) of each module-level name with one
+    leading underscore: functions, classes and assignment targets."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _loaded_names(nodes):
+    return {n.id for top in nodes for n in ast.walk(top)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _imported_from(tree, module):
+    """{local name: imported name} of the relative imports from ``module``."""
+    return {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and node.module == module
+            for alias in node.names}
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    # A helper that lost its last caller stays behind unnoticed.  A name
+    # counts as read when its own module reads it outside its definition,
+    # or another module imports it and reads it.
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in SOURCES}
+    loaded = {module: _loaded_names([tree]) for module, tree in trees.items()}
+    through_imports = {
+        module: {name for other, tree in trees.items() if other != module
+                 for local, name in _imported_from(tree, module).items()
+                 if local in loaded[other]}
+        for module in trees}
+    stale = [f"{module}.{name}" for module, tree in trees.items()
+             for name, node in _private_definitions(tree)
+             if name not in through_imports[module]
+             and name not in _loaded_names(n for n in tree.body if n is not node)]
+    assert not stale, f"private names nothing in the package reads: {stale}"
