@@ -19,7 +19,9 @@ no file left behind.  For either, ``-`` means stdout.  ``simulate`` opens
 its ``--record`` and ``--out`` files before any work (exit 2 if both name
 one file), runs the replicates in fixed-size chunks and streams the audit
 rows in replicate order as each chunk finishes; the table is written last,
-so an audit on stdout comes whole before it.
+so an audit on stdout comes whole before it.  The chunks go to a pool of
+``--threads`` workers only when the run's work in replicate-stages reaches
+a measured floor, below which a pool costs more to start than it saves.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from fractions import Fraction
 from .diagnostics import IDENTITY_BUDGET, IDENTITY_CHECKS, clt_table, identity_check
 from .families import Family, _reaching, descent_triangle, parse_family
 from .moments import moment_table
-from .processes import _TABLES, ProcessKind, parse_kind, reconstruct, simulate
+from .processes import (_TABLES, ProcessKind, _scale, _telescoped_sum, parse_kind,
+                        reconstruct, simulate)
 
 RESIDUAL_EXIT = 3
 IDENTITY_EXIT = 4
@@ -51,6 +54,11 @@ THREADS_MAX = 256
 # one about ten batch-engine arrays of its size.
 RECORD_CHUNK = 64
 PLAIN_CHUNK = 1 << 16
+
+# Replicate-stages from which two workers pay for starting (0.17 s recorded,
+# 0.11 s plain on 2 vCPUs, against 7.5 us and 33 ns per replicate-stage).
+RECORD_POOL_FLOOR = 50_000
+PLAIN_POOL_FLOOR = 6_000_000
 
 
 def _bounded_int(lo: int | None, hi: int):
@@ -194,50 +202,45 @@ def _sim_chunk(payload) -> tuple[dict[int, int], list[list[str]]]:
         from .batch import batch_finals  # numpy only for plain runs
 
         return batch_finals(kind_tag, n, count, seed, start_index=start), []
+    kind = parse_kind(kind_tag)
+    scale = _scale(kind.composition_offset, n)
     counts: dict[int, int] = {}
     audit: list[list[str]] = []
     for r in range(start, start + count):
-        traj = simulate(kind_tag, n, seed=seed, record=True, stream_index=r)
-        counts[traj.final] = counts.get(traj.final, 0) + 1
-        residual = reconstruct(traj)
-        dec = traj.decomposition
-        audit.append(
-            [
-                str(r),
-                str(traj.final),
-                "".join(str(p) for p in dec.composition),
-                ";".join(str(p.x) for p in dec.parts),
-                ";".join(_alpha_texts(traj)),
-                _gamma_texts(dec.parts),
-                str(residual),
-            ]
-        )
+        # a row straight from the run's walk, parts right to left; its
+        # ``PartRecord``s are never read, so never built
+        traj = simulate(kind, n, seed, record=True, stream_index=r)
+        dec, final = traj.decomposition, traj.final
+        walk = dec._walk[2]
+        total, runs = _telescoped_sum(kind, n, walk)
+        counts[final] = counts.get(final, 0) + 1
+        audit.append([
+            str(r), str(final), "".join(map(str, dec.composition)),
+            ";".join(reversed([_x_text(d, e.shift) for _, e, d in walk])),
+            ";".join(reversed([e.alpha_text for _, e, _ in walk])),
+            ";".join(reversed([text for c, gnum, den in runs
+                               for text in (str(Fraction(gnum, den)),) * c])),
+            str(scale * final - total)])
     return counts, audit
 
 
-def _alpha_texts(traj) -> list[str]:
-    """The printed adjustments of a recorded run's parts: each is its
-    stage's, formatted once in the stage table."""
-    table = _TABLES[traj.kind].parts
-    return [table[p.stage][p.size - 1].alpha_text for p in traj.decomposition.parts]
+def _x_text(d: int, shift: Fraction) -> str:
+    """``str(d - shift)`` without the ``Fraction``: (d q - p)/q is reduced."""
+    p, q = shift.numerator, shift.denominator
+    return str(d - p) if q == 1 else f"{d * q - p}/{q}"
 
 
-def _gamma_texts(parts) -> str:
-    """The parts' factors joined by ``;``, each distinct factor object
-    formatted once: a recorded run shares one between consecutive equal
-    factors."""
-    texts, gamma, text = [], None, ""
-    for p in parts:
-        if p.gamma is not gamma:
-            gamma, text = p.gamma, str(p.gamma)
-        texts.append(text)
-    return ";".join(texts)
+def _pooled(record: bool, replicates: int, stages: int, threads: int) -> bool:
+    """Whether ``simulate`` runs its chunks in a worker pool: with more than
+    one thread and at least the floor's work (``stages``: updates per run)."""
+    return threads > 1 and replicates * stages >= (
+        RECORD_POOL_FLOOR if record else PLAIN_POOL_FLOOR)
 
 
 def cmd_simulate(args) -> int:
     kind = parse_kind(args.process)
     record = args.record is not None
-    floor, chunk = (2_000, RECORD_CHUNK) if record else (50_000, PLAIN_CHUNK)
+    chunk = RECORD_CHUNK if record else PLAIN_CHUNK
     parts = max(args.threads, -(-args.replicates // chunk))
     bounds = [args.replicates * i // parts for i in range(parts + 1)]
     payloads = [(kind.value, args.n, args.seed, lo, hi - lo, record)
@@ -255,7 +258,8 @@ def cmd_simulate(args) -> int:
                 audit.write(sep.join(["replicate", "final", "composition",
                                       "differences", "alphas", "gammas",
                                       "residual"]) + "\n")
-            if args.threads > 1 and args.replicates >= floor:
+            if _pooled(record, args.replicates, args.n + 1 - kind.start[0],
+                       args.threads):
                 from concurrent.futures import ProcessPoolExecutor
 
                 pool = stack.enter_context(ProcessPoolExecutor(args.threads))
@@ -343,7 +347,8 @@ def cmd_decompose(args) -> int:
     residual = reconstruct(traj)
     dec = traj.decomposition
     table = Table(["part", "position", "size", "stage", "x", "alpha", "gamma"])
-    for idx, (p, alpha) in enumerate(zip(dec.parts, _alpha_texts(traj)), start=1):
+    for idx, p in enumerate(dec.parts, start=1):
+        alpha = _TABLES[traj.kind].parts[p.stage][p.size - 1].alpha_text
         table.add(idx, p.position, p.size, p.stage, p.x, alpha, p.gamma)
     table.trailer = {
         "run": {

@@ -44,7 +44,7 @@ class JumpWord:
             raise ValueError("empty jump word")
         if self.letters[0] != 1:
             raise ValueError("jump word must start with a one-jump")
-        if any(c < 1 for c in self.letters):
+        if min(self.letters) < 1:
             raise ValueError("jump word letters must be positive")
 
     def __len__(self) -> int:
@@ -59,7 +59,7 @@ class Composition:
     s: int = 2
 
     def __post_init__(self):
-        if any(not 1 <= p <= self.s for p in self.parts):
+        if self.parts and not 1 <= min(self.parts) <= max(self.parts) <= self.s:
             raise ValueError(f"parts must lie in 1..{self.s}")
 
     @property

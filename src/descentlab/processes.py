@@ -20,8 +20,11 @@ part's difference is an integer in its source and new values less a mean
 shift, and its adjustment an integer plus two mean terms, checked once per
 stage as the table grows; the mean terms of adjacent parts cancel through
 the factors, so a run's residual needs only the parts' integers and one
-exact mean.  A decomposition not in that recorded form is summed term by
-term instead.
+exact mean.  A decomposition built by hand is summed term by term instead.
+One stage loop (``simulate``), one walk over the parts (``_decompose``) and
+one integer core (``_telescoped_sum``) serve the library's
+``Decomposition`` and ``reconstruct`` and the CLI's audit rows; a recorded
+run builds its ``PartRecord``s only when they are read.
 
 Stage bookkeeping: involution and fibonacci runs decompose over compositions
 of n (part position == stage).  Derangement and excedance runs start at stage
@@ -432,8 +435,19 @@ class PartRecord:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """A recorded run's composition and parts.  One that ``simulate`` made
+    holds the run's walk (``_decompose``) and builds its parts from it when
+    they are first read; ``reconstruct`` and the CLI's audit rows read the
+    walk alone."""
+
     composition: tuple[int, ...]
     parts: tuple[PartRecord, ...]
+
+    def __getattr__(self, name):  # reached only for an attribute never set
+        if name != "parts" or "_walk" not in self.__dict__:
+            raise AttributeError(name)
+        object.__setattr__(self, "parts", _records(*self._walk))
+        return self.parts
 
 
 @dataclass(frozen=True)
@@ -534,9 +548,12 @@ def _part_table(kind: ProcessKind, n: int) -> _Grown:
 def simulate(kind: str | ProcessKind, n: int, seed: int, record: bool = False,
              stream_index: int = 0) -> Trajectory:
     """Run the process to stage n, deterministically in (seed, stream_index).
+    This is the one stage loop, of every scalar run, recorded or not.
 
     With ``record`` the jump word, its composition, and the per-part
-    decomposition data (differences, adjustments, factors) are attached.
+    decomposition data (differences, adjustments, factors) are attached:
+    the decomposition keeps the run's walk and builds its ``PartRecord``s
+    only when its ``parts`` are read.
     """
     kind = parse_kind(kind)
     if n < kind.n_min:
@@ -544,50 +561,91 @@ def simulate(kind: str | ProcessKind, n: int, seed: int, record: bool = False,
     next_u64 = Stream(seed, stream_index).next_u64
     first, v0, v1 = kind.start
     laws = _TABLES[kind].laws.through(n)
-    values = [0] * (n + 1)
+    values, orders = [0] * (n + 1), [1] * (n + 1)
     values[first - 2], values[first - 1] = v0, v1
-    steps = []
     for m in range(first, n + 1):
         law = laws[m]
         # every stage consumes one type draw and one value draw, so all
         # engines stay in lockstep
-        two = next_u64() * law.den < law.two_num * TWO64
-        src = values[m - 2] if two else values[m - 1]
-        values[m] = src + (law.two if two else law.one).draw(src, next_u64())
-        steps.append((m, 2 if two else 1, values[m]))
+        if next_u64() * law.den < law.two_num * TWO64:
+            orders[m], src, jump = 2, values[m - 2], law.two
+        else:
+            src, jump = values[m - 1], law.one
+        values[m] = src + jump.draw(src, next_u64())
 
-    decomposition = _decompose(kind, n, values, steps) if record else None
-    return Trajectory(kind, n, seed, ((first - 2, v0), (first - 1, v1)),
-                      tuple(steps), values[n], decomposition)
+    decomposition = None
+    if record:
+        comp, walk = _decompose(kind, n, values, orders)
+        decomposition = object.__new__(Decomposition)  # parts on first read
+        decomposition.__dict__.update(composition=comp.parts, _walk=(kind, n, walk))
+    steps = tuple(zip(range(first, n + 1), orders[first:], values[first:]))
+    return Trajectory(kind, n, seed, ((first - 2, v0), (first - 1, v1)), steps,
+                      values[n], decomposition)
 
 
 def _decompose(kind: ProcessKind, n: int, values: list[int],
-               steps: list[tuple[int, int, int]]) -> Decomposition:
-    """The parts of a recorded run, in one walk from the right over the
-    discard reduction of its jump word.  A part's factor gamma is the
-    product of pos/(pos - 1) over the 2-parts after it in a derangement run,
-    1 otherwise; it changes only at a 2-part, so consecutive parts with equal
-    factors share one object (``reconstruct`` and the audit rely on that for
-    speed only).  A part's x is its d (``_telescoped_constants``, from the
-    stage entry's c and k) less the entry's mean shift."""
+               orders: list[int]) -> tuple[Composition, list[tuple]]:
+    """The one walk over the parts of a run (its values and jump orders by
+    stage; stages before the first update hold order 1, so the jump word is
+    ``orders[composition_offset + 1:]``), from the right over the discard
+    reduction of that word: returns the composition and, right to left,
+    each part's (size, stage entry, d), its integer difference
+    d = scale(i) v_i - k v_{i-s} - c with c and k from
+    ``_telescoped_constants``.  The part's x is d less the entry's shift."""
     offset = kind.composition_offset
-    # a run from stage 0 starts with the one-jump into stage 1
-    word = [1] * (offset == 0) + [order for _, order, _ in steps]
+    word = orders[offset + 1:]
     comp = discard_map(word) if word else Composition(())
     table = _part_table(kind, n)
-    factors = kind is _DERANGEMENT
-    parts, pos, gamma = [], comp.total, F(1)
+    walk, pos = [], comp.total
     for size in reversed(comp.parts):
         stage = pos + offset
-        entry = table[stage][size - 1]
-        d = _scale(offset, stage) * values[stage] - entry.k * values[stage - size] - entry.c
-        x = d - entry.shift if entry.shift else F(d)
-        parts.append(PartRecord(pos, size, stage, x, entry.alpha, gamma))
-        if factors and size == 2:  # the parts before carry pos / (pos - 1) more
-            gamma *= F(pos, pos - 1)
+        c, k = _telescoped_constants(kind, stage, size)
+        d = _scale(offset, stage) * values[stage] - k * values[stage - size] - c
+        walk.append((size, table[stage][size - 1], d))
         pos -= size
-    parts.reverse()
-    return Decomposition(comp.parts, tuple(parts))
+    return comp, walk
+
+
+def _telescoped_sum(kind: ProcessKind, n: int, walk) -> tuple:
+    """The integer core of ``reconstruct``: for a run's parts right to left,
+    as (size, stage entry, d), the sum gamma_i (d_i + c_i) + gamma_1 k_1 mu_s
+    and the factors as (count, gnum, den), ``count`` consecutive parts whose
+    gamma is gnum / den.  c and k are the entries', which ``_decompose`` did
+    not use, so a zero residual checks them too; no parts sum to scale(n) mu_n."""
+    offset = kind.composition_offset
+    factors = kind is _DERANGEMENT
+    pos = n - offset  # where the next part, right to left, ends
+    # finished runs of equal gamma sum to num / den, ``run`` sums d + c under
+    # gnum / den, and a 2-part ending at ``split`` grows gamma by split/(split-1)
+    num, gnum, den, run, split, count, runs = 0, 1, 1, 0, 0, 0, []
+    k = _scale(offset, n)
+    for size, entry, d in walk:
+        if split:
+            runs.append((count, gnum, den))
+            num = (num + run * gnum) * (split - 1)
+            gnum, den, run, count = gnum * split, den * (split - 1), 0, 0
+        run += d + entry.c
+        k = entry.k
+        count += 1
+        split = pos if factors and size == 2 else 0
+        pos -= size
+    runs.append((count, gnum, den))
+    mu = _STORES[kind.family].means.through(offset)[offset]
+    return F(num + run * gnum, den) + F(gnum * k, den) * mu, runs
+
+
+def _records(kind: ProcessKind, n: int, walk) -> tuple[PartRecord, ...]:
+    """The parts of a walked run, left to right: x is d less the entry's
+    shift, and consecutive parts with equal factors share one gamma object."""
+    gammas = [g for count, gnum, den in _telescoped_sum(kind, n, walk)[1]
+              for g in (F(gnum, den),) * count]
+    offset = kind.composition_offset
+    parts, pos = [], n - offset
+    for (size, entry, d), gamma in zip(walk, gammas):
+        x = d - entry.shift if entry.shift else F(d)
+        parts.append(PartRecord(pos, size, pos + offset, x, entry.alpha, gamma))
+        pos -= size
+    return tuple(reversed(parts))
 
 
 def reconstruct(traj: Trajectory) -> Fraction:
@@ -602,78 +660,29 @@ def reconstruct(traj: Trajectory) -> Fraction:
     The sum is not formed term by term.  A part that ends at stage i with a
     jump of order s has x + alpha = scale(i) (v_i - mu_i) - k (v_{i-s} - mu_{i-s})
     = d + c - scale(i) mu_i + k mu_{i-s} (``_telescoped_constants``, checked
-    per stage by ``_StageTable``).  Through the factors gamma, the
-    mean terms of each part cancel those of the part before it, and the
-    last part's cancel mean_n, which leaves
-        residual = scale(n) value_n - sum_i gamma_i (d_i + c_i)
-                   - gamma_1 k_1 mu_s,
+    per stage by ``_StageTable``).  Through the factors gamma the mean terms
+    of adjacent parts cancel, and the last part's cancel mean_n, so
+        residual = scale(n) value_n - sum_i gamma_i (d_i + c_i) - gamma_1 k_1 mu_s
     with s the first part's source stage (mu_s is 1 for derangement and
-    excedance runs, 0 for the others).  The integers d + c are summed
-    exactly between the 2-parts of a derangement run, where gamma changes.
+    excedance runs, 0 for the others); the integer core ``_telescoped_sum``
+    sums the d + c between the 2-parts of a derangement run, where gamma
+    changes.
 
-    That shortcut is taken only for a decomposition in the recorded form.
-    The part sizes, each 1 or 2, add up to the run's composition total and
-    so place every part, right to left, at a stage; there each alpha must
-    be the stage table's own object, each x an integer less the table's
-    shift (checked in integers), and each gamma the product of k/(k-1)
-    over the later 2-part positions k of a derangement run, 1 otherwise.
-    The positions and stages the parts carry are not read, as the full sum
-    does not read them either.  Any other decomposition, a run with no
-    parts among them, is summed term by term, so the residual is exact in
-    every case.
-
-    As ``_decompose`` computes d from the same c and k, a zero residual does
-    not re-check that each d is a branch of its stage's jump law; tests do.
+    That shortcut is taken for the walk that ``simulate`` keeps with a run
+    of this kind and size.  Any other decomposition, one built or changed by
+    hand, is summed term by term, so the residual is exact in every case.  A
+    zero residual does not re-check that each d is a branch of its stage's
+    jump law; tests do.
     """
     if traj.decomposition is None:
         raise ValueError("trajectory was not recorded with a decomposition")
-    kind, n = traj.kind, traj.n
-    table = _part_table(kind, n)
-    means = _STORES[kind.family].means.through(n)
-    parts = traj.decomposition.parts
-    total = _telescoped_sum(kind, n, parts, table, means)
-    if total is None:  # term by term
-        total = sum((p.gamma * (p.x + p.alpha) for p in parts), ZERO)
-        return _scale(kind.composition_offset, n) * (traj.final - means[n]) - total
-    return _scale(kind.composition_offset, n) * traj.final - total
-
-
-def _telescoped_sum(kind: ProcessKind, n: int, parts, table, means) -> Fraction | None:
-    """``sum_i gamma_i (d_i + c_i) + gamma_1 k_1 mu_s`` of ``reconstruct``,
-    or ``None`` for parts that are not in the recorded form."""
-    if not parts:
-        return None
-    offset = kind.composition_offset
-    factors = kind is _DERANGEMENT
-    pos = n - offset  # where the next part, right to left, ends
-    # the sum of the runs of equal gamma so far is num / den, and the
-    # current gamma is gnum / den; run sums d + c under the current gamma
-    num, gnum, den, run = 0, 1, 1, 0
-    unchecked = gamma = object()  # gamma: the last one found equal to gnum / den
-    for p in reversed(parts):
-        size = p.size
-        if size not in (1, 2) or size > pos:
-            return None
-        entry = table[pos + offset][size - 1]
-        x, shift = p.x, entry.shift
-        if p.alpha is not entry.alpha or x.denominator != shift.denominator:
-            return None
-        d, rem = divmod(x.numerator + shift.numerator, shift.denominator)
-        if rem:
-            return None
-        if p.gamma is not gamma:
-            gamma = p.gamma
-            if gamma.numerator * den != gamma.denominator * gnum:
-                return None
-        run += d + entry.c
-        if factors and size == 2:  # the parts before carry pos / (pos - 1) more
-            num = (num + run * gnum) * (pos - 1)
-            gnum, den, run, gamma = gnum * pos, den * (pos - 1), 0, unchecked
-        pos -= size
-    if pos:
-        return None
-    # p and entry are the first part's
-    return F(num + run * gnum, den) + p.gamma * entry.k * means[offset]
+    kind, n, dec = traj.kind, traj.n, traj.decomposition
+    scale = _scale(kind.composition_offset, n)
+    walked = dec.__dict__.get("_walk")
+    if walked is not None and walked[:2] == (kind, n):
+        return scale * traj.final - _telescoped_sum(kind, n, walked[2])[0]
+    total = sum((p.gamma * (p.x + p.alpha) for p in dec.parts), ZERO)
+    return scale * (traj.final - _STORES[kind.family].means[n]) - total
 
 
 def exact_marginal(kind: str | ProcessKind, n: int) -> ExactPmf:

@@ -2,10 +2,12 @@
 
 These enumerate permutation classes, compositions and jump words directly and
 count statistics from the definitions; they never touch the recurrences they
-check.  Three keep an implementation the package replaced, as the reference
+check.  Four keep an implementation the package replaced, as the reference
 its successor is compared with: the keep-list discard reduction, the
-sampler's threshold loop and the per-kind branch formula of a part's
-integer difference.
+sampler's threshold loop, the per-kind branch formula of a part's integer
+difference and the audit rows of a recorded ``simulate`` chunk built from
+the ``PartRecord``s of ``simulate(record=True)``, with the residual summed
+part by part.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from descentlab.compositions import (
     enumerate_compositions,
     word_statistic,
 )
-from descentlab.processes import _TABLES, ProcessKind, exact_means
+from descentlab.processes import _TABLES, ProcessKind, exact_means, simulate
 from descentlab.rng import TWO64
 
 
@@ -309,3 +311,49 @@ def branch_difference(kind, i: int, order: int, src, new) -> int:
     if order == 2:  # excedance
         return 2 * src
     return src - i + 1 if new == src else src
+
+
+def audit_rows(kind_tag, n: int, seed: int, start: int, count: int):
+    """(counts of the final values, audit rows) of the recorded runs
+    start..start+count-1, from each run's ``Trajectory`` and the
+    ``PartRecord``s of its ``Decomposition``: the residual summed part by
+    part, each x and gamma printed by ``str``, each alpha as its stage entry
+    prints it."""
+    counts: dict[int, int] = {}
+    audit: list[list[str]] = []
+    for r in range(start, start + count):
+        traj = simulate(kind_tag, n, seed=seed, record=True, stream_index=r)
+        counts[traj.final] = counts.get(traj.final, 0) + 1
+        residual = full_sum_residual(traj)
+        dec = traj.decomposition
+        audit.append(
+            [
+                str(r),
+                str(traj.final),
+                "".join(str(p) for p in dec.composition),
+                ";".join(str(p.x) for p in dec.parts),
+                ";".join(_alpha_texts(traj)),
+                _gamma_texts(dec.parts),
+                str(residual),
+            ]
+        )
+    return counts, audit
+
+
+def _alpha_texts(traj) -> list[str]:
+    """The printed adjustments of a recorded run's parts: each is its
+    stage's, formatted once in the stage table."""
+    table = _TABLES[traj.kind].parts
+    return [table[p.stage][p.size - 1].alpha_text for p in traj.decomposition.parts]
+
+
+def _gamma_texts(parts) -> str:
+    """The parts' factors joined by ``;``, each distinct factor object
+    formatted once: a recorded run shares one between consecutive equal
+    factors."""
+    texts, gamma, text = [], None, ""
+    for p in parts:
+        if p.gamma is not gamma:
+            gamma, text = p.gamma, str(p.gamma)
+        texts.append(text)
+    return ";".join(texts)

@@ -5,7 +5,12 @@ import subprocess
 import sys
 import time
 
+import oracles
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from descentlab.processes import ProcessKind
 
 CLI = [sys.executable, "-m", "descentlab.cli"]
 
@@ -205,6 +210,89 @@ def test_determinism_across_threads(tmp_path, threads):
     ref_out, ref_audit = test_determinism_across_threads.ref
     assert proc.stdout == ref_out
     assert audit.read_bytes() == ref_audit
+
+
+def test_pool_floors_count_replicate_stages():
+    from descentlab.cli import _pooled
+    from descentlab.processes import ProcessKind
+
+    def pooled(record, process, n, replicates, threads=2):
+        stages = n + 1 - ProcessKind(process).start[0]
+        return _pooled(record, replicates, stages, threads)
+
+    # the benchmark's recorded pool twin and its README-sized plain run
+    assert not pooled(True, "derangement", 12, 2_000)
+    assert not pooled(False, "derangement", 4, 900_000)
+    # the benchmark's kernel twin, and the pooled runs of the tests above
+    assert pooled(False, "involution", 32, 1_000_000)
+    assert pooled(True, "involution", 16, 60_000)
+    assert pooled(True, "derangement", 60, 50_000)
+    assert not pooled(True, "involution", 16, 60_000, threads=1)
+
+
+kinds = st.sampled_from(list(ProcessKind))
+
+
+@settings(max_examples=50, deadline=None)
+@given(kind=kinds, data=st.data(), seed=st.integers(0, 2**64 - 1),
+       start=st.integers(0, 2**64 - 71), count=st.integers(1, 70))
+@example(kind=ProcessKind.DERANGEMENT, data=None, seed=0, start=0, count=3)
+@example(kind=ProcessKind.EXCEDANCE, data=None, seed=0, start=0, count=3)
+def test_recorded_chunk_equals_the_rows_of_recorded_trajectories(kind, data, seed,
+                                                                 start, count):
+    from descentlab.cli import _sim_chunk
+
+    # runs at n = n_min have no parts for derangements and excedances
+    n = data.draw(st.integers(kind.n_min, 120), label="n") if data else kind.n_min
+    assert (_sim_chunk((kind.value, n, seed, start, count, True))
+            == oracles.audit_rows(kind.value, n, seed, start, count))
+
+
+def test_a_recorded_simulate_builds_no_part_objects(tmp_path, monkeypatch):
+    from descentlab import cli, processes
+
+    def built(*args, **kwargs):
+        raise AssertionError("a recorded simulate built a run's part objects")
+
+    # each run is one ``Trajectory`` whose decomposition keeps the walk
+    for name in ("PartRecord", "_records", "reconstruct"):
+        monkeypatch.setattr(processes, name, built)
+    for kind in ProcessKind:
+        assert cli.main(["simulate", "--process", kind.value, "--n", "30",
+                         "--replicates", "20", "--seed", "4", "--threads", "1",
+                         "--record", str(tmp_path / "a.csv"),
+                         "--out", str(tmp_path / "t.csv")]) == 0
+
+
+def test_a_wrong_part_constant_shows_in_the_recorded_residual(tmp_path, capsys):
+    from itertools import accumulate
+
+    from descentlab import cli
+    from descentlab.processes import _part_table
+
+    # a 1-part that ends at stage 20 (position 18) gets a c one too large;
+    # its x is d less its shift whatever c is, but the core sums d + c, so
+    # the run's residual is minus that part's gamma
+    parts, stage = _part_table(ProcessKind.DERANGEMENT, 40), 20
+    entries = parts[stage]
+    parts[stage] = (entries[0]._replace(c=entries[0].c + 1),) + entries[1:]
+    audit = tmp_path / "a.csv"
+    try:
+        code = cli.main(["simulate", "--process", "derangement", "--n", "40",
+                         "--replicates", "60", "--seed", "8", "--threads", "1",
+                         "--record", str(audit), "--out", str(tmp_path / "t.csv")])
+    finally:
+        parts[stage] = entries
+    assert code == cli.RESIDUAL_EXIT
+    hits = 0
+    for row in (line.split(",") for line in audit.read_text().splitlines()[1:]):
+        sizes = [int(c) for c in row[2]]
+        ends = list(zip(accumulate(sizes), sizes))
+        j = ends.index((stage - 2, 1)) if (stage - 2, 1) in ends else None
+        hits += j is not None
+        assert row[6] == ("0" if j is None else "-" + row[5].split(";")[j])
+    assert hits > 0
+    assert capsys.readouterr().err == f"error: {hits} replicates with nonzero residual\n"
 
 
 def test_moments_involution_mean_column():

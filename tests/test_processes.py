@@ -707,6 +707,18 @@ def test_concurrent_table_growth_matches_a_fresh_build(fresh_tables):
                 == [law_summary(law) for law in expected[kind].laws])
 
 
+def test_a_recorded_decomposition_builds_its_parts_when_read():
+    import pickle
+
+    traj = simulate("derangement", 40, seed=2, record=True)
+    copy = pickle.loads(pickle.dumps(traj))
+    dec = traj.decomposition
+    assert "parts" not in vars(dec) and not hasattr(dec, "missing")
+    assert reconstruct(copy) == 0 and "parts" not in vars(copy.decomposition)
+    assert copy.decomposition == dec == processes.Decomposition(dec.composition,
+                                                                dec.parts)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_reconstruct_reports_a_corrupted_part_exactly(kind):
     from dataclasses import replace
