@@ -8,9 +8,10 @@ so ``batch_finals`` is interchangeable with collecting ``simulate(...).final``
 over the same replicate indices, at a small fraction of the cost.
 
 The scalar test ``u * den < c * 2**64`` becomes ``u >= t`` with
-t = ceil(c * 2**64 / den), gathered by source value; t is stored as t-1 with
-a flag for t = 0, so probability-one and probability-zero branches stay
-exact in uint64.
+t = ceil(c * 2**64 / den).  The type draw compares with the stage law's
+``threshold``; an increment's t is gathered by source value and stored as
+t-1 with a flag for t = 0, so probability-one and probability-zero branches
+stay exact in uint64.
 """
 
 from __future__ import annotations
@@ -91,9 +92,8 @@ def batch_finals(kind: str | ProcessKind, n: int, replicates: int,
     counter = 0
     for m in range(first, n + 1):
         law = laws[m]
-        # t < 2**64: no family puts full mass on two-jumps
-        t = -(-law.two_num * TWO64 // law.den)
-        two = _mix64_vec(keys + _U(counter * GOLDEN & MASK64)) < _U(t)
+        # threshold < 2**64: no family puts full mass on two-jumps
+        two = _mix64_vec(keys + _U(counter * GOLDEN & MASK64)) < _U(law.threshold)
         u2 = _mix64_vec(keys + _U((counter + 1) * GOLDEN & MASK64))
         counter += 2
         from_two = _jump_values(law.two, _value_range(kind, m - 2)[1], u2, prev)

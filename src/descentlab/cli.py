@@ -32,6 +32,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .diagnostics import IDENTITY_BUDGET, IDENTITY_CHECKS, clt_table, identity_check
 from .families import Family, _reaching, descent_triangle, parse_family
@@ -212,22 +213,25 @@ def _sim_chunk(payload) -> tuple[dict[int, int], list[list[str]]]:
         traj = simulate(kind, n, seed, record=True, stream_index=r)
         dec, final = traj.decomposition, traj.final
         walk = dec._walk[2]
-        total, runs = _telescoped_sum(kind, n, walk)
+        num, den, runs = _telescoped_sum(kind, n, walk)
         counts[final] = counts.get(final, 0) + 1
         audit.append([
             str(r), str(final), "".join(map(str, dec.composition)),
-            ";".join(reversed([_x_text(d, e.shift) for _, e, d in walk])),
+            # x = d - p/q prints as (d q - p)/q, which is in lowest terms
+            ";".join(reversed([str(d - e.shift_num) if e.shift_den == 1
+                               else f"{d * e.shift_den - e.shift_num}/{e.shift_den}"
+                               for _, e, d in walk])),
             ";".join(reversed([e.alpha_text for _, e, _ in walk])),
-            ";".join(reversed([text for c, gnum, den in runs
-                               for text in (str(Fraction(gnum, den)),) * c])),
-            str(scale * final - total)])
+            ";".join(reversed([text for c, gnum, gden in runs
+                               for text in (_ratio_text(gnum, gden),) * c])),
+            _ratio_text(scale * final * den - num, den)])
     return counts, audit
 
 
-def _x_text(d: int, shift: Fraction) -> str:
-    """``str(d - shift)`` without the ``Fraction``: (d q - p)/q is reduced."""
-    p, q = shift.numerator, shift.denominator
-    return str(d - p) if q == 1 else f"{d * q - p}/{q}"
+def _ratio_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for a positive ``den``, by one gcd."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _pooled(record: bool, replicates: int, stages: int, threads: int) -> bool:

@@ -202,8 +202,8 @@ class WordSampler:
 
     def sample(self, stream: Stream) -> JumpWord:
         letters = [1]
-        for jump in self._stages:
-            letters.append(jump.draw(0, stream.next_u64()))
+        for jump, u in zip(self._stages, stream.block(len(self._stages))):
+            letters.append(jump.draw(0, u))
         return JumpWord(tuple(letters))
 
 

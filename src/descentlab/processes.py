@@ -21,7 +21,8 @@ shift, and its adjustment an integer plus two mean terms, checked once per
 stage as the table grows; the mean terms of adjacent parts cancel through
 the factors, so a run's residual needs only the parts' integers and one
 exact mean.  A decomposition built by hand is summed term by term instead.
-One stage loop (``simulate``), one walk over the parts (``_decompose``) and
+One stage loop (``simulate``, over one block of draws, each type draw against
+the stage's stored threshold), one walk over the parts (``_decompose``) and
 one integer core (``_telescoped_sum``) serve the library's
 ``Decomposition`` and ``reconstruct`` and the CLI's audit rows; a recorded
 run builds its ``PartRecord``s only when they are read.
@@ -56,7 +57,7 @@ class ProcessKind(enum.Enum):
 
     @property
     def family(self) -> Family:
-        return Family(self.value)
+        return _FAMILIES[self]
 
     @property
     def n_min(self) -> int:
@@ -73,6 +74,11 @@ class ProcessKind(enum.Enum):
         if self in (ProcessKind.DERANGEMENT, ProcessKind.EXCEDANCE):
             return 3, 0, 1
         return 2, 0, 0
+
+
+# Each kind's family, read on every run: a lookup by value costs five times
+# as much as this one.
+_FAMILIES = {kind: Family(kind.value) for kind in ProcessKind}
 
 
 def parse_kind(tag: str | ProcessKind) -> ProcessKind:
@@ -157,10 +163,13 @@ _STAY, _STEP = Jump(0, (), 1), Jump(1, (), 1)  # deterministic increments
 
 class StageLaw(NamedTuple):
     """Transition into stage m: a two-jump (from stage m-2) with probability
-    ``two_num / den``, else a one-jump (from stage m-1)."""
+    ``two_num / den``, else a one-jump (from stage m-1).  A draw u takes the
+    two-jump when ``u * den < two_num * 2**64``, that is when u is below
+    ``threshold`` = ceil(two_num * 2**64 / den), the form both engines read."""
 
     two_num: int
     den: int
+    threshold: int
     two: Jump
     one: Jump
 
@@ -191,7 +200,8 @@ def _stage_law(kind: ProcessKind, m: int) -> StageLaw:
     else:  # excedance
         two = _STEP
         one = Jump(0, (_ident,), m - 1)
-    return StageLaw(*two_jump_split(kind.family, m), two, one)
+    num, den = two_jump_split(kind.family, m)
+    return StageLaw(num, den, -(-num * TWO64 // den), two, one)
 
 
 def _entries(law: StageLaw, prev: int, last: int) -> list[tuple[str, int, Fraction]]:
@@ -482,12 +492,13 @@ def _mean_shift(kind: ProcessKind, i: int, order: int, means) -> Fraction:
 
 class _Part(NamedTuple):
     """Constants of a recorded part that ends at one stage with a jump of one
-    order: its adjustment, its mean shift (x is d less this), the
-    ``_telescoped_constants`` c and k that give d, and the adjustment as the
-    audit prints it."""
+    order: its adjustment, its mean shift in lowest terms (x is d less
+    ``shift_num / shift_den``), the ``_telescoped_constants`` c and k that
+    give d, and the adjustment as the audit prints it."""
 
     alpha: Fraction
-    shift: Fraction
+    shift_num: int
+    shift_den: int
     c: int
     k: int
     alpha_text: str
@@ -530,7 +541,8 @@ class _StageTable:
                     f"{kind.value}: the order-{order} part constants at stage {m} "
                     "do not telescope"
                 )
-            out.append(_Part(alpha, shift, c, k, str(alpha)))
+            out.append(_Part(alpha, shift.numerator, shift.denominator, c, k,
+                             str(alpha)))
         return tuple(out)
 
 
@@ -558,20 +570,20 @@ def simulate(kind: str | ProcessKind, n: int, seed: int, record: bool = False,
     kind = parse_kind(kind)
     if n < kind.n_min:
         raise FamilyError(f"{kind.value}: n={n} below minimum {kind.n_min}")
-    next_u64 = Stream(seed, stream_index).next_u64
     first, v0, v1 = kind.start
+    # every stage consumes one type draw and one value draw, so all engines
+    # stay in lockstep; the run's outputs come as one block
+    draws = iter(Stream(seed, stream_index).block(2 * (n + 1 - first)))
     laws = _TABLES[kind].laws.through(n)
     values, orders = [0] * (n + 1), [1] * (n + 1)
     values[first - 2], values[first - 1] = v0, v1
-    for m in range(first, n + 1):
+    for m, u, u_value in zip(range(first, n + 1), draws, draws):
         law = laws[m]
-        # every stage consumes one type draw and one value draw, so all
-        # engines stay in lockstep
-        if next_u64() * law.den < law.two_num * TWO64:
+        if u < law.threshold:
             orders[m], src, jump = 2, values[m - 2], law.two
         else:
             src, jump = values[m - 1], law.one
-        values[m] = src + jump.draw(src, next_u64())
+        values[m] = src + jump.draw(src, u_value)
 
     decomposition = None
     if record:
@@ -609,6 +621,7 @@ def _decompose(kind: ProcessKind, n: int, values: list[int],
 def _telescoped_sum(kind: ProcessKind, n: int, walk) -> tuple:
     """The integer core of ``reconstruct``: for a run's parts right to left,
     as (size, stage entry, d), the sum gamma_i (d_i + c_i) + gamma_1 k_1 mu_s
+    as an integer numerator and a positive denominator, not in lowest terms,
     and the factors as (count, gnum, den), ``count`` consecutive parts whose
     gamma is gnum / den.  c and k are the entries', which ``_decompose`` did
     not use, so a zero residual checks them too; no parts sum to scale(n) mu_n."""
@@ -631,18 +644,19 @@ def _telescoped_sum(kind: ProcessKind, n: int, walk) -> tuple:
         pos -= size
     runs.append((count, gnum, den))
     mu = _STORES[kind.family].means.through(offset)[offset]
-    return F(num + run * gnum, den) + F(gnum * k, den) * mu, runs
+    return ((num + run * gnum) * mu.denominator + gnum * k * mu.numerator,
+            den * mu.denominator, runs)
 
 
 def _records(kind: ProcessKind, n: int, walk) -> tuple[PartRecord, ...]:
     """The parts of a walked run, left to right: x is d less the entry's
     shift, and consecutive parts with equal factors share one gamma object."""
-    gammas = [g for count, gnum, den in _telescoped_sum(kind, n, walk)[1]
+    gammas = [g for count, gnum, den in _telescoped_sum(kind, n, walk)[2]
               for g in (F(gnum, den),) * count]
     offset = kind.composition_offset
     parts, pos = [], n - offset
     for (size, entry, d), gamma in zip(walk, gammas):
-        x = d - entry.shift if entry.shift else F(d)
+        x = F(d * entry.shift_den - entry.shift_num, entry.shift_den)
         parts.append(PartRecord(pos, size, pos + offset, x, entry.alpha, gamma))
         pos -= size
     return tuple(reversed(parts))
@@ -680,7 +694,8 @@ def reconstruct(traj: Trajectory) -> Fraction:
     scale = _scale(kind.composition_offset, n)
     walked = dec.__dict__.get("_walk")
     if walked is not None and walked[:2] == (kind, n):
-        return scale * traj.final - _telescoped_sum(kind, n, walked[2])[0]
+        num, den, _ = _telescoped_sum(kind, n, walked[2])
+        return F(scale * traj.final * den - num, den)
     total = sum((p.gamma * (p.x + p.alpha) for p in dec.parts), ZERO)
     return scale * (traj.final - _STORES[kind.family].means[n]) - total
 

@@ -2,9 +2,10 @@
 
 These enumerate permutation classes, compositions and jump words directly and
 count statistics from the definitions; they never touch the recurrences they
-check.  Four keep an implementation the package replaced, as the reference
+check.  Six keep an implementation the package replaced, as the reference
 its successor is compared with: the keep-list discard reduction, the
-sampler's threshold loop, the per-kind branch formula of a part's integer
+sampler's threshold loop, the exact draw's product test, the per-draw stage
+loop of ``simulate``, the per-kind branch formula of a part's integer
 difference and the audit rows of a recorded ``simulate`` chunk built from
 the ``PartRecord``s of ``simulate(record=True)``, with the residual summed
 part by part.
@@ -23,8 +24,8 @@ from descentlab.compositions import (
     enumerate_compositions,
     word_statistic,
 )
-from descentlab.processes import _TABLES, ProcessKind, exact_means, simulate
-from descentlab.rng import TWO64
+from descentlab.processes import _TABLES, ProcessKind, exact_means, parse_kind, simulate
+from descentlab.rng import TWO64, Stream
 
 
 def descents(perm: tuple[int, ...]) -> int:
@@ -178,6 +179,39 @@ def threshold_sample(rule, n: int, stream) -> tuple[int, ...]:
                 break
         letters.append(size)
     return tuple(letters)
+
+
+def product_draw(jump, src: int, u64: int) -> int:
+    """``Jump.draw`` by the product test: the increment is ``base`` plus the
+    number of cumulative numerators c with ``u64 * den >= c * 2**64``,
+    counted up to the first c that the draw falls below."""
+    inc, lhs = jump.base, u64 * jump.den
+    for cum in jump.cums:
+        if lhs < cum(src) * TWO64:
+            break
+        inc += 1
+    return inc
+
+
+def stage_loop(kind, n: int, seed: int, stream_index: int = 0):
+    """(steps, final) of one run of ``simulate``, drawn one output at a
+    time: the type by ``u * den < two_num * 2**64``, the increment by
+    ``product_draw``."""
+    kind = parse_kind(kind)
+    stream = Stream(seed, stream_index)
+    first, v0, v1 = kind.start
+    laws = _TABLES[kind].laws.through(n)
+    values, steps = {first - 2: v0, first - 1: v1}, []
+    for m in range(first, n + 1):
+        law = laws[m]
+        if stream.next_u64() * law.den < law.two_num * TWO64:
+            order, jump = 2, law.two
+        else:
+            order, jump = 1, law.one
+        src = values[m - order]
+        values[m] = src + product_draw(jump, src, stream.next_u64())
+        steps.append((m, order, values[m]))
+    return tuple(steps), values[n]
 
 
 def process_word_fibers(kind, n: int) -> dict[tuple[int, ...], Fraction]:

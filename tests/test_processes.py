@@ -627,6 +627,30 @@ def test_recorded_parts_are_positive_weight_branches_of_their_jumps(kind, n, see
         assert dict(jump.increments(src)).get(new - src, 0) > 0
 
 
+@settings(max_examples=120, deadline=None)
+@given(kind=kinds, n=st.integers(1, 120), seed=seeds, index=indices)
+@example(kind=ProcessKind.INVOLUTION, n=1, seed=0, index=0)  # a run with no update
+def test_simulate_draws_the_runs_of_the_per_draw_stage_loop(kind, n, seed, index):
+    n = max(n, kind.n_min)
+    for record in (False, True):
+        traj = simulate(kind, n, seed=seed, record=record, stream_index=index)
+        assert (traj.steps, traj.final) == oracles.stage_loop(kind, n, seed, index)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_the_type_threshold_is_where_the_exact_test_flips(kind):
+    # u < threshold takes the two-jump exactly when u * den < two_num * 2**64
+    for m in range(kind.start[0], 401):
+        law = _stage_law(kind, m)
+        t = law.threshold
+        assert 0 <= t < 2**64
+        assert law.two_num * 2**64 <= t * law.den
+        if t:  # u = t - 1 takes the two-jump, u = t does not
+            assert (t - 1) * law.den < law.two_num * 2**64
+        else:  # no draw takes a two-jump
+            assert law.two_num == 0
+
+
 @pytest.fixture
 def fresh_tables():
     """Empty stage tables for every kind for the test's duration, swapped

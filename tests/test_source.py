@@ -127,3 +127,21 @@ def test_every_private_module_name_is_read_in_the_package():
              if name not in through_imports[module]
              and name not in _loaded_names(n for n in tree.body if n is not node)]
     assert not stale, f"private names nothing in the package reads: {stale}"
+
+
+def test_only_rng_writes_the_splitmix64_constants():
+    # The golden-ratio increment and the finalizer's two multipliers are
+    # written once, in ``rng.py``; the batch engine and any lane-packed or
+    # vectorized form import them, so no copy can drift.
+    from descentlab.rng import GOLDEN, MIX_MULTIPLIERS
+
+    constants = {GOLDEN, *MIX_MULTIPLIERS}
+
+    def written(path):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        return {node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and node.value in constants}
+
+    assert written(next(p for p in SOURCES if p.name == "rng.py")) == constants
+    offenders = {p.name: sorted(map(hex, written(p))) for p in SOURCES if p.name != "rng.py"}
+    assert not any(offenders.values()), f"SplitMix64 constants outside rng.py: {offenders}"
