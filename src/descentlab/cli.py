@@ -3,8 +3,9 @@
 Every invocation with the same flags and master seed produces byte-identical
 output regardless of --threads: replicate-level work is keyed by absolute
 replicate index, aggregation is order-independent, floats render at 17
-significant digits, and rationals render exactly as p/q.  Counts serialize
-as decimal strings in JSON since they outgrow 64-bit integers quickly.
+significant digits, and rationals render exactly as p/q, however long.
+Counts serialize as decimal strings in JSON since they outgrow 64-bit
+integers quickly.
 
 Exit codes: 0 success, 2 bad flags, 3 nonzero reconstruction residual,
 4 failed exact identity, 141 stdout closed by its reader before the output
@@ -32,12 +33,13 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 from .diagnostics import IDENTITY_BUDGET, IDENTITY_CHECKS, clt_table, identity_check
 from .families import Family, _reaching, descent_triangle, parse_family
 from .moments import moment_table
-from .processes import (_TABLES, ProcessKind, _scale, _telescoped_sum, parse_kind,
+from .processes import (ProcessKind, _part_table, _scale, _telescoped_sum, parse_kind,
                         reconstruct, simulate)
 
 RESIDUAL_EXIT = 3
@@ -205,6 +207,7 @@ def _sim_chunk(payload) -> tuple[dict[int, int], list[list[str]]]:
         return batch_finals(kind_tag, n, count, seed, start_index=start), []
     kind = parse_kind(kind_tag)
     scale = _scale(kind.composition_offset, n)
+    texts = _alpha_texts(kind, n)
     counts: dict[int, int] = {}
     audit: list[list[str]] = []
     for r in range(start, start + count):
@@ -221,11 +224,26 @@ def _sim_chunk(payload) -> tuple[dict[int, int], list[list[str]]]:
             ";".join(reversed([str(d - e.shift_num) if e.shift_den == 1
                                else f"{d * e.shift_den - e.shift_num}/{e.shift_den}"
                                for _, e, d in walk])),
-            ";".join(reversed([e.alpha_text for _, e, _ in walk])),
+            ";".join([texts[p][size - 1] for size, p
+                      in zip(dec.composition, accumulate(dec.composition))]),
             ";".join(reversed([text for c, gnum, gden in runs
                                for text in (_ratio_text(gnum, gden),) * c])),
             _ratio_text(scale * final * den - num, den)])
     return counts, audit
+
+
+_ALPHA_TEXTS: dict[ProcessKind, list[tuple[str, ...]]] = {}
+
+
+def _alpha_texts(kind: ProcessKind, n: int) -> list[tuple[str, ...]]:
+    """texts[p][order - 1]: the audit text of the alpha of a recorded part
+    that ends at position p with a jump of that order, through stage n; each
+    is formatted once per process (kept in ``_ALPHA_TEXTS``), not per row."""
+    texts, offset = _ALPHA_TEXTS.setdefault(kind, []), kind.composition_offset
+    parts = _part_table(kind, n)
+    texts.extend(tuple(str(e.alpha) for e in parts[p + offset] or ())
+                 for p in range(len(texts), n - offset + 1))
+    return texts
 
 
 def _ratio_text(num: int, den: int) -> str:
@@ -266,7 +284,9 @@ def cmd_simulate(args) -> int:
                        args.threads):
                 from concurrent.futures import ProcessPoolExecutor
 
-                pool = stack.enter_context(ProcessPoolExecutor(args.threads))
+                pool = stack.enter_context(ProcessPoolExecutor(
+                    args.threads, initializer=sys.set_int_max_str_digits,
+                    initargs=(0,)))
                 # leaving early (a closed stdout, say) drops the queued chunks
                 stack.callback(pool.shutdown, cancel_futures=True)
                 results = pool.map(_sim_chunk, payloads)
@@ -352,8 +372,7 @@ def cmd_decompose(args) -> int:
     dec = traj.decomposition
     table = Table(["part", "position", "size", "stage", "x", "alpha", "gamma"])
     for idx, p in enumerate(dec.parts, start=1):
-        alpha = _TABLES[traj.kind].parts[p.stage][p.size - 1].alpha_text
-        table.add(idx, p.position, p.size, p.stage, p.x, alpha, p.gamma)
+        table.add(idx, p.position, p.size, p.stage, p.x, p.alpha, p.gamma)
     table.trailer = {
         "run": {
             "process": traj.kind.value,
@@ -438,6 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # exact values print whole, past CPython's default limit of 4300 digits
+    # on an int-to-text conversion; pool workers lift it too
+    sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

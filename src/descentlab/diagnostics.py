@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .compositions import BernoulliSpec
-from .errors import BudgetError, FamilyError
+from .errors import FamilyError
 from .families import (
     ExactPmf,
     Family,
@@ -144,6 +144,7 @@ def _least_squares(points: list[tuple[float, float]]) -> tuple[float, float]:
 
 IDENTITY_CHECKS = ("stan1", "stan2", "derangement_sum", "fibonacci_pmf")
 
+# The CLI's ``identities --n-max`` limit; ``identity_check`` takes any n.
 IDENTITY_BUDGET = 22
 
 
@@ -171,7 +172,7 @@ def _product_sum(n: int, two: Callable[[int], int | Fraction]) -> Fraction:
     return F(cur)
 
 
-def identity_check(which: str, n: int, budget: int = IDENTITY_BUDGET) -> IdentityReport:
+def identity_check(which: str, n: int) -> IdentityReport:
     """Verify one exact identity at size n, exactly, in O(n) operations.
 
     stan1: the composition sum weighted by surviving two-jump positions
@@ -187,8 +188,6 @@ def identity_check(which: str, n: int, budget: int = IDENTITY_BUDGET) -> Identit
         raise ValueError(f"unknown identity {which!r}; choose from {IDENTITY_CHECKS}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > budget:
-        raise BudgetError(f"n={n} exceeds the size budget {budget}")
 
     if which == "stan1":
         lhs = _product_sum(n, lambda p: p - 1)
@@ -284,7 +283,7 @@ def condition_scan(
 # ---------------------------------------------------------------------------
 
 def psi_variance_check(
-    specs: Sequence[BernoulliSpec], n: int, budget: int = 14
+    specs: Sequence[BernoulliSpec], n: int
 ) -> tuple[Fraction, Fraction, bool]:
     """(Var T_n, Var psi(T_n), holds), exactly, in O(n) operations.
 
@@ -296,13 +295,9 @@ def psi_variance_check(
     The discard reduction's composition law factors over ending positions,
     so (E psi, E psi^2) over the compositions of p follow from those of p-1
     (a 1-part ends at p) and p-2 (a 2-part ends at p); each has total mass 1.
-    An n above ``budget`` raises ``BudgetError``; pass a larger budget for
-    larger n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > budget:
-        raise BudgetError(f"n={n} exceeds the size budget {budget}")
     if len(specs) < n:
         raise IndexError(f"need {n} specs, got {len(specs)}")
     specs = list(specs[:n])

@@ -12,7 +12,3 @@ class InfeasibleStateError(ValueError):
 class RuleError(ValueError):
     """Raised when a jump-probability rule yields values outside [0, 1]
     or a per-stage vector that does not sum to 1."""
-
-
-class BudgetError(ValueError):
-    """Raised when an exact computation is asked for a size above its budget."""

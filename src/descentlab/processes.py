@@ -4,15 +4,18 @@ Each statistic family evolves by one-jumps (from the previous value) and
 two-jumps (from the value two stages back): the type split is the family's
 ``two_jump_split``, and each increment is an ``rng.Jump``.  That law is
 written once per (kind, stage), in integers (``_stage_law``); the exact
-``Fraction`` entries, the scalar draw, the exact marginal, the batch
-engine's gates and the martingale differences' laws and conditional moments
-all read it.  A recorded run reads its jump word off its steps; the word's
-discard reduction yields a composition, and the run decomposes over the
-composition's parts into differences, deterministic adjustments, and
-multiplicative factors that reconstruct the centered, scaled final value
-exactly.  Each kind keeps two grow-only lists (``_StageTable``): the stage
-laws, which every engine reads, the batch engine too, and the per-stage
-constants a recorded part reads; runs after the first build nothing.
+``Fraction`` entries, the scalar draw, the batch engine's gates and the
+martingale differences' laws and conditional moments all read it, and so
+does the exact marginal: the type draw ignores the values and a jump reads
+one source value, so the stage-m law is the stage-(m-2) law pushed through
+``law.two`` plus the stage-(m-1) law pushed through ``law.one``, a closure
+that ``exact_marginal`` runs over two rolling rows of integer counts in
+O(n^2) operations.  A recorded run reads its jump word off its steps; the
+word's discard reduction yields a composition, and the run decomposes over
+its parts into differences, deterministic adjustments and multiplicative
+factors that reconstruct the centered, scaled final value exactly.  Each
+kind keeps two grow-only lists (``_StageTable``): the stage laws, which
+every engine reads, and the per-stage constants a recorded part reads.
 
 The reconstruction proves the identity with small integers, and one
 function owns a part's integer arithmetic (``_telescoped_constants``): the
@@ -493,15 +496,13 @@ def _mean_shift(kind: ProcessKind, i: int, order: int, means) -> Fraction:
 class _Part(NamedTuple):
     """Constants of a recorded part that ends at one stage with a jump of one
     order: its adjustment, its mean shift in lowest terms (x is d less
-    ``shift_num / shift_den``), the ``_telescoped_constants`` c and k that
-    give d, and the adjustment as the audit prints it."""
+    ``shift_num / shift_den``), and d's ``_telescoped_constants`` c and k."""
 
     alpha: Fraction
     shift_num: int
     shift_den: int
     c: int
     k: int
-    alpha_text: str
 
 
 class _StageTable:
@@ -541,8 +542,7 @@ class _StageTable:
                     f"{kind.value}: the order-{order} part constants at stage {m} "
                     "do not telescope"
                 )
-            out.append(_Part(alpha, shift.numerator, shift.denominator, c, k,
-                             str(alpha)))
+            out.append(_Part(alpha, shift.numerator, shift.denominator, c, k))
         return tuple(out)
 
 
@@ -701,26 +701,26 @@ def reconstruct(traj: Trajectory) -> Fraction:
 
 
 def exact_marginal(kind: str | ProcessKind, n: int) -> ExactPmf:
-    """Marginal law at stage n by exhaustive expansion of the jump process."""
+    """Marginal law at stage n, by the module docstring's marginal closure."""
     kind = parse_kind(kind)
     if n < kind.n_min:
         raise FamilyError(f"{kind.value}: n={n} below minimum {kind.n_min}")
-    first, v0, v1 = kind.start
-    pairs = {(v0, v1): F(1)}
-    laws = _TABLES[kind].laws.through(n)
+    (first, v0, v1), laws = kind.start, _TABLES[kind].laws.through(n)
+    c = _STORES[kind.family].counts.through(n)
+    rows = [(v0, [c[first - 2]]), (v1, [c[first - 1]])]  # (least value, counts)
     for m in range(first, n + 1):
-        law = laws[m]
-        nxt: dict[tuple[int, int], Fraction] = {}
-        for (v, u), p in pairs.items():
-            for src, inc, q in _entries(law, v, u):
-                if q == 0:
-                    continue
-                val = (v if src == "prev" else u) + inc
-                key = (u, val)
-                nxt[key] = nxt.get(key, ZERO) + p * q
-        pairs = nxt
-    marg: dict[int, Fraction] = {}
-    for (_, u), p in pairs.items():
-        marg[u] = marg.get(u, ZERO) + p
-    lo, hi = _value_range(kind, n)
-    return ExactPmf(lo, tuple(marg.get(k, ZERO) for k in range(lo, hi + 1)))
+        law, (lo, hi) = laws[m], _value_range(kind, m)
+        den, row = law.two.den * law.one.den, [0] * (hi - lo + 1)
+        for jump, num, (base, src) in ((law.two, law.two_num, rows[0]),
+                                       (law.one, law.den - law.two_num, rows[1])):
+            if num:  # 0 into stage 3 of a derangement or excedance run: c_1 = 0
+                a = num * (den // jump.den) // sum(src)
+                for j, count in enumerate(src, base):
+                    for inc, w in jump.increments(j):
+                        if w:  # a branch of weight 0 may leave the range
+                            row[j + inc - lo] += a * w * count
+        row = [t // den for t in row]
+        if sum(row) != law.den:  # the floors fall short of c_m iff one was inexact
+            raise ArithmeticError(f"{kind.value}: inexact closure into stage {m}")
+        rows = [rows[1], (lo, row)]
+    return ExactPmf.from_counts(*rows[1])

@@ -2,13 +2,14 @@
 
 These enumerate permutation classes, compositions and jump words directly and
 count statistics from the definitions; they never touch the recurrences they
-check.  Six keep an implementation the package replaced, as the reference
+check.  Seven keep an implementation the package replaced, as the reference
 its successor is compared with: the keep-list discard reduction, the
 sampler's threshold loop, the exact draw's product test, the per-draw stage
 loop of ``simulate``, the per-kind branch formula of a part's integer
-difference and the audit rows of a recorded ``simulate`` chunk built from
+difference, the audit rows of a recorded ``simulate`` chunk built from
 the ``PartRecord``s of ``simulate(record=True)``, with the residual summed
-part by part.
+part by part, and the exact marginal expanded over the joint law of the
+last two values.
 """
 
 from __future__ import annotations
@@ -24,7 +25,16 @@ from descentlab.compositions import (
     enumerate_compositions,
     word_statistic,
 )
-from descentlab.processes import _TABLES, ProcessKind, exact_means, parse_kind, simulate
+from descentlab.families import ExactPmf
+from descentlab.processes import (
+    _TABLES,
+    ProcessKind,
+    _entries,
+    _value_range,
+    exact_means,
+    parse_kind,
+    simulate,
+)
 from descentlab.rng import TWO64, Stream
 
 
@@ -351,8 +361,7 @@ def audit_rows(kind_tag, n: int, seed: int, start: int, count: int):
     """(counts of the final values, audit rows) of the recorded runs
     start..start+count-1, from each run's ``Trajectory`` and the
     ``PartRecord``s of its ``Decomposition``: the residual summed part by
-    part, each x and gamma printed by ``str``, each alpha as its stage entry
-    prints it."""
+    part, each x, alpha and gamma printed by ``str``."""
     counts: dict[int, int] = {}
     audit: list[list[str]] = []
     for r in range(start, start + count):
@@ -366,19 +375,12 @@ def audit_rows(kind_tag, n: int, seed: int, start: int, count: int):
                 str(traj.final),
                 "".join(str(p) for p in dec.composition),
                 ";".join(str(p.x) for p in dec.parts),
-                ";".join(_alpha_texts(traj)),
+                ";".join(str(p.alpha) for p in dec.parts),
                 _gamma_texts(dec.parts),
                 str(residual),
             ]
         )
     return counts, audit
-
-
-def _alpha_texts(traj) -> list[str]:
-    """The printed adjustments of a recorded run's parts: each is its
-    stage's, formatted once in the stage table."""
-    table = _TABLES[traj.kind].parts
-    return [table[p.stage][p.size - 1].alpha_text for p in traj.decomposition.parts]
 
 
 def _gamma_texts(parts) -> str:
@@ -391,3 +393,28 @@ def _gamma_texts(parts) -> str:
             gamma, text = p.gamma, str(p.gamma)
         texts.append(text)
     return ";".join(texts)
+
+
+def pair_marginal(kind, n: int) -> ExactPmf:
+    """Marginal law at stage n by exhaustive expansion of the joint law of
+    the last two values, in ``Fraction``s over the stage laws' entries."""
+    kind = parse_kind(kind)
+    first, v0, v1 = kind.start
+    pairs = {(v0, v1): Fraction(1)}
+    laws = _TABLES[kind].laws.through(n)
+    for m in range(first, n + 1):
+        law = laws[m]
+        nxt: dict[tuple[int, int], Fraction] = {}
+        for (v, u), p in pairs.items():
+            for src, inc, q in _entries(law, v, u):
+                if q == 0:
+                    continue
+                val = (v if src == "prev" else u) + inc
+                key = (u, val)
+                nxt[key] = nxt.get(key, Fraction(0)) + p * q
+        pairs = nxt
+    marg: dict[int, Fraction] = {}
+    for (_, u), p in pairs.items():
+        marg[u] = marg.get(u, Fraction(0)) + p
+    lo, hi = _value_range(kind, n)
+    return ExactPmf(lo, tuple(marg.get(k, Fraction(0)) for k in range(lo, hi + 1)))

@@ -49,6 +49,14 @@ def test_batch_chi_square_against_exact_marginal(kind):
     assert chi_square_pvalue(counts, expected, reps) >= 0.001
 
 
+@pytest.mark.parametrize("kind", list(ProcessKind))
+def test_batch_chi_square_against_exact_marginal_at_n_400(kind):
+    n, reps = 400, 100_000
+    counts = batch_finals(kind, n, reps, master_seed=4004)
+    expected = {k: w for k, w in exact_marginal(kind, n).items() if w > 0}
+    assert chi_square_pvalue(counts, expected, reps) >= 0.001
+
+
 def test_involution_million_replicates_small_n():
     reps = 1_000_000
     counts = batch_finals("involution", 8, reps, master_seed=424242)

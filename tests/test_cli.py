@@ -344,6 +344,26 @@ def test_decompose_command():
     assert sum(int(c) for c in run["composition"]) == 18
 
 
+# sha256 of the stdout of ``moments --family derangement --n 478``, the
+# largest row whose exact moments all print under CPython's default limit of
+# 4300 digits on an int-to-text conversion.
+MOMENTS_478_DIGEST = "af97974a9fcaca70ea308210bb38133f36217c8381f30013ddae79dc6f72c5bf"
+
+
+def test_exact_output_past_the_digit_limit():
+    import hashlib
+
+    # the fourth central moment of row 479 and the alphas of a derangement
+    # run from stage 861 on pass that limit, which the CLI lifts
+    moments = run_cli("moments", "--family", "derangement", "--n", "479").stdout
+    assert max(map(len, moments.splitlines()[-1].split(","))) > 4300
+    run = json.loads(run_cli("decompose", "--process", "derangement",
+                             "--n", "861").stdout.splitlines()[-1])["run"]
+    assert run["residual"] == "0"
+    out = run_cli("moments", "--family", "derangement", "--n", "478").stdout
+    assert hashlib.sha256(out.encode()).hexdigest() == MOMENTS_478_DIGEST
+
+
 def test_tsv_format():
     out = run_cli("triangle", "--family", "involution", "--n", "3",
                   "--format", "tsv").stdout

@@ -18,7 +18,7 @@ from descentlab.diagnostics import (
     normal_cdf,
     psi_variance_check,
 )
-from descentlab.errors import BudgetError, FamilyError
+from descentlab.errors import FamilyError
 from descentlab.families import (
     ExactPmf,
     counting_sequence,
@@ -174,8 +174,6 @@ def test_identity_fibonacci_pmf():
 
 
 def test_identity_guards():
-    with pytest.raises(BudgetError):
-        identity_check("stan1", 23)
     with pytest.raises(ValueError):
         identity_check("nonesuch", 3)
 
@@ -212,7 +210,7 @@ def test_fibonacci_census_equals_composition_enumeration(n):
 @pytest.mark.parametrize("n", [100, 400])
 @pytest.mark.parametrize("which", ["stan1", "stan2", "derangement_sum", "fibonacci_pmf"])
 def test_identities_hold_at_large_n(which, n):
-    assert identity_check(which, n, budget=n).holds
+    assert identity_check(which, n).holds
 
 
 def test_condition_scan_bounded():
@@ -286,7 +284,7 @@ def test_psi_variance_trivial_and_lemma():
     vt, vp, holds = psi_variance_check(specs, 6)
     assert holds and vp <= vt
 
-    # family rule with centered two-jump indicators, up to the n = 14 budget
+    # family rule with centered two-jump indicators
     rule = family_rule("fibonacci")
     for n in (10, 14):
         specs = [BernoulliSpec(F(0), F(1), F(0))]
@@ -305,13 +303,7 @@ def test_psi_variance_rejects_nonzero_mean():
         psi_variance_check(specs, 5)
 
 
-def test_psi_variance_budget():
-    specs = [BernoulliSpec(F(0), F(1), F(0))] * 20
-    with pytest.raises(BudgetError):
-        psi_variance_check(specs, 20)
-
-
-def test_psi_variance_holds_at_large_n_with_a_budget():
+def test_psi_variance_holds_at_large_n():
     # the fibonacci rule's centered two-jump indicators scaled by f_i, so the
     # values are integers: unscaled, Var psi at n = 1000 is exact with a
     # 2e5-bit denominator and takes some 20 s
@@ -322,9 +314,7 @@ def test_psi_variance_holds_at_large_n_with_a_budget():
     for i in range(2, n + 1):
         q = rule.two_jump(i)
         specs.append(BernoulliSpec(q, f[i] * (1 - q), -f[i] * q))
-    with pytest.raises(BudgetError, match="size budget 14"):
-        psi_variance_check(specs, n)
-    vt, vp, holds = psi_variance_check(specs, n, budget=n)
+    vt, vp, holds = psi_variance_check(specs, n)
     assert holds and vp <= vt
 
 

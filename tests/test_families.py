@@ -6,7 +6,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from descentlab import families, processes
@@ -272,7 +272,11 @@ def test_store_rows_do_not_depend_on_request_order(family, a, b):
 
 
 @settings(max_examples=30, deadline=None)
-@given(kind=st.sampled_from(list(ProcessKind)), n=st.integers(1, 12))
+@given(kind=st.sampled_from(list(ProcessKind)), n=st.integers(1, 300))
+@example(kind=ProcessKind.INVOLUTION, n=300)
+@example(kind=ProcessKind.DERANGEMENT, n=300)
+@example(kind=ProcessKind.FIBONACCI, n=300)
+@example(kind=ProcessKind.EXCEDANCE, n=300)
 def test_exact_marginal_equals_triangle_row_pmf(kind, n):
     n = max(n, kind.n_min)
     assert exact_marginal(kind, n) == triangle_row_pmf(descent_triangle(kind.family, n), n)

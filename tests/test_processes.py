@@ -151,6 +151,35 @@ def test_exact_marginal_agrees_with_path_enumeration():
     assert marg == {k: w for k, w in pmf.items() if w}
 
 
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(ALL_KINDS), n=st.integers(1, 14))
+def test_exact_marginal_equals_the_pair_expansion(kind, n):
+    n = max(n, kind.n_min)
+    assert exact_marginal(kind, n) == oracles.pair_marginal(kind, n)
+
+
+def test_exact_marginal_is_quadratic_not_a_pair_expansion():
+    # on 2 vCPUs the pair expansion took about 16 s, the closure 0.006 s
+    import time
+
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        exact_marginal("involution", 80)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.1
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_wrong_stage_law_makes_the_closure_raise(kind, fresh_tables):
+    # one more two-jump numerator at stage 9: the closure's rows no longer
+    # divide into the class sizes
+    laws = fresh_tables[kind].laws.through(12)
+    laws[9] = laws[9]._replace(two_num=laws[9].two_num + 1)
+    with pytest.raises(ArithmeticError, match="stage 9"):
+        exact_marginal(kind, 12)
+
+
 # ---------------------------------------------------------------------------
 # martingale differences
 # ---------------------------------------------------------------------------
@@ -427,6 +456,19 @@ def test_reconstruction_residual_zero(kind):
         traj = simulate(kind, 40, seed=seed, record=True)
         assert reconstruct(traj) == 0
         assert sum(traj.decomposition.composition) == 40 - kind.composition_offset
+
+
+def test_a_recorded_run_past_the_digit_limit_reconstructs():
+    # derangement alphas pass 4300 digits, CPython's default limit on an
+    # int-to-text conversion, from stage 861 on; the library formats none
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        traj = simulate("derangement", 900, 0, record=True)
+        assert reconstruct(traj) == 0
+        assert max(abs(p.alpha.numerator) for p in traj.decomposition.parts) > 10**4300
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_reconstruct_requires_decomposition():

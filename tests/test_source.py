@@ -28,6 +28,7 @@ CHECKS = [
     ("families.py", "_next_row"),
     ("batch.py", "_gates"),
     ("processes.py", "_StageTable._next_parts"),
+    ("processes.py", "exact_marginal"),
 ]
 
 
@@ -46,6 +47,20 @@ def test_invariant_checks_raise_arithmetic_errors(module, qualname):
               if isinstance(node, ast.Raise)]
     assert any(isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "ArithmeticError"
                for exc in raised), f"{module}:{qualname} raises no ArithmeticError"
+
+
+def _str_calls(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "str"]
+
+
+def test_only_the_cli_calls_str():
+    # CPython refuses ``str`` of an int past its digit limit (4300 digits by
+    # default) unless the process lifts it, as ``cli.main`` does; so the
+    # library formats nothing, and exact values of any size stay usable.
+    offenders = {p.name: _str_calls(p) for p in SOURCES if p.name != "cli.py"}
+    assert not any(offenders.values()), f"str() calls outside cli.py: {offenders}"
 
 
 def _imported_packages(path):
