@@ -59,7 +59,8 @@ RECORD_CHUNK = 64
 PLAIN_CHUNK = 1 << 16
 
 # Replicate-stages from which two workers pay for starting (0.17 s recorded,
-# 0.11 s plain on 2 vCPUs, against 7.5 us and 33 ns per replicate-stage).
+# about 0.12 s plain on 2 vCPUs, against 7.5 us and 24 ns per replicate-stage).
+# Plain involution runs at n = 32 broke even between 6 and 9 million.
 RECORD_POOL_FLOOR = 50_000
 PLAIN_POOL_FLOOR = 6_000_000
 

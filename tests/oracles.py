@@ -2,14 +2,15 @@
 
 These enumerate permutation classes, compositions and jump words directly and
 count statistics from the definitions; they never touch the recurrences they
-check.  Seven keep an implementation the package replaced, as the reference
+check.  Eight keep an implementation the package replaced, as the reference
 its successor is compared with: the keep-list discard reduction, the
 sampler's threshold loop, the exact draw's product test, the per-draw stage
 loop of ``simulate``, the per-kind branch formula of a part's integer
 difference, the audit rows of a recorded ``simulate`` chunk built from
 the ``PartRecord``s of ``simulate(record=True)``, with the residual summed
-part by part, and the exact marginal expanded over the joint law of the
-last two values.
+part by part, the exact marginal expanded over the joint law of the
+last two values, and the batch kernel that computed both jumps' values for
+every replicate and picked one with ``np.where``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
 
+import numpy as np
+
+from descentlab.batch import _gates, _mix64_vec
 from descentlab.compositions import (
     Composition,
     JumpWord,
@@ -35,7 +39,7 @@ from descentlab.processes import (
     parse_kind,
     simulate,
 )
-from descentlab.rng import TWO64, Stream
+from descentlab.rng import GOLDEN, MASK64, TWO64, Stream, stream_key
 
 
 def descents(perm: tuple[int, ...]) -> int:
@@ -418,3 +422,39 @@ def pair_marginal(kind, n: int) -> ExactPmf:
         marg[u] = marg.get(u, Fraction(0)) + p
     lo, hi = _value_range(kind, n)
     return ExactPmf(lo, tuple(marg.get(k, Fraction(0)) for k in range(lo, hi + 1)))
+
+
+def _jump_values(jump, hi: int, u, src):
+    """Every replicate's value after ``jump`` from ``src``: ``Jump.draw``,
+    with each gate gathered by source value."""
+    out = src + jump.base
+    for minus_one, is_zero in _gates(jump, hi):
+        out += is_zero[src] | (u > minus_one[src])
+    return out
+
+
+def gate_finals(kind, n: int, replicates: int, master_seed: int,
+                start_index: int = 0) -> dict[int, int]:
+    """``batch_finals`` by the gate loop: each stage computes the values
+    after both jumps for every replicate, six gathers at an involution
+    stage, and picks one per replicate with ``np.where``.  Stream indices
+    are reduced mod 2**64 one by one."""
+    kind = parse_kind(kind)
+    indices = np.array([(start_index + r) & MASK64 for r in range(replicates)],
+                       dtype=np.uint64)
+    keys = stream_key(master_seed, indices, mix=_mix64_vec)
+    first, v0, v1 = kind.start
+    prev = np.full(replicates, v0, dtype=np.int64)
+    last = np.full(replicates, v1, dtype=np.int64)
+    laws = _TABLES[kind].laws.through(n)
+    counter = 0
+    for m in range(first, n + 1):
+        law = laws[m]
+        two = _mix64_vec(keys + np.uint64(counter * GOLDEN & MASK64)) < np.uint64(law.threshold)
+        u2 = _mix64_vec(keys + np.uint64((counter + 1) * GOLDEN & MASK64))
+        counter += 2
+        from_two = _jump_values(law.two, _value_range(kind, m - 2)[1], u2, prev)
+        from_one = _jump_values(law.one, _value_range(kind, m - 1)[1], u2, last)
+        prev, last = last, np.where(two, from_two, from_one)
+    values, counts = np.unique(last, return_counts=True)
+    return {int(v): int(c) for v, c in zip(values, counts)}
