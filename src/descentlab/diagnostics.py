@@ -260,20 +260,26 @@ def condition_scan(
     tri = descent_triangle(kind.family, i_values[-1] - order)
     rows = []
     for i in i_values:
-        # (E[X^2|src], E[X^3|src], E[X^4|src]) and P(src) over the source row
-        law = [(_difference_moments(kind, i, order, k), pr)
-               for k, pr in triangle_row_pmf(tri, i - order).items() if pr > 0]
-        sigma2 = sum(m2 * pr for (m2, _, _), pr in law)
-        s2f = float(sigma2)
+        # E[X^r|src] = m_r / den and P(src) = c / t over the source row, each
+        # float one int/int true division: correctly rounded, as float(Fraction)
+        row = triangle_row_pmf(tri, i - order)
+        t = row.total
+        law = [(_difference_moments(kind, i, order, k), c)
+               for k, c in zip(row.support(), row.counts) if c]
+        dens = {den for (den, *_), _ in law}
+        if len(dens) == 1:  # sigma^2 as one integer over den * t
+            s2f = sum(m2 * c for (_, m2, _, _), c in law) / (dens.pop() * t)
+        else:
+            s2f = float(sum(F(m2 * c, den) for (den, m2, _, _), c in law) / t)
         # || E[Y^2|F] - 1 ||_p with Y = X / sigma
-        acc2 = sum(abs(float(m2) / s2f - 1.0) ** float(p) * float(pr)
-                   for (m2, _, _), pr in law)
+        acc2 = sum(abs(m2 / den / s2f - 1.0) ** float(p) * (c / t)
+                   for (den, m2, _, _), c in law)
         col2 = math.sqrt(i) * acc2 ** (1.0 / float(p))
         s3 = s2f**1.5
-        acc3 = sum(abs(float(m3) / s3) ** float(pp) * float(pr)
-                   for (_, m3, _), pr in law)
+        acc3 = sum(abs(m3 / den / s3) ** float(pp) * (c / t)
+                   for (den, _, m3, _), c in law)
         col3 = i ** (1.0 / (2.0 * float(pp))) * acc3 ** (1.0 / float(pp))
-        col4 = max(float(m4) / s2f**2 for (_, _, m4), _ in law)
+        col4 = max(m4 / den / s2f**2 for (den, _, _, m4), _ in law)
         rows.append(ConditionRow(i, col2, col3, col4))
     return rows
 

@@ -2,8 +2,9 @@
 
 Factorial moments, central moments, the first-order inhomogeneous recurrence
 solver, per-family moment tables with asymptotic comparison columns, and
-fourth-moment scans.  Everything exact; floats appear only in comparison
-columns against irrational asymptotic formulas.
+fourth-moment scans.  Moment tables and scans read the row power sums kept
+in each family's store, so they build no triangle.  Everything exact; floats
+appear only in comparison columns against irrational asymptotic formulas.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from typing import Sequence
 
 from .errors import FamilyError
 from .families import (
+    _STORES,
     ExactPmf,
     Family,
+    _central_moment,
     counting_sequence,
     descent_triangle,
     parse_family,
@@ -67,11 +70,15 @@ class MomentReport:
         )
 
 
+def _report(n: int, sums) -> MomentReport:
+    """The moment report of row n from its power sums S_0..S_4."""
+    return MomentReport(n, F(sums[1], sums[0]),
+                        *(_central_moment(sums, r) for r in (2, 3, 4)))
+
+
 def central_moments(pmf: ExactPmf, n: int = 0) -> MomentReport:
     """Exact central moments up to order four."""
-    return MomentReport(
-        n, pmf.mean(), pmf.central_moment(2), pmf.central_moment(3), pmf.central_moment(4)
-    )
+    return _report(n, pmf.power_sums(4))
 
 
 def solve_linear_recurrence(
@@ -133,22 +140,30 @@ class MomentRow:
     asymptotics: dict[str, float]
 
 
-def moment_table(family: str | Family, n_range: Sequence[int]) -> list[MomentRow]:
-    """Exact moment reports with family-specific asymptotic deviations.
-
-    Involution means equal (n-1)/2 identically; other families report the
-    exact deviation from their asymptotic mean and variance formulas.
-    """
-    fam = parse_family(family)
+def _row_sums(fam: Family, n_range: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """(n, power sums S_0..S_4 of row n) for the distinct n of the range, in
+    order, read from the family's store."""
     ns = sorted(set(n_range))
     if not ns:
         return []
     if ns[0] < fam.n_min:
         raise FamilyError(f"n={ns[0]} below minimum row {fam.n_min} for {fam.value}")
-    tri = descent_triangle(fam, ns[-1])
+    sums = _STORES[fam].sums.through(ns[-1])
+    return [(n, sums[n]) for n in ns]
+
+
+def moment_table(family: str | Family, n_range: Sequence[int]) -> list[MomentRow]:
+    """Exact moment reports with family-specific asymptotic deviations.
+
+    Each report comes from the row's power sums in the family's store, so no
+    row is built.  Involution means equal (n-1)/2 identically; other families
+    report the exact deviation from their asymptotic mean and variance
+    formulas.
+    """
+    fam = parse_family(family)
     out = []
-    for n in ns:
-        rep = central_moments(triangle_row_pmf(tri, n), n)
+    for n, sums in _row_sums(fam, n_range):
+        rep = _report(n, sums)
         out.append(MomentRow(rep, _asymptotics(fam, rep)))
     return out
 
@@ -156,17 +171,14 @@ def moment_table(family: str | Family, n_range: Sequence[int]) -> list[MomentRow
 def fourth_moment_scan(
     family: str | Family, n_range: Sequence[int]
 ) -> list[tuple[int, Fraction, float]]:
-    """(n, exact fourth central moment, ratio to n^2) over the range."""
+    """(n, exact fourth central moment, ratio to n^2) over the range, from the
+    row power sums in the family's store."""
     fam = parse_family(family)
     if fam not in (Family.INVOLUTION, Family.DERANGEMENT):
         raise FamilyError("fourth-moment scan covers involution and derangement")
-    ns = sorted(set(n_range))
-    if not ns:
-        return []
-    tri = descent_triangle(fam, ns[-1])
     out = []
-    for n in ns:
-        w4 = triangle_row_pmf(tri, n).central_moment(4)
+    for n, sums in _row_sums(fam, n_range):
+        w4 = _central_moment(sums, 4)
         out.append((n, w4, float(w4 / n**2)))
     return out
 

@@ -383,11 +383,11 @@ def _difference_law(kind: ProcessKind, i: int, order: int, src) -> list[tuple]:
 
 
 def _difference_moments(kind: ProcessKind, i: int, order: int, src) -> tuple:
-    """(E[X^2], E[X^3], E[X^4]) of the centered difference given the source
-    value, each summed in integers over the branches."""
+    """(den, sum d^2 c, sum d^3 c, sum d^4 c) over the branches (d, c) of the
+    centered difference given the source value: E[X^r] is the r-th sum over
+    ``den``, the jump's total weight."""
     law = _difference_law(kind, i, order, src)
-    den = sum(c for _, c in law)
-    return tuple(F(sum(d**r * c for d, c in law), den) for r in (2, 3, 4))
+    return (sum(c for _, c in law), *(sum(d**r * c for d, c in law) for r in (2, 3, 4)))
 
 
 def martingale_difference_distribution(
@@ -427,7 +427,8 @@ def conditional_moment(
     if r not in (2, 3, 4):
         raise ValueError(f"moment order must be 2, 3 or 4, got {r}")
     kind = parse_kind(kind)
-    return _difference_moments(kind, i, order, F(w) + _center(kind, i, order))[r - 2]
+    moments = _difference_moments(kind, i, order, F(w) + _center(kind, i, order))
+    return F(moments[r - 1], moments[0])
 
 
 # ---------------------------------------------------------------------------

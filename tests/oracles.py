@@ -2,9 +2,11 @@
 
 These enumerate permutation classes, compositions and jump words directly and
 count statistics from the definitions; they never touch the recurrences they
-check.  Eight keep an implementation the package replaced, as the reference
-its successor is compared with: the keep-list discard reduction, the
-sampler's threshold loop, the exact draw's product test, the per-draw stage
+check.  ``term_table_row`` evaluates the term table ``families._TERMS``
+entry by entry, to pin it to the unrolled row recurrence it restates.  Eight
+keep an implementation the package replaced, as the reference its successor
+is compared with: the keep-list discard reduction, the sampler's threshold
+loop, the exact draw's product test, the per-draw stage
 loop of ``simulate``, the per-kind branch formula of a part's integer
 difference, the audit rows of a recorded ``simulate`` chunk built from
 the ``PartRecord``s of ``simulate(record=True)``, with the residual summed
@@ -29,7 +31,7 @@ from descentlab.compositions import (
     enumerate_compositions,
     word_statistic,
 )
-from descentlab.families import ExactPmf
+from descentlab.families import _TERMS, ExactPmf
 from descentlab.processes import (
     _TABLES,
     ProcessKind,
@@ -109,6 +111,31 @@ def two_cycle_census(family: str, m: int) -> tuple[int, int]:
         j = p[m - 1]
         in_two_cycle += j != m and p[j - 1] == m
     return in_two_cycle, size
+
+
+def term_table_row(family, rows) -> tuple[int, ...]:
+    """Row n = len(rows) from the rows before it, by the family's term table:
+    div(n) row_n[k] = sum over (lag, shift, coef) of coef(n, k) row_(n-lag)[k - shift],
+    at every k that some term reaches."""
+    n = len(rows)
+    div, terms = _TERMS[family]
+
+    def count(m, k):  # row m at k, 0 outside its stored entries
+        j = k - family.k_min
+        return rows[m][j] if 0 <= j < len(rows[m]) else 0
+
+    def value(poly, x):
+        return sum(c * x**a for a, c in enumerate(poly))
+
+    k_max = max(family.k_min + len(rows[n - lag]) - 1 + shift for lag, shift, _ in terms)
+    row = []
+    for k in range(family.k_min, k_max + 1):
+        total = sum(sum(value(c_b, n) * k**b for b, c_b in enumerate(coef))
+                    * count(n - lag, k - shift) for lag, shift, coef in terms)
+        q, rem = divmod(total, value(div, n))
+        assert rem == 0, (family, n, k)
+        row.append(q)
+    return tuple(row)
 
 
 def count_histogram(values, k_min: int, k_max: int) -> list[int]:

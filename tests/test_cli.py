@@ -481,28 +481,29 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def _peak_rss_mb(*argv) -> float:
-    """Peak resident set of one CLI run, as ``os.wait4`` reports it, in MB."""
-    out = subprocess.run([sys.executable, "-c", _PEAK_RSS, *CLI, *argv],
-                         capture_output=True, text=True, check=True).stdout
-    code, rss_kb = map(int, out.split())
-    assert code == 0
+def peak_rss_mb(*command) -> float:
+    """Peak resident set of one run of ``command``, as ``os.wait4`` reports
+    it, in MB; the run must exit 0."""
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *command],
+                          capture_output=True, text=True, check=True)
+    code, rss_kb = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
     return rss_kb / 1024
 
 
 def test_recorded_simulate_memory_does_not_grow_with_replicates(tmp_path):
     peaks = [
-        _peak_rss_mb("simulate", "--process", "derangement", "--n", "100",
-                     "--replicates", str(replicates), "--threads", "1",
-                     "--record", str(tmp_path / "a.csv"))
+        peak_rss_mb(*CLI, "simulate", "--process", "derangement", "--n", "100",
+                    "--replicates", str(replicates), "--threads", "1",
+                    "--record", str(tmp_path / "a.csv"))
         for replicates in (200, 1600)
     ]
     assert abs(peaks[1] - peaks[0]) <= 8, peaks
 
 
 def test_plain_simulate_memory_is_bounded_at_a_million_replicates():
-    peak = _peak_rss_mb("simulate", "--process", "involution", "--n", "32",
-                        "--replicates", "1000000", "--threads", "1")
+    peak = peak_rss_mb(*CLI, "simulate", "--process", "involution", "--n", "32",
+                       "--replicates", "1000000", "--threads", "1")
     assert peak < 50, peak
 
 

@@ -267,6 +267,23 @@ def test_condition_scan_evaluates_each_conditional_moment_once(monkeypatch):
                 reference_row(tag, row.i, order, law)
 
 
+def test_condition_scan_takes_sources_over_different_denominators(monkeypatch):
+    # the stage laws give every source of a stage one den; the scan must not
+    # rely on it, so sources with odd values get their moments over 3 den
+    import descentlab.diagnostics as diag
+    from descentlab.processes import _difference_moments
+
+    def rescaled(kind, i, order, src):
+        moments = _difference_moments(kind, i, order, src)
+        return tuple(3 * m for m in moments) if src % 2 else moments
+
+    for tag in ("involution", "derangement"):
+        expected = condition_scan(tag, range(10, 41))
+        monkeypatch.setattr(diag, "_difference_moments", rescaled)
+        assert condition_scan(tag, range(10, 41)) == expected
+        monkeypatch.undo()
+
+
 def test_condition_scan_invalid_exponent():
     with pytest.raises(ValueError):
         condition_scan("involution", range(10, 12), p=F(1))

@@ -319,15 +319,17 @@ def test_exact_means_are_kept_in_the_store(fresh_stores, monkeypatch):
 
     monkeypatch.setattr(families, "descent_triangle", counted)
     store = fresh_stores[Family.DERANGEMENT]
+    seed_rows = len(families._SEED_ROWS[Family.DERANGEMENT])
     means = processes.exact_means(ProcessKind.DERANGEMENT, 40)
-    assert len(store.means) == 41 and len(store.rows) == 41
-    assert built == [(Family.DERANGEMENT, 40)]  # the rows, as one triangle
+    # the means and the power sums they read are kept; no row is built
+    assert len(store.means) == 41 and len(store.sums) == 41
+    assert len(store.rows) == seed_rows and built == []
     assert processes.exact_means("derangement", 20) == means[:21]
-    assert len(store.means) == 41 and len(built) == 1  # a smaller request is a lookup
+    assert len(store.means) == 41 and len(store.sums) == 41  # a smaller request is a lookup
     # below the first row a mean is 0, also on a first request
     assert families.row_means("excedance", 1) == (0, 0)
     assert families.row_means("eulerian", 0) == (0,)
-    assert len(built) == 1
+    assert built == [] and len(store.rows) == seed_rows
 
 
 def test_concurrent_growth_matches_a_fresh_build(fresh_stores):
@@ -357,6 +359,46 @@ def test_concurrent_growth_matches_a_fresh_build(fresh_stores):
     assert not any(t.is_alive() for t in threads) and not errors
     assert fresh_stores[family].rows == expected
     assert len(fresh_stores[Family.DERANGEMENT].means) == 91
+
+
+# ---------------------------------------------------------------------------
+# row power sums by recurrence
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(FAMILIES), n=st.integers(1, 300))
+@example(family=Family.EULERIAN, n=300)
+@example(family=Family.INVOLUTION, n=300)
+@example(family=Family.DERANGEMENT, n=300)
+@example(family=Family.EXCEDANCE, n=300)
+@example(family=Family.FIBONACCI, n=300)
+def test_store_power_sums_equal_the_row_power_sums(family, n):
+    n = max(n, family.n_min)
+    sums = families._STORES[family].sums.through(n)[n]
+    assert sums == triangle_row_pmf(descent_triangle(family, n), n).power_sums(4)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+def test_term_table_restates_the_row_recurrence(family):
+    rows = families._STORES[family].rows.through(120)
+    for n in range(len(families._SEED_ROWS[family]), 121):
+        assert oracles.term_table_row(family, rows[:n]) == families._next_row(family, rows[:n])
+
+
+def test_power_sum_checks_raise_arithmetic_errors(monkeypatch):
+    # (2k + 1) A(n-1, k) + (n - k) A(n-1, k-1): the k^(r+1) terms no longer cancel
+    terms = dict(families._TERMS)
+    terms[Family.EULERIAN] = ((1,), ((1, 0, ((1,), (2,))), (1, 1, ((0, 1), (-1,)))))
+    monkeypatch.setattr(families, "_TERMS", terms)
+    with pytest.raises(ArithmeticError, match="above degree 0"):
+        families._power_sum_recurrence(Family.EULERIAN)
+    store = families._Store(Family.INVOLUTION)
+    sums, counts = list(store.sums.through(9)), store.counts.through(10)
+    with pytest.raises(ArithmeticError, match="the counting sequence 9497"):
+        families._next_sums(Family.INVOLUTION, sums, [*counts[:10], counts[10] + 1])
+    sums[9] = (sums[9][0] + 1, *sums[9][1:])  # row 9 off by one member
+    with pytest.raises(ArithmeticError, match="of S_1 is not divisible by 10"):
+        families._next_sums(Family.INVOLUTION, sums, counts)
 
 
 def test_derangement_closed_form_check_raises_on_disagreement():

@@ -1,10 +1,13 @@
 """Factorial and central moments, the recurrence solver, moment tables."""
 
+import sys
 from fractions import Fraction
 
 import pytest
+from test_cli import peak_rss_mb
 
-from descentlab.families import ExactPmf, descent_triangle, triangle_row_pmf
+from descentlab.errors import FamilyError
+from descentlab.families import ExactPmf, Family, descent_triangle, triangle_row_pmf
 from descentlab.moments import (
     MomentReport,
     central_moments,
@@ -170,6 +173,41 @@ def test_fourth_moment_scan():
 
     with pytest.raises(Exception):
         fourth_moment_scan("fibonacci", range(4, 10))
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_moment_tables_equal_the_row_pmf_moments(family):
+    tri = descent_triangle(family, 200)
+    rows = moment_table(family, range(family.n_min, 201))
+    assert [row.report.n for row in rows] == list(range(family.n_min, 201))
+    for row in rows:
+        pmf = triangle_row_pmf(tri, row.report.n)
+        assert (row.report.mean, row.report.variance, row.report.third_central,
+                row.report.fourth_central) == (pmf.mean(), *map(pmf.central_moment, (2, 3, 4)))
+    if family in (Family.INVOLUTION, Family.DERANGEMENT):
+        scan = fourth_moment_scan(family, range(family.n_min, 201))
+        assert [n for n, _, _ in scan] == list(range(family.n_min, 201))
+        for n, w4, _ in scan:
+            assert w4 == triangle_row_pmf(tri, n).central_moment(4)
+
+
+def test_moment_tables_below_the_first_row_raise():
+    with pytest.raises(FamilyError, match="below minimum row 2"):
+        moment_table("derangement", range(1, 5))
+    with pytest.raises(FamilyError, match="below minimum row 1"):
+        fourth_moment_scan("involution", range(0, 5))
+
+
+def test_a_deep_moment_table_builds_no_rows():
+    # the derangement triangle to 600 alone holds about 85 MB
+    code = """
+from descentlab import families, moments
+moments.moment_table("derangement", range(2, 601))
+fam = families.Family.DERANGEMENT
+if len(families._STORES[fam].rows) != len(families._SEED_ROWS[fam]):
+    raise SystemExit("rows were built")
+"""
+    assert peak_rss_mb(sys.executable, "-c", code) < 60
 
 
 def test_lambda_recurrences_hold_exactly():

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_cli import peak_rss_mb
 from descentlab import processes
 from descentlab.compositions import (
     Composition,
@@ -469,6 +470,21 @@ def test_a_recorded_run_past_the_digit_limit_reconstructs():
         assert max(abs(p.alpha.numerator) for p in traj.decomposition.parts) > 10**4300
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_a_recorded_run_at_n_900_builds_no_rows():
+    # its exact means come from the store's power sums, not from a triangle
+    # (the whole derangement triangle to 900 held about 250 MB)
+    code = """
+from descentlab import families, processes
+traj = processes.simulate("derangement", 900, 0, record=True)
+if processes.reconstruct(traj) != 0:
+    raise SystemExit("nonzero residual")
+fam = families.Family.DERANGEMENT
+if len(families._STORES[fam].rows) != len(families._SEED_ROWS[fam]):
+    raise SystemExit("rows were built")
+"""
+    assert peak_rss_mb(sys.executable, "-c", code) < 60
 
 
 def test_reconstruct_requires_decomposition():

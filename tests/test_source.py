@@ -26,6 +26,8 @@ def test_the_package_sources_are_found():
 CHECKS = [
     ("families.py", "_next_count"),
     ("families.py", "_next_row"),
+    ("families.py", "_power_sum_recurrence"),
+    ("families.py", "_next_sums"),
     ("batch.py", "_gates"),
     ("processes.py", "_StageTable._next_parts"),
     ("processes.py", "exact_marginal"),
@@ -47,6 +49,41 @@ def test_invariant_checks_raise_arithmetic_errors(module, qualname):
               if isinstance(node, ast.Raise)]
     assert any(isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "ArithmeticError"
                for exc in raised), f"{module}:{qualname} raises no ArithmeticError"
+
+
+def _reached_names(path, qualname):
+    """Every name and attribute read in the function, and in the module's
+    own functions it reaches by name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo, names = [_function(path, qualname)], set()
+    while todo:
+        for node in ast.walk(todo.pop()):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name is None:
+                continue
+            if name in defs and name not in names:
+                todo.append(defs[name])
+            names.add(name)
+    return names
+
+
+# Row means and moment tables read the power sums that each family's store
+# grows by recurrence; a rebuilt triangle would hold every row to n (about
+# 0.3 GB for derangements at n = 1000).
+NO_ROWS = [
+    ("families.py", "row_means"),
+    ("families.py", "_Store._next_mean"),
+    ("moments.py", "moment_table"),
+    ("moments.py", "fourth_moment_scan"),
+]
+
+
+@pytest.mark.parametrize("module, qualname", NO_ROWS, ids=lambda v: v)
+def test_means_and_moment_tables_build_no_rows(module, qualname):
+    path = next(p for p in SOURCES if p.name == module)
+    used = _reached_names(path, qualname) & {"descent_triangle", "triangle_row_pmf"}
+    assert not used, f"{module}:{qualname} reaches {sorted(used)}"
 
 
 def test_batch_finals_calls_no_np_where():
