@@ -266,11 +266,9 @@ def condition_scan(
         t = row.total
         law = [(_difference_moments(kind, i, order, k), c)
                for k, c in zip(row.support(), row.counts) if c]
-        dens = {den for (den, *_), _ in law}
-        if len(dens) == 1:  # sigma^2 as one integer over den * t
-            s2f = sum(m2 * c for (_, m2, _, _), c in law) / (dens.pop() * t)
-        else:
-            s2f = float(sum(F(m2 * c, den) for (den, m2, _, _), c in law) / t)
+        # sigma^2 as one integer over lcm_den * t, the lcm of the sources' dens
+        lcm_den = math.lcm(*(den for (den, *_), _ in law))
+        s2f = sum(m2 * c * (lcm_den // den) for (den, m2, _, _), c in law) / (lcm_den * t)
         # || E[Y^2|F] - 1 ||_p with Y = X / sigma
         acc2 = sum(abs(m2 / den / s2f - 1.0) ** float(p) * (c / t)
                    for (den, m2, _, _), c in law)

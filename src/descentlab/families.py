@@ -15,12 +15,12 @@ All triangle entries are arbitrary-precision integers computed bottom-up from
 the family's row recurrence.  A row pmf is the row itself: integer counts over
 the row total, whose moments are exact ``Fraction`` values.
 
-Row means and moments need no row.  The row recurrence is written a second
-time as a term table (``_TERMS``), and from it each family's power sums
-S_r(n) = sum_k k**r count(n, k), r <= 4, follow from those of rows n-1 and
-n-2: in the sum every term above degree r cancels, so a step is O(r**2)
-integer operations however wide the row.  ``_next_row`` stays the fast path
-for the rows themselves, and a test pins the table to it.
+Each family's row recurrence is written once, as a term table (``_TERMS``).
+The rows are built from it, and so are the power sums
+S_r(n) = sum_k k**r count(n, k), r <= 4, which follow from those of rows
+n-1 and n-2: in the sum every term above degree r cancels, so a step is
+O(r**2) integer operations however wide the row.  Row means and moments
+read the power sums and need no row.
 
 Every per-index cache is a grow-only list of one type, ``_Grown``: each
 family's counting sequence, triangle rows, row power sums and row means
@@ -111,61 +111,13 @@ def two_jump_split(family: str | Family, m: int) -> tuple[int, int]:
     return w * counts[m - 2], counts[m]
 
 
-def _next_row(family: Family, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Row n = len(rows), from rows n-1 (``r1``) and n-2 (``r2``) before it."""
-    n, r1, r2 = len(rows), rows[-1], rows[-2]
-    if family is Family.EULERIAN:
-        # A_{n,k} = (k+1) A_{n-1,k} + (n-k) A_{n-1,k-1}, k = 0..n-1
-        a = (0, *r1, 0)  # A_{n-1,k} = a[k+1]
-        return tuple((k + 1) * a[k + 1] + (n - k) * a[k] for k in range(n))
-    if family is Family.INVOLUTION:
-        # I_{n,k} for k = 0..n-1; the two-row recurrence divides by n exactly.
-        a = (0, *r1, 0)        # I_{n-1,k} = a[k+1]
-        b = (0, 0, *r2, 0, 0)  # I_{n-2,k} = b[k+2]
-        m = n - 2              # recurrence parameter: row n = "n-2 plus two"
-        row = []
-        for k in range(n):
-            total = (
-                (k + 1) * a[k + 1]
-                + (m - k + 2) * a[k]
-                + ((k + 1) ** 2 + m) * b[k + 2]
-                + (2 * k * (m - k + 1) - m + 1) * b[k + 1]
-                + ((m - k + 2) ** 2 + m) * b[k]
-            )
-            q, rem = divmod(total, n)
-            if rem:
-                raise ArithmeticError(
-                    f"involution row {n}: the recurrence total at k={k} "
-                    f"is not divisible by {n}"
-                )
-            row.append(q)
-        return tuple(row)
-    if family is Family.FIBONACCI:
-        # binomial(n-k, k) = binomial(n-1-k, k) + binomial(n-2-(k-1), k-1)
-        a = (*r1, 0)   # F_{n-1,k} = a[k]
-        b = (0, *r2)   # F_{n-2,k-1} = b[k]
-        return tuple(a[k] + b[k] for k in range(n // 2 + 1))
-    # derangement and excedance: k = 1..n-1, stored with trailing zeros
-    a = (0, *r1, 0)     # row n-1 at k = a[k]
-    b = (0, 0, *r2, 0)  # row n-2 at k-1 = b[k]
-    if family is Family.DERANGEMENT:
-        return tuple(
-            (k + 1) * a[k] + (n - k - 1) * a[k - 1] + k * b[k] + (n - k) * b[k - 1]
-            for k in range(1, n)
-        )
-    # Exc_{n,k} = k Exc_{n-1,k} + (n-k) Exc_{n-1,k-1} + (n-1) Exc_{n-2,k-1}
-    return tuple(k * a[k] + (n - k) * a[k - 1] + (n - 1) * b[k] for k in range(1, n))
-
-
-# ---------------------------------------------------------------------------
-# row power sums: S_0..S_4 of row n from those of rows n-1 and n-2
-# ---------------------------------------------------------------------------
-
 # Each family's row recurrence, written as terms: div(n) row_n[k] is the sum
 # over the terms (lag, shift, coef) of coef(n, k) row_(n-lag)[k - shift].  A
 # polynomial lists its coefficients from the constant term up; ``coef`` is
-# one in k whose coefficients are polynomials in n of degree at most 2, so
-# ((1,), (1,)) is k + 1 and ((0, 1), (-1,)) is n - k.
+# one in k of degree at most 2 whose coefficients are polynomials in n of
+# degree at most 2, so ((1,), (1,)) is k + 1 and ((0, 1), (-1,)) is n - k.
+# ``_next_row`` builds the rows from it and ``_power_sum_recurrence`` the
+# power sums.
 _TERMS = {
     Family.EULERIAN: ((1,), (
         (1, 0, ((1,), (1,))),                    # (k + 1) A(n-1, k)
@@ -195,8 +147,6 @@ _TERMS = {
     )),
 }
 
-_POWERS = 4  # the store keeps S_0..S_4 of every row
-
 
 def _at(poly, x: int) -> int:
     """The polynomial's value at x (coefficients from the constant term up)."""
@@ -204,6 +154,41 @@ def _at(poly, x: int) -> int:
     for c in reversed(poly):
         value = value * x + c
     return value
+
+
+def _next_row(family: Family, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Row n = len(rows), from rows n-1 and n-2 before it by the family's
+    term table: div(n) row_n[k] is the sum over the terms (lag, shift, coef)
+    of coef(n, k) row_(n-lag)[k - shift]."""
+    n, k_min = len(rows), family.k_min
+    div, terms = _TERMS[family]
+    div = _at(div, n)
+    acc = [0] * max(len(rows[n - lag]) + shift for lag, shift, _ in terms)
+    for lag, shift, coef in terms:
+        ck = [_at(c_b, n) for c_b in coef]
+        c0, c1, c2 = ck + [0] * (3 - len(ck))
+        for j, x in enumerate(rows[n - lag], shift):
+            k = k_min + j
+            acc[j] += (c0 + k * (c1 + k * c2)) * x
+    if div == 1:
+        return tuple(acc)
+    row = []
+    for k, total in enumerate(acc, k_min):
+        q, rem = divmod(total, div)
+        if rem:
+            raise ArithmeticError(
+                f"{family.value} row {n}: the recurrence total at k={k} "
+                f"is not divisible by {div}"
+            )
+        row.append(q)
+    return tuple(row)
+
+
+# ---------------------------------------------------------------------------
+# row power sums: S_0..S_4 of row n from those of rows n-1 and n-2
+# ---------------------------------------------------------------------------
+
+_POWERS = 4  # the store keeps S_0..S_4 of every row
 
 
 def _power_sum_recurrence(family: Family) -> tuple:

@@ -2,15 +2,14 @@
 
 These enumerate permutation classes, compositions and jump words directly and
 count statistics from the definitions; they never touch the recurrences they
-check.  ``term_table_row`` evaluates the term table ``families._TERMS``
-entry by entry, to pin it to the unrolled row recurrence it restates.  Eight
-keep an implementation the package replaced, as the reference its successor
-is compared with: the keep-list discard reduction, the sampler's threshold
-loop, the exact draw's product test, the per-draw stage
-loop of ``simulate``, the per-kind branch formula of a part's integer
-difference, the audit rows of a recorded ``simulate`` chunk built from
-the ``PartRecord``s of ``simulate(record=True)``, with the residual summed
-part by part, the exact marginal expanded over the joint law of the
+check.  Nine keep an implementation the package replaced, as the reference
+its successor is compared with: each family's row recurrence written out
+term by term, the keep-list discard reduction, the sampler's threshold
+loop, the exact draw's product test, the per-draw stage loop of
+``simulate``, the per-kind branch formula of a part's integer difference,
+the audit rows of a recorded ``simulate`` chunk built from the
+``PartRecord``s of ``simulate(record=True)``, with the residual summed part
+by part, the exact marginal expanded over the joint law of the
 last two values, and the batch kernel that computed both jumps' values for
 every replicate and picked one with ``np.where``.
 """
@@ -31,7 +30,7 @@ from descentlab.compositions import (
     enumerate_compositions,
     word_statistic,
 )
-from descentlab.families import _TERMS, ExactPmf
+from descentlab.families import ExactPmf, Family
 from descentlab.processes import (
     _TABLES,
     ProcessKind,
@@ -113,29 +112,51 @@ def two_cycle_census(family: str, m: int) -> tuple[int, int]:
     return in_two_cycle, size
 
 
-def term_table_row(family, rows) -> tuple[int, ...]:
-    """Row n = len(rows) from the rows before it, by the family's term table:
-    div(n) row_n[k] = sum over (lag, shift, coef) of coef(n, k) row_(n-lag)[k - shift],
-    at every k that some term reaches."""
-    n = len(rows)
-    div, terms = _TERMS[family]
-
-    def count(m, k):  # row m at k, 0 outside its stored entries
-        j = k - family.k_min
-        return rows[m][j] if 0 <= j < len(rows[m]) else 0
-
-    def value(poly, x):
-        return sum(c * x**a for a, c in enumerate(poly))
-
-    k_max = max(family.k_min + len(rows[n - lag]) - 1 + shift for lag, shift, _ in terms)
-    row = []
-    for k in range(family.k_min, k_max + 1):
-        total = sum(sum(value(c_b, n) * k**b for b, c_b in enumerate(coef))
-                    * count(n - lag, k - shift) for lag, shift, coef in terms)
-        q, rem = divmod(total, value(div, n))
-        assert rem == 0, (family, n, k)
-        row.append(q)
-    return tuple(row)
+def unrolled_row(family, rows) -> tuple[int, ...]:
+    """Row n = len(rows), from rows n-1 (``r1``) and n-2 (``r2``) before it,
+    by each family's recurrence written out term by term."""
+    n, r1, r2 = len(rows), rows[-1], rows[-2]
+    if family is Family.EULERIAN:
+        # A_{n,k} = (k+1) A_{n-1,k} + (n-k) A_{n-1,k-1}, k = 0..n-1
+        a = (0, *r1, 0)  # A_{n-1,k} = a[k+1]
+        return tuple((k + 1) * a[k + 1] + (n - k) * a[k] for k in range(n))
+    if family is Family.INVOLUTION:
+        # I_{n,k} for k = 0..n-1; the two-row recurrence divides by n exactly.
+        a = (0, *r1, 0)        # I_{n-1,k} = a[k+1]
+        b = (0, 0, *r2, 0, 0)  # I_{n-2,k} = b[k+2]
+        m = n - 2              # recurrence parameter: row n = "n-2 plus two"
+        row = []
+        for k in range(n):
+            total = (
+                (k + 1) * a[k + 1]
+                + (m - k + 2) * a[k]
+                + ((k + 1) ** 2 + m) * b[k + 2]
+                + (2 * k * (m - k + 1) - m + 1) * b[k + 1]
+                + ((m - k + 2) ** 2 + m) * b[k]
+            )
+            q, rem = divmod(total, n)
+            if rem:
+                raise ArithmeticError(
+                    f"involution row {n}: the recurrence total at k={k} "
+                    f"is not divisible by {n}"
+                )
+            row.append(q)
+        return tuple(row)
+    if family is Family.FIBONACCI:
+        # binomial(n-k, k) = binomial(n-1-k, k) + binomial(n-2-(k-1), k-1)
+        a = (*r1, 0)   # F_{n-1,k} = a[k]
+        b = (0, *r2)   # F_{n-2,k-1} = b[k]
+        return tuple(a[k] + b[k] for k in range(n // 2 + 1))
+    # derangement and excedance: k = 1..n-1, stored with trailing zeros
+    a = (0, *r1, 0)     # row n-1 at k = a[k]
+    b = (0, 0, *r2, 0)  # row n-2 at k-1 = b[k]
+    if family is Family.DERANGEMENT:
+        return tuple(
+            (k + 1) * a[k] + (n - k - 1) * a[k - 1] + k * b[k] + (n - k) * b[k - 1]
+            for k in range(1, n)
+        )
+    # Exc_{n,k} = k Exc_{n-1,k} + (n-k) Exc_{n-1,k-1} + (n-1) Exc_{n-2,k-1}
+    return tuple(k * a[k] + (n - k) * a[k - 1] + (n - 1) * b[k] for k in range(1, n))
 
 
 def count_histogram(values, k_min: int, k_max: int) -> list[int]:
