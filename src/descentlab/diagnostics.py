@@ -23,6 +23,7 @@ from .families import (
     counting_sequence,
     descent_triangle,
     parse_family,
+    rolled_rows,
     triangle_row_pmf,
 )
 from .processes import ProcessKind, _difference_moments, parse_kind
@@ -97,21 +98,18 @@ def clt_table(
 ) -> CltResult:
     """Kolmogorov distances over exact row pmfs with a log-log rate fit.
 
-    Rows below ``min_n`` or with zero variance are skipped.  The least
-    squares fit of log K against log n uses rows with n >= fit_min_n to
-    avoid small-n transients.
+    The rows come from ``rolled_rows``, so a run holds two rows, not the
+    triangle.  Rows below ``min_n`` or with zero variance are skipped.  The
+    least squares fit of log K against log n uses rows with n >= fit_min_n
+    to avoid small-n transients.
     """
     fam = parse_family(family)
     ns = sorted(set(n_values))
     first = max(min_n, fam.n_min)
-    tri = descent_triangle(fam, ns[-1]) if ns and ns[-1] >= first else None
     exponent = _rate_exponent(fam)
-    records, skipped = [], []
-    for n in ns:
-        if n < first:
-            skipped.append(n)
-            continue
-        pmf = triangle_row_pmf(tri, n)
+    records, skipped = [], [n for n in ns if n < first]
+    for n, row in rolled_rows(fam, ns[len(skipped):]):
+        pmf = ExactPmf.from_counts(fam.k_min, row)
         var = pmf.variance()
         if var == 0:
             skipped.append(n)
@@ -242,10 +240,13 @@ def condition_scan(
 ) -> list[ConditionRow]:
     """Normalized conditional-moment norms of the stage-i differences.
 
-    The law of the source value at stage i - order is exact (its triangle
-    row) and its conditional moments come from the stage law; norms combine
-    them with float fractional powers.  All three columns stay
-    bounded over the scanned range when the normal limit applies.
+    The law of the source value at stage i - order is exact (row i - order,
+    from ``rolled_rows``, so the scan holds two rows) and its conditional
+    moments come from the stage law; norms combine them with float
+    fractional powers.  All three columns stay bounded over the scanned
+    range when the normal limit applies.  A source row below the family's
+    first row, or a stage whose difference has zero variance, raises
+    ``FamilyError``.
     """
     kind = parse_kind(kind)
     p = F(p)
@@ -257,18 +258,25 @@ def condition_scan(
         return []
     if kind not in (ProcessKind.INVOLUTION, ProcessKind.DERANGEMENT):
         raise FamilyError("condition scans cover involution and derangement")
-    tri = descent_triangle(kind.family, i_values[-1] - order)
+    fam = kind.family
+    if i_values[0] - order < fam.n_min:
+        raise FamilyError(
+            f"stage {i_values[0]} with order {order} reads source row "
+            f"{i_values[0] - order}, below the first row {fam.n_min} of family {fam.value}"
+        )
     rows = []
-    for i in i_values:
+    for (_, row), i in zip(rolled_rows(fam, (i - order for i in i_values)), i_values):
         # E[X^r|src] = m_r / den and P(src) = c / t over the source row, each
         # float one int/int true division: correctly rounded, as float(Fraction)
-        row = triangle_row_pmf(tri, i - order)
-        t = row.total
+        t = sum(row)
         law = [(_difference_moments(kind, i, order, k), c)
-               for k, c in zip(row.support(), row.counts) if c]
+               for k, c in enumerate(row, fam.k_min) if c]
         # sigma^2 as one integer over lcm_den * t, the lcm of the sources' dens
         lcm_den = math.lcm(*(den for (den, *_), _ in law))
-        s2f = sum(m2 * c * (lcm_den // den) for (den, m2, _, _), c in law) / (lcm_den * t)
+        s2 = sum(m2 * c * (lcm_den // den) for (den, m2, _, _), c in law)
+        if s2 == 0:
+            raise FamilyError(f"stage {i}: degenerate distribution: zero variance")
+        s2f = s2 / (lcm_den * t)
         # || E[Y^2|F] - 1 ||_p with Y = X / sigma
         acc2 = sum(abs(m2 / den / s2f - 1.0) ** float(p) * (c / t)
                    for (den, m2, _, _), c in law)

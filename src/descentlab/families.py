@@ -13,7 +13,10 @@ Five statistic families are supported:
 
 All triangle entries are arbitrary-precision integers computed bottom-up from
 the family's row recurrence.  A row pmf is the row itself: integer counts over
-the row total, whose moments are exact ``Fraction`` values.
+the row total, whose moments are exact ``Fraction`` values.  ``descent_triangle``
+keeps every row it builds in the family's store; ``rolled_rows`` steps two
+rolling rows through the same recurrence and keeps none, so a deep row costs
+O(n) integers, not the triangle up to it.
 
 Each family's row recurrence is written once, as a term table (``_TERMS``).
 The rows are built from it, and so are the power sums
@@ -38,7 +41,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import FamilyError, RuleError
 
@@ -156,18 +159,20 @@ def _at(poly, x: int) -> int:
     return value
 
 
-def _next_row(family: Family, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Row n = len(rows), from rows n-1 and n-2 before it by the family's
+def _next_row(family: Family, n: int, before: tuple[int, ...],
+              last: tuple[int, ...]) -> tuple[int, ...]:
+    """Row n, from rows n-2 (``before``) and n-1 (``last``) by the family's
     term table: div(n) row_n[k] is the sum over the terms (lag, shift, coef)
     of coef(n, k) row_(n-lag)[k - shift]."""
-    n, k_min = len(rows), family.k_min
+    k_min = family.k_min
     div, terms = _TERMS[family]
     div = _at(div, n)
-    acc = [0] * max(len(rows[n - lag]) + shift for lag, shift, _ in terms)
+    lagged = (None, last, before)
+    acc = [0] * max(len(lagged[lag]) + shift for lag, shift, _ in terms)
     for lag, shift, coef in terms:
         ck = [_at(c_b, n) for c_b in coef]
         c0, c1, c2 = ck + [0] * (3 - len(ck))
-        for j, x in enumerate(rows[n - lag], shift):
+        for j, x in enumerate(lagged[lag], shift):
             k = k_min + j
             acc[j] += (c0 + k * (c1 + k * c2)) * x
     if div == 1:
@@ -322,13 +327,15 @@ class _Store:
     ``counts[n]``, ``rows[n]``, ``sums[n]`` and ``means[n]`` belong to
     index n.  ``sums[n]`` is (S_0, ..., S_4) of row n, grown by the
     power-sum recurrence (seeded from the seed rows), so the means and
-    moments it gives build no row; only ``descent_triangle`` grows ``rows``.
+    moments it gives build no row.  Only ``descent_triangle`` grows
+    ``rows``; the rows ``rolled_rows`` steps through are not kept.
     """
 
     def __init__(self, family: Family):
         self.family = family
         self.counts = _Grown(_SEED_COUNTS[family], lambda seq: _next_count(family, seq))
-        self.rows = _Grown(_SEED_ROWS[family], lambda rows: _next_row(family, rows))
+        self.rows = _Grown(_SEED_ROWS[family],
+                           lambda rows: _next_row(family, len(rows), rows[-2], rows[-1]))
         self.sums = _Grown(
             (_power_sums(family.k_min, row, _POWERS) for row in _SEED_ROWS[family]),
             lambda sums: _next_sums(family, sums, self.counts.through(len(sums))),
@@ -498,6 +505,28 @@ def descent_triangle(family: str | Family, n_max: int) -> CountTriangle:
     """The family's triangle for rows n_min..n_max, from its store."""
     fam = _reaching(family, n_max, "row")
     return CountTriangle(fam, n_max, _STORES[fam].rows.through(n_max))
+
+
+def rolled_rows(family: str | Family,
+                ns: Iterable[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (n, row n) for each requested n, in increasing order.
+
+    Two rolling rows step through the row recurrence (``_next_row``, as the
+    store's rows do), so the rows held are O(n) integers and none is kept.
+    A request below the family's first row raises ``FamilyError``.
+    """
+    fam = parse_family(family)
+    wanted = sorted(set(ns))
+    if not wanted:
+        return
+    _reaching(fam, wanted[0], "row")
+    seed = _SEED_ROWS[fam]
+    n, before, last = len(seed) - 1, seed[-2], seed[-1]
+    for target in wanted:
+        while n < target:
+            n += 1
+            before, last = last, _next_row(fam, n, before, last)
+        yield target, seed[target] if target < n else last
 
 
 def triangle_row_pmf(triangle: CountTriangle, n: int) -> ExactPmf:

@@ -507,6 +507,12 @@ def test_plain_simulate_memory_is_bounded_at_a_million_replicates():
     assert peak < 50, peak
 
 
+def test_clt_past_the_triangle_limit_holds_two_rows():
+    # the derangement triangle to 1000 alone holds about 0.3 GB
+    peak = peak_rss_mb(*CLI, "clt", "--family", "derangement", "--n-set", "1200")
+    assert peak < 60, peak
+
+
 def test_out_through_a_symlink_keeps_the_link(tmp_path):
     target = tmp_path / "tri.csv"
     target.write_text("stale\n")
@@ -573,7 +579,7 @@ def _simulate_argv(**flags):
     ["moments", "--family", "excedance", "--n", "-3"],
     ["moments", "--family", "involution", "--n", "0"],
     ["decompose", "--process", "fibonacci", "--n", "1001"],
-    ["clt", "--family", "involution", "--n-set", "16,1001"],
+    ["clt", "--family", "involution", "--n-set", "16,4001"],
     ["clt", "--family", "involution", "--n-set", ","],
     ["identities", "--check", "stan1", "--n-max", "-3"],
     ["identities", "--check", "stan1", "--n-max", "0"],

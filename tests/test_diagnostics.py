@@ -1,6 +1,7 @@
 """Kolmogorov distances, identity checks, condition scans, variance lemma."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from descentlab.families import (
     triangle_row_pmf,
 )
 from descentlab.rng import Stream
+from test_cli import peak_rss_mb
 
 F = Fraction
 
@@ -119,7 +121,7 @@ def test_clt_table_derangement_scaling_and_skips():
 
 
 def test_clt_table_skips_rows_below_the_first_row():
-    # no row survives, so no triangle is built
+    # no row survives, so none is rolled
     for fam in ("derangement", "excedance"):
         res = clt_table(fam, [1], min_n=1)
         assert (res.records, res.skipped) == ((), (1,))
@@ -282,6 +284,45 @@ def test_condition_scan_takes_sources_over_different_denominators(monkeypatch):
         monkeypatch.setattr(diag, "_difference_moments", rescaled)
         assert condition_scan(tag, range(10, 41)) == expected
         monkeypatch.undo()
+
+
+def test_condition_scan_refuses_sources_below_the_first_row(monkeypatch):
+    import descentlab.diagnostics as diag
+
+    def no_rows(*args):
+        raise AssertionError("a row was rolled")
+
+    monkeypatch.setattr(diag, "rolled_rows", no_rows)
+    for tag, stages, order in (("derangement", [2, 10], 1), ("derangement", [10, 3], 2),
+                               ("involution", [2, 10], 2)):
+        i = min(stages)
+        with pytest.raises(FamilyError, match=f"stage {i} with order {order} reads "
+                                              f"source row {i - order}, below the first"):
+            condition_scan(tag, stages, order=order)
+
+
+def test_condition_scan_refuses_a_degenerate_stage():
+    # derangement row 2 has one member, and the stage-3 difference is zero
+    for stages in ([3], range(3, 10)):
+        with pytest.raises(FamilyError, match="stage 3: degenerate distribution: zero variance"):
+            condition_scan("derangement", stages)
+    assert [r.i for r in condition_scan("derangement", range(4, 10))] == list(range(4, 10))
+
+
+def test_clt_tables_and_condition_scans_keep_no_rows():
+    code = """
+from descentlab import diagnostics, families
+for fam in families.Family:
+    diagnostics.clt_table(fam, [16, 64, 300])
+for kind in ("involution", "derangement"):
+    for order in (1, 2):
+        diagnostics.condition_scan(kind, range(10, 120), order=order)
+grown = [fam.value for fam, store in families._STORES.items()
+         if len(store.rows) != len(families._SEED_ROWS[fam])]
+if grown:
+    raise SystemExit(f"rows were kept: {grown}")
+"""
+    assert peak_rss_mb(sys.executable, "-c", code) < 60
 
 
 def test_condition_scan_invalid_exponent():

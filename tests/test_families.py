@@ -282,6 +282,30 @@ def test_exact_marginal_equals_triangle_row_pmf(kind, n):
     assert exact_marginal(kind, n) == triangle_row_pmf(descent_triangle(kind.family, n), n)
 
 
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(FAMILIES), ns=st.sets(st.integers(0, 300), max_size=6))
+@example(family=Family.INVOLUTION, ns={1, 2, 3, 300})
+@example(family=Family.DERANGEMENT, ns={2, 3, 300})
+@example(family=Family.FIBONACCI, ns={1, 2, 300})
+def test_rolled_rows_equal_the_triangle_rows(family, ns):
+    ns = {max(n, family.n_min) for n in ns}
+    tri = descent_triangle(family, max(ns, default=family.n_min))
+    assert list(families.rolled_rows(family, ns)) == \
+        [(n, tuple(tri.row(n))) for n in sorted(ns)]
+
+
+def test_rolled_rows_keep_nothing_and_refuse_rows_below_the_first(fresh_stores):
+    rows = dict(families.rolled_rows("derangement", [40, 6, 6, 12]))
+    assert list(rows) == [6, 12, 40]
+    assert all(len(store.rows) == len(families._SEED_ROWS[fam])
+               for fam, store in fresh_stores.items())
+    assert list(families.rolled_rows("involution", [])) == []
+    for family in ("derangement", "excedance", "eulerian", "fibonacci"):
+        fam = Family(family)
+        with pytest.raises(FamilyError, match=f"below the minimum row {fam.n_min}"):
+            next(families.rolled_rows(family, [fam.n_min - 1, 10]))
+
+
 @pytest.mark.parametrize("fam", ["involution", "derangement", "excedance", "fibonacci"])
 def test_two_jump_split_counts_the_members_with_m_in_a_two_cycle(fam):
     for m in range(2, 10):
@@ -382,7 +406,8 @@ def test_store_power_sums_equal_the_row_power_sums(family, n):
 def test_term_table_restates_the_row_recurrence(family):
     rows = families._STORES[family].rows.through(120)
     for n in range(len(families._SEED_ROWS[family]), 121):
-        assert families._next_row(family, rows[:n]) == oracles.unrolled_row(family, rows[:n])
+        assert families._next_row(family, n, rows[n - 2], rows[n - 1]) == \
+            oracles.unrolled_row(family, rows[:n])
 
 
 def test_power_sum_checks_raise_arithmetic_errors(monkeypatch):

@@ -86,6 +86,22 @@ def test_means_and_moment_tables_build_no_rows(module, qualname):
     assert not used, f"{module}:{qualname} reaches {sorted(used)}"
 
 
+# ``clt`` and the condition scans step two rolling rows through
+# ``families.rolled_rows``; the family store would keep every row to the
+# largest n they read.
+ROLLED = [
+    ("diagnostics.py", "clt_table"),
+    ("diagnostics.py", "condition_scan"),
+]
+
+
+@pytest.mark.parametrize("module, qualname", ROLLED, ids=lambda v: v)
+def test_clt_tables_and_condition_scans_read_no_store(module, qualname):
+    path = next(p for p in SOURCES if p.name == module)
+    used = _reached_names(path, qualname) & {"descent_triangle", "triangle_row_pmf", "_STORES"}
+    assert not used, f"{module}:{qualname} reaches {sorted(used)}"
+
+
 def test_batch_finals_calls_no_np_where():
     # The batch kernel picks each replicate's jump type by arithmetic on
     # the type flag, not by a masked select: over 2**16 int64 lanes on
