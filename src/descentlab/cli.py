@@ -23,6 +23,17 @@ rows in replicate order as each chunk finishes; the table is written last,
 so an audit on stdout comes whole before it.  The chunks go to a pool of
 ``--threads`` workers only when the run's work in replicate-stages reaches
 a measured floor, below which a pool costs more to start than it saves.
+
+Start-up pays only for what the command runs.  Importing this module and
+building the parser loads ``tags`` (the choices) and no library module;
+each command imports its own modules when it runs (``triangle`` loads
+``families``; ``moments`` adds ``moments``; ``decompose`` and a recorded
+``simulate`` load ``processes`` with ``compositions``, ``families`` and
+``rng``; ``clt`` and ``identities`` load ``diagnostics`` and those; a plain
+``simulate`` adds ``batch`` and numpy).  Importing this module also sets
+``OPENBLAS_NUM_THREADS=1``, so numpy starts no idle BLAS thread pool here
+or in the pool workers, unless ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set.
 """
 
 from __future__ import annotations
@@ -32,15 +43,17 @@ import contextlib
 import json
 import os
 import sys
-from fractions import Fraction
 from itertools import accumulate
 from math import gcd
 
-from .diagnostics import IDENTITY_BUDGET, IDENTITY_CHECKS, clt_table, identity_check
-from .families import Family, _reaching, descent_triangle, parse_family
-from .moments import moment_table
-from .processes import (ProcessKind, _part_table, _scale, _telescoped_sum, parse_kind,
-                        reconstruct, simulate)
+from .tags import IDENTITY_BUDGET, IDENTITY_CHECKS, Family, ProcessKind
+
+# numpy's OpenBLAS starts a thread pool as it loads, which nothing here uses
+# (the batch engine calls no BLAS routine).  One thread, set before anything
+# can load numpy and inherited by pool workers, unless the caller chose.
+if not any(v in os.environ for v in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 RESIDUAL_EXIT = 3
 IDENTITY_EXIT = 4
@@ -82,6 +95,17 @@ def _bounded_int(lo: int | None, hi: int):
     return parse
 
 
+def _default_threads() -> int:
+    """The processors this process may run on, at most ``THREADS_MAX``.
+
+    A cpuset or ``taskset`` can leave fewer than ``os.cpu_count`` reports;
+    that count serves only where the platform cannot tell.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return min(len(os.sched_getaffinity(0)), THREADS_MAX)
+    return min(os.cpu_count() or 1, THREADS_MAX)
+
+
 def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
@@ -89,8 +113,6 @@ def _fmt_float(x: float) -> str:
 def _fmt_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, float):
         return _fmt_float(v)
     return str(v)
@@ -184,6 +206,8 @@ def _emit(table: Table, args) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_triangle(args) -> int:
+    from .families import descent_triangle, parse_family
+
     fam = parse_family(args.family)
     tri = descent_triangle(fam, args.n)
     if args.format == "json":
@@ -210,6 +234,8 @@ def _sim_chunk(payload) -> tuple[dict[int, int], list[list[str]]]:
         from .batch import batch_finals  # numpy only for plain runs
 
         return batch_finals(kind_tag, n, count, seed, start_index=start), []
+    from .processes import _scale, _telescoped_sum, parse_kind, simulate
+
     kind = parse_kind(kind_tag)
     scale = _scale(kind.composition_offset, n)
     texts = _alpha_texts(kind, n)
@@ -244,6 +270,8 @@ def _alpha_texts(kind: ProcessKind, n: int) -> list[tuple[str, ...]]:
     """texts[p][order - 1]: the audit text of the alpha of a recorded part
     that ends at position p with a jump of that order, through stage n; each
     is formatted once per process (kept in ``_ALPHA_TEXTS``), not per row."""
+    from .processes import _part_table
+
     texts, offset = _ALPHA_TEXTS.setdefault(kind, []), kind.composition_offset
     parts = _part_table(kind, n)
     texts.extend(tuple(str(e.alpha) for e in parts[p + offset] or ())
@@ -265,6 +293,8 @@ def _pooled(record: bool, replicates: int, stages: int, threads: int) -> bool:
 
 
 def cmd_simulate(args) -> int:
+    from .processes import parse_kind
+
     kind = parse_kind(args.process)
     record = args.record is not None
     chunk = RECORD_CHUNK if record else PLAIN_CHUNK
@@ -315,6 +345,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    from .families import _reaching
+    from .moments import moment_table
+
     fam = _reaching(args.family, args.n, "row")
     rows = moment_table(fam, range(fam.n_min, args.n + 1))
     asym_cols = sorted(rows[0].asymptotics)
@@ -334,6 +367,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_clt(args) -> int:
+    from .diagnostics import clt_table
+
     ns = [int(tok) for tok in args.n_set.split(",") if tok]
     if not ns:
         raise ValueError("--n-set must name at least one row size")
@@ -356,6 +391,8 @@ def cmd_clt(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    from .diagnostics import identity_check
+
     which = args.check.replace("-", "_")
     table = Table(["check", "n", "lhs", "rhs", "holds", "offset_used"])
     failures = 0
@@ -372,6 +409,8 @@ def cmd_identities(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .processes import reconstruct, simulate
+
     traj = simulate(args.process, args.n, seed=args.seed, record=True)
     residual = reconstruct(traj)
     dec = traj.decomposition
@@ -406,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json", "tsv"), default="csv")
         p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
         p.add_argument("--threads", type=_bounded_int(1, THREADS_MAX),
-                       default=min(os.cpu_count() or 1, THREADS_MAX))
+                       default=_default_threads())
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     families = tuple(f.value for f in Family)

@@ -27,6 +27,7 @@ from .families import (
     triangle_row_pmf,
 )
 from .processes import ProcessKind, _difference_moments, parse_kind
+from .tags import IDENTITY_CHECKS
 
 F = Fraction
 ZERO = F(0)
@@ -139,12 +140,6 @@ def _least_squares(points: list[tuple[float, float]]) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # exact identities over compositions
 # ---------------------------------------------------------------------------
-
-IDENTITY_CHECKS = ("stan1", "stan2", "derangement_sum", "fibonacci_pmf")
-
-# The CLI's ``identities --n-max`` limit; ``identity_check`` takes any n.
-IDENTITY_BUDGET = 22
-
 
 @dataclass(frozen=True)
 class IdentityReport:

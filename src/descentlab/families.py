@@ -36,7 +36,6 @@ to share across threads.
 
 from __future__ import annotations
 
-import enum
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,24 +43,9 @@ from math import comb, lcm
 from typing import Callable, Iterable, Iterator
 
 from .errors import FamilyError, RuleError
+from .tags import Family
 
 ZERO = Fraction(0)
-
-
-class Family(enum.Enum):
-    EULERIAN = "eulerian"
-    INVOLUTION = "involution"
-    DERANGEMENT = "derangement"
-    EXCEDANCE = "excedance"
-    FIBONACCI = "fibonacci"
-
-    @property
-    def n_min(self) -> int:
-        return 2 if self in (Family.DERANGEMENT, Family.EXCEDANCE) else 1
-
-    @property
-    def k_min(self) -> int:
-        return 1 if self in (Family.DERANGEMENT, Family.EXCEDANCE) else 0
 
 
 def parse_family(tag: str | Family) -> Family:

@@ -38,50 +38,18 @@ part ending at position p describes the jump into stage p + 2.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .compositions import Composition, discard_map
 from .errors import FamilyError, InfeasibleStateError
-from .families import _STORES, ExactPmf, Family, _Grown, row_means, two_jump_split
+from .families import _STORES, ExactPmf, _Grown, row_means, two_jump_split
 from .rng import TWO64, Jump, Stream
+from .tags import ProcessKind
 
 F = Fraction
 ZERO = F(0)
-
-
-class ProcessKind(enum.Enum):
-    INVOLUTION = "involution"
-    DERANGEMENT = "derangement"
-    FIBONACCI = "fibonacci"
-    EXCEDANCE = "excedance"
-
-    @property
-    def family(self) -> Family:
-        return _FAMILIES[self]
-
-    @property
-    def n_min(self) -> int:
-        return self.family.n_min
-
-    @property
-    def composition_offset(self) -> int:
-        """Stage of a part = its ending position plus this offset."""
-        return 2 if self in (ProcessKind.DERANGEMENT, ProcessKind.EXCEDANCE) else 0
-
-    @property
-    def start(self) -> tuple[int, int, int]:
-        """(first update stage m, value at stage m-2, value at stage m-1)."""
-        if self in (ProcessKind.DERANGEMENT, ProcessKind.EXCEDANCE):
-            return 3, 0, 1
-        return 2, 0, 0
-
-
-# Each kind's family, read on every run: a lookup by value costs five times
-# as much as this one.
-_FAMILIES = {kind: Family(kind.value) for kind in ProcessKind}
 
 
 def parse_kind(tag: str | ProcessKind) -> ProcessKind:

@@ -81,6 +81,72 @@ def test_family_and_process_choices_are_the_enum_values():
     assert seen == set(expected)
 
 
+# sha256 of each --help text at an 80-column width (CPython 3.11's
+# argparse): the choice lists come from ``tags``, so a choice, flag or help
+# line that drifts shows here
+HELP_SHA256 = {
+    "": "158d18abe427e85468d601144133794b46a307505b3b71f4d32932aa9b33dc5d",
+    "triangle": "9f4596c72994c3b112f35a6b7748cd5b280371d0046639a049536fd756b77599",
+    "simulate": "54fd285a4ba2e293ced369234a9bd9d4aaf90960d68beb35f163fe9c93a3ec97",
+    "moments": "3f5d7754c79721bbc46535d9852db4d8f086aaca3befa42f81b50ba5f145b446",
+    "clt": "26fe7cfcbe25be50d5abf313731a3de60fd5d67dc39a424caaea16c1125cecbe",
+    "identities": "689ed16e264ef330517c16921cd8acad5f131072c9b174d49fc438159fdec777",
+    "decompose": "92783f4fb53e76bf4f6fd174d20bcf28b0706f6e111a33a30dac114938f99d25",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_help_text_is_pinned(command, monkeypatch, capsys):
+    import hashlib
+
+    from descentlab.cli import main
+
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[command], text
+
+
+def test_threads_default_to_the_processors_this_process_may_run_on(monkeypatch):
+    import os
+
+    from descentlab.cli import THREADS_MAX, build_parser
+
+    def threads():
+        return build_parser().parse_args(["triangle", "--family", "eulerian",
+                                          "--n", "3"]).threads
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+    assert threads() == 3  # pinned to three of the 64
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(300)))
+    assert threads() == THREADS_MAX
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert threads() == 64  # where the platform cannot tell
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("module, preset, expected", [
+    ("descentlab.cli", {}, {"OPENBLAS_NUM_THREADS": "1"}),
+    ("descentlab.cli", {"OPENBLAS_NUM_THREADS": "3"}, {"OPENBLAS_NUM_THREADS": "3"}),
+    ("descentlab.cli", {"OMP_NUM_THREADS": "3"}, {"OMP_NUM_THREADS": "3"}),
+    ("descentlab", {}, {}),
+])
+def test_the_cli_caps_blas_threads_unless_the_caller_chose(module, preset, expected):
+    import os
+
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS} | preset
+    code = (f"import json, os, {module}; "
+            f"print(json.dumps({{v: os.environ[v] for v in {BLAS_VARS!r} if v in os.environ}}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert json.loads(proc.stdout) == expected
+
+
 def test_simulate_matches_exact_pmf():
     proc = run_cli(
         "simulate", "--process", "derangement", "--n", "4",
@@ -530,31 +596,50 @@ def test_table_rejects_a_row_of_the_wrong_width():
         Table(["n", "k", "count"]).add(1, 2)
 
 
-def test_exact_commands_do_not_load_numpy(tmp_path):
-    code = f"""
-import sys
-import descentlab.cli as cli
-def loaded():
-    return [m in sys.modules for m in ("numpy", "concurrent.futures.process")]
-seen = [loaded()]
-assert cli.main(["decompose", "--process", "derangement", "--n", "30",
-                 "--out", {str(tmp_path / "d.csv")!r}]) == 0
-seen.append(loaded())
-assert cli.main(["simulate", "--process", "involution", "--n", "12",
-                 "--replicates", "5", "--threads", "1",
-                 "--record", {str(tmp_path / "a.csv")!r},
-                 "--out", {str(tmp_path / "s.csv")!r}]) == 0
-seen.append(loaded())
-import descentlab
-import descentlab.batch
-assert descentlab.batch_finals is descentlab.batch.batch_finals
-seen.append("numpy" in sys.modules)
-print(seen)
-"""
+LIBRARY = ("families", "compositions", "processes", "moments", "diagnostics", "batch")
+
+
+def _loaded_after(*steps):
+    """For each step (Python source), the library modules and numpy that a
+    fresh interpreter holds once the steps up to it have run."""
+    watched = [f"descentlab.{m}" for m in LIBRARY] + ["numpy", "concurrent.futures.process"]
+    code = "import json, sys\nseen = []\n" + "".join(
+        f"{step}\nseen.append([m for m in {watched!r} if m in sys.modules])\n"
+        for step in steps) + "print(json.dumps(seen))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    # neither numpy nor the process pool is loaded before a command needs it
-    assert proc.stdout.strip() == "[[False, False], [False, False], [False, False], True]"
+    return [{m.removeprefix("descentlab.") for m in loaded}
+            for loaded in json.loads(proc.stdout)]
+
+
+def test_building_the_parser_loads_no_library_module():
+    assert _loaded_after("import descentlab.cli as cli; cli.build_parser()") == [set()]
+
+
+def test_exact_commands_do_not_load_numpy(tmp_path):
+    seen = _loaded_after(
+        "import descentlab.cli as cli",
+        f"""assert cli.main(["decompose", "--process", "derangement", "--n", "30",
+                 "--out", {str(tmp_path / "d.csv")!r}]) == 0""",
+        f"""assert cli.main(["simulate", "--process", "involution", "--n", "12",
+                 "--replicates", "5", "--threads", "1",
+                 "--record", {str(tmp_path / "a.csv")!r},
+                 "--out", {str(tmp_path / "s.csv")!r}]) == 0""",
+        "import descentlab, descentlab.batch\n"
+        "assert descentlab.batch_finals is descentlab.batch.batch_finals")
+    # a recorded run needs the process and its discard maps, not the
+    # diagnostics or the moment tables; neither numpy nor the process pool
+    # is loaded before a command needs it
+    run = {"processes", "compositions", "families"}
+    assert seen[:3] == [set(), run, run]
+    assert "numpy" in seen[3]
+
+
+def test_moments_loads_no_process_module(tmp_path):
+    seen = _loaded_after(f"""import descentlab.cli as cli
+assert cli.main(["moments", "--family", "derangement", "--n", "12",
+                 "--out", {str(tmp_path / "m.csv")!r}]) == 0""")
+    assert seen == [{"families", "moments"}]
 
 
 def _simulate_argv(**flags):
@@ -591,9 +676,14 @@ def test_sizes_outside_the_limits_exit_2_before_any_work(argv, monkeypatch, caps
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("_sim_chunk", "descent_triangle", "moment_table", "clt_table",
-                 "identity_check", "simulate"):
-        monkeypatch.setattr(cli, name, no_work)
+    # each command imports its work from the module that owns it
+    from descentlab import diagnostics, families, moments, processes
+
+    monkeypatch.setattr(cli, "_sim_chunk", no_work)
+    for module, name in ((families, "descent_triangle"), (moments, "moment_table"),
+                         (diagnostics, "clt_table"), (diagnostics, "identity_check"),
+                         (processes, "simulate")):
+        monkeypatch.setattr(module, name, no_work)
     try:
         code = cli.main(argv)
     except SystemExit as exc:  # argparse's refusal

@@ -226,3 +226,42 @@ def test_only_rng_writes_the_splitmix64_constants():
     assert written(next(p for p in SOURCES if p.name == "rng.py")) == constants
     offenders = {p.name: sorted(map(hex, written(p))) for p in SOURCES if p.name != "rng.py"}
     assert not any(offenders.values()), f"SplitMix64 constants outside rng.py: {offenders}"
+
+
+LIBRARY = {"families", "compositions", "processes", "moments", "diagnostics", "batch"}
+
+
+def _load_time_imports(path):
+    """The package modules that ``path`` imports as it loads: every import
+    statement outside a function body."""
+    todo, names = list(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body), set()
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        todo.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module] if node.module else
+                         [alias.name for alias in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module] if isinstance(node, ast.ImportFrom) else [
+                alias.name for alias in node.names]
+            names.update(m.split(".")[1] for m in modules
+                         if m.startswith("descentlab."))
+    return names
+
+
+@pytest.mark.parametrize("name", ["__init__.py", "cli.py"])
+def test_the_package_and_the_cli_load_no_library_module(name):
+    # A command's start-up pays for the modules it runs and no others:
+    # ``import descentlab`` resolves its names on first use, and each CLI
+    # command imports its own modules when it runs.
+    path = next(p for p in SOURCES if p.name == name)
+    loaded = _load_time_imports(path) & LIBRARY
+    assert not loaded, f"{name} imports {sorted(loaded)} as it loads"
+
+
+def test_only_batch_imports_numpy():
+    offenders = [p.name for p in SOURCES
+                 if p.name != "batch.py" and "numpy" in _imported_packages(p)]
+    assert not offenders, f"modules importing numpy: {offenders}"
