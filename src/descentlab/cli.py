@@ -14,15 +14,17 @@ any work starts: ``--n`` at most ``N_MAX``, each ``--n-set`` entry at most
 ``N_SET_MAX``, ``--n-set`` not empty, ``--replicates`` in 1..``REPLICATES_MAX``,
 ``--threads`` in 1..``THREADS_MAX`` and ``--n-max`` in
 1..``IDENTITY_BUDGET``; a value outside its range exits with code 2, as
-does a ``moments --n`` below the family's first row.  So does an ``--out``
-or ``--record`` path that cannot be written, with one ``error:`` line and
-no file left behind.  For either, ``-`` means stdout.  ``simulate`` opens
-its ``--record`` and ``--out`` files before any work (exit 2 if both name
-one file), runs the replicates in fixed-size chunks and streams the audit
-rows in replicate order as each chunk finishes; the table is written last,
-so an audit on stdout comes whole before it.  The chunks go to a pool of
-``--threads`` workers only when the run's work in replicate-stages reaches
-a measured floor, below which a pool costs more to start than it saves.
+does a ``triangle`` or ``moments`` ``--n`` below the family's first row.
+So does an ``--out`` or ``--record`` path that cannot be written, with one
+``error:`` line and no file left behind.  For either, ``-`` means stdout.
+``triangle`` writes each row as it is rolled, so it holds two rows, not
+the table.  ``simulate`` opens its ``--record`` and ``--out`` files before
+any work (exit 2 if both name one file), runs the replicates in fixed-size
+chunks and streams the audit rows in replicate order as each chunk
+finishes; the table is written last, so an audit on stdout comes whole
+before it.  The chunks go to a pool of ``--threads`` workers only when the
+run's work in replicate-stages reaches a measured floor, below which a pool
+costs more to start than it saves.
 
 Start-up pays only for what the command runs.  Importing this module and
 building the parser loads ``tags`` (the choices) and no library module;
@@ -59,11 +61,11 @@ RESIDUAL_EXIT = 3
 IDENTITY_EXIT = 4
 BROKEN_PIPE_EXIT = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
-# A 1000-row derangement triangle holds about 0.3 GB of integers; 10^6
-# replicates is a second's work for the batch engine at n=32.  ``clt`` rolls
-# two rows instead of keeping the triangle, so its bound is time: reaching row
-# n costs about n^3, and row 1200 took 2.0-2.4 s on 2 vCPUs, so row 4000
-# takes about 1.5 minutes per family.
+# ``triangle`` writes each row as it is rolled and holds two, so its bound is
+# time and output size: derangements to n = 1000 write 704 MB in about 25 s
+# on 2 vCPUs.  10^6 replicates is a second's work for the batch engine at
+# n=32.  ``clt`` rolls rows too: reaching row n costs about n^3, and row 1200
+# took 2.0-2.4 s on 2 vCPUs, so row 4000 takes about 1.5 minutes per family.
 N_MAX = 1000
 N_SET_MAX = 4000
 REPLICATES_MAX = 1_000_000
@@ -206,25 +208,25 @@ def _emit(table: Table, args) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_triangle(args) -> int:
-    from .families import descent_triangle, parse_family
+    from .families import _reaching, rolled_rows
 
-    fam = parse_family(args.family)
-    tri = descent_triangle(fam, args.n)
-    if args.format == "json":
-        doc = {
-            "family": fam.value,
-            "n_min": tri.n_min,
-            "k_min": tri.k_min,
-            "rows": [[str(c) for c in row] for _, row in tri.rows()],
-        }
-        with _open_out(args.out) as out:
-            out.write(json.dumps(doc, indent=2) + "\n")
-        return 0
-    table = Table(["n", "k", "count"])
-    for n, row in tri.rows():
-        for j, count in enumerate(row):
-            table.add(n, tri.k_min + j, count)
-    _emit(table, args)
+    fam = _reaching(args.family, args.n, "row")
+    rows = rolled_rows(fam, range(fam.n_min, args.n + 1))
+    with _open_out(args.out) as out:
+        if args.format == "json":
+            # the bytes of ``json.dumps(doc, indent=2)``, written a row at a time
+            head = json.dumps({"family": fam.value, "n_min": fam.n_min,
+                               "k_min": fam.k_min, "rows": []}, indent=2)
+            out.write(head.removesuffix("]\n}"))
+            for i, (_, row) in enumerate(rows):
+                out.write(("," if i else "") + "\n    [\n"
+                          + ",\n".join(f'      "{c}"' for c in row) + "\n    ]")
+            out.write("\n  ]\n}\n")
+            return 0
+        sep = "\t" if args.format == "tsv" else ","
+        out.write(sep.join(["n", "k", "count"]) + "\n")
+        for n, row in rows:
+            out.write("".join(f"{n}{sep}{k}{sep}{c}\n" for k, c in enumerate(row, fam.k_min)))
     return 0
 
 

@@ -21,10 +21,8 @@ from .families import (
     ExactPmf,
     Family,
     counting_sequence,
-    descent_triangle,
     parse_family,
     rolled_rows,
-    triangle_row_pmf,
 )
 from .processes import ProcessKind, _difference_moments, parse_kind
 from .tags import IDENTITY_CHECKS
@@ -205,7 +203,8 @@ def identity_check(which: str, n: int) -> IdentityReport:
 
     # fibonacci_pmf: triangle row pmf equals the two-part census over
     # compositions of n
-    pmf = triangle_row_pmf(descent_triangle(Family.FIBONACCI, n), n)
+    _, row = next(rolled_rows(Family.FIBONACCI, [n]))
+    pmf = ExactPmf.from_counts(Family.FIBONACCI.k_min, row)
     f_n = counting_sequence(Family.FIBONACCI, n)[n]
     for k in range(n // 2 + 1):
         census, weight = F(math.comb(n - k, k), f_n), pmf.weight(k)

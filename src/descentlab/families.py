@@ -13,10 +13,10 @@ Five statistic families are supported:
 
 All triangle entries are arbitrary-precision integers computed bottom-up from
 the family's row recurrence.  A row pmf is the row itself: integer counts over
-the row total, whose moments are exact ``Fraction`` values.  ``descent_triangle``
-keeps every row it builds in the family's store; ``rolled_rows`` steps two
-rolling rows through the same recurrence and keeps none, so a deep row costs
-O(n) integers, not the triangle up to it.
+the row total, whose moments are exact ``Fraction`` values.  Rows come from
+one place, ``rolled_rows``: it steps two rolling rows through the family's
+row recurrence and keeps none, so a deep row costs O(n) integers, not the
+triangle up to it.  ``descent_triangle`` gathers the rows of one call.
 
 Each family's row recurrence is written once, as a term table (``_TERMS``).
 The rows are built from it, and so are the power sums
@@ -26,12 +26,11 @@ O(r**2) integer operations however wide the row.  Row means and moments
 read the power sums and need no row.
 
 Every per-index cache is a grow-only list of one type, ``_Grown``: each
-family's counting sequence, triangle rows, row power sums and row means
-here, and each process kind's stage laws and part constants in
-``processes``.  A request beyond the stored index extends a list from its
-last entries under the list's own lock; nothing is rebuilt and no entry
-changes, so triangles handed out earlier stay valid and the lists are safe
-to share across threads.
+family's counting sequence, row power sums and row means here, and each
+process kind's stage laws and part constants in ``processes``.  A request
+beyond the stored index extends a list from its last entries under the
+list's own lock; nothing is rebuilt and no entry changes, so the lists are
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -263,7 +262,8 @@ def _central_moment(sums, r: int) -> Fraction:
     return Fraction(num, t**r)
 
 
-# Entries 0..len-1 of each store before any growth; index 0 of the rows is a
+# Entries 0..len-1 of each counting sequence before any growth, and the rows
+# that seed the power sums and every roll; index 0 of the rows is a
 # placeholder below every family's first row (fibonacci's row 0 is real and
 # seeds its recurrence).
 _SEED_COUNTS = {
@@ -305,21 +305,18 @@ class _Grown(list):
 
 
 class _Store:
-    """Grow-only counting sequence, triangle rows, row power sums and row
-    means of one family.
+    """Grow-only counting sequence, row power sums and row means of one
+    family.
 
-    ``counts[n]``, ``rows[n]``, ``sums[n]`` and ``means[n]`` belong to
-    index n.  ``sums[n]`` is (S_0, ..., S_4) of row n, grown by the
-    power-sum recurrence (seeded from the seed rows), so the means and
-    moments it gives build no row.  Only ``descent_triangle`` grows
-    ``rows``; the rows ``rolled_rows`` steps through are not kept.
+    ``counts[n]``, ``sums[n]`` and ``means[n]`` belong to index n.
+    ``sums[n]`` is (S_0, ..., S_4) of row n, grown by the power-sum
+    recurrence (seeded from the seed rows), so the means and moments it
+    gives build no row.
     """
 
     def __init__(self, family: Family):
         self.family = family
         self.counts = _Grown(_SEED_COUNTS[family], lambda seq: _next_count(family, seq))
-        self.rows = _Grown(_SEED_ROWS[family],
-                           lambda rows: _next_row(family, len(rows), rows[-2], rows[-1]))
         self.sums = _Grown(
             (_power_sums(family.k_min, row, _POWERS) for row in _SEED_ROWS[family]),
             lambda sums: _next_sums(family, sums, self.counts.through(len(sums))),
@@ -452,8 +449,7 @@ class CountTriangle:
     Row n holds entries for k = k_min .. k_max(n); indices outside a row are
     implicitly zero.  Derangement and excedance rows keep explicit trailing
     zeros (k runs to n-1) so rows are directly comparable against references.
-    ``rows`` maps n to row n; ``descent_triangle`` passes its family store's
-    rows, which later growth leaves unchanged.
+    ``rows`` maps n to row n.
     """
 
     def __init__(self, family: Family, n_max: int, rows):
@@ -486,18 +482,19 @@ class CountTriangle:
 
 
 def descent_triangle(family: str | Family, n_max: int) -> CountTriangle:
-    """The family's triangle for rows n_min..n_max, from its store."""
+    """The family's triangle for rows n_min..n_max, rolled on each call
+    (``rolled_rows``); no row is cached, so the triangle holds the only copy."""
     fam = _reaching(family, n_max, "row")
-    return CountTriangle(fam, n_max, _STORES[fam].rows.through(n_max))
+    return CountTriangle(fam, n_max, dict(rolled_rows(fam, range(fam.n_min, n_max + 1))))
 
 
 def rolled_rows(family: str | Family,
                 ns: Iterable[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield (n, row n) for each requested n, in increasing order.
 
-    Two rolling rows step through the row recurrence (``_next_row``, as the
-    store's rows do), so the rows held are O(n) integers and none is kept.
-    A request below the family's first row raises ``FamilyError``.
+    Two rolling rows step through the row recurrence (``_next_row``), so
+    the rows held are O(n) integers and none is kept.  A request below the
+    family's first row raises ``FamilyError``.
     """
     fam = parse_family(family)
     wanted = sorted(set(ns))

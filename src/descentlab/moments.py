@@ -21,9 +21,8 @@ from .families import (
     Family,
     _central_moment,
     counting_sequence,
-    descent_triangle,
     parse_family,
-    triangle_row_pmf,
+    rolled_rows,
     two_jump_split,
 )
 
@@ -194,8 +193,8 @@ def involution_lambda_recurrence_residual(n_max: int) -> list[tuple[int, Fractio
     with q_n = (n-1) i_{n-2} / i_n, derived from the generating-function
     derivative relations and verified against the exact triangle.
     """
-    tri = descent_triangle(Family.INVOLUTION, n_max)
-    lam = {n: factorial_moment(triangle_row_pmf(tri, n), 2) for n in range(1, n_max + 1)}
+    lam = {n: factorial_moment(ExactPmf.from_counts(Family.INVOLUTION.k_min, row), 2)
+           for n, row in rolled_rows(Family.INVOLUTION, range(1, n_max + 1))}
     out = []
     for n in range(3, n_max + 1):
         q = F(*two_jump_split(Family.INVOLUTION, n))
@@ -213,12 +212,11 @@ def derangement_lambda_recurrence_residual(n_max: int) -> list[tuple[int, Fracti
     lambda_n = (n-2) d_{n-1}/d_n lambda_{n-1} + (2n-4) d_{n-1} mu_{n-1} / d_n
              + (-1)^n (n-1)(n-2) / d_n.
     """
-    tri = descent_triangle(Family.DERANGEMENT, n_max)
     counts = counting_sequence(Family.DERANGEMENT, n_max)
     lam: dict[int, Fraction] = {}
     mu: dict[int, Fraction] = {}
-    for n in range(2, n_max + 1):
-        pmf = triangle_row_pmf(tri, n)
+    for n, row in rolled_rows(Family.DERANGEMENT, range(2, n_max + 1)):
+        pmf = ExactPmf.from_counts(Family.DERANGEMENT.k_min, row)
         lam[n] = factorial_moment(pmf, 2)
         mu[n] = pmf.mean()
     out = []

@@ -16,6 +16,7 @@ every replicate and picked one with ``np.where``.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
@@ -30,7 +31,7 @@ from descentlab.compositions import (
     enumerate_compositions,
     word_statistic,
 )
-from descentlab.families import ExactPmf, Family
+from descentlab.families import _SEED_ROWS, CountTriangle, ExactPmf, Family
 from descentlab.processes import (
     _TABLES,
     ProcessKind,
@@ -157,6 +158,21 @@ def unrolled_row(family, rows) -> tuple[int, ...]:
         )
     # Exc_{n,k} = k Exc_{n-1,k} + (n-k) Exc_{n-1,k-1} + (n-1) Exc_{n-2,k-1}
     return tuple(k * a[k] + (n - k) * a[k - 1] + (n - 1) * b[k] for k in range(1, n))
+
+
+# The deepest row the property tests draw.
+REFERENCE_N = 300
+
+
+@functools.cache
+def reference_triangle(family: Family) -> CountTriangle:
+    """Rows up to ``REFERENCE_N`` of the family's triangle, by ``unrolled_row``
+    from the seed rows.  Built once per test process, so tests that compare
+    many rows share one build, and none of it comes from ``_next_row``."""
+    rows = list(_SEED_ROWS[family])
+    while len(rows) <= REFERENCE_N:
+        rows.append(unrolled_row(family, rows))
+    return CountTriangle(family, REFERENCE_N, rows)
 
 
 def count_histogram(values, k_min: int, k_max: int) -> list[int]:

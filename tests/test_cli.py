@@ -54,11 +54,68 @@ def test_triangle_json_decimal_strings():
     assert big > 2**64
 
 
+# sha256 of the output of ``triangle --family F`` at ``--n 500`` (CSV), and at
+# ``--n 60`` with ``--format json`` and with ``--format tsv``, taken when the
+# command still built the whole table before writing it.
+TRIANGLE_SHA256 = {
+    "eulerian": ("22d1d9f2f8f37dd21311f398167be71b21d79683c137bf5718e7595a1c471cf0",
+                 "4b625cbb6d469496eeecf161dd806374ba9445a534316951e5d7dc1e1ab9442a",
+                 "1e0051880e65ff323d37b6f96aa2f366e3d47126391e24b1d65192f9c1b2e5b5"),
+    "involution": ("3ba7928240a90b09c6d22d54740b95395a62161bcd4e185040b289738072633e",
+                   "a5ae59e417d2b98c144a3fca4a72d32b9b212574c5ae240f54d7f844caa95204",
+                   "f0dc4e03dd26e6a8f62a1caa37262bdc76d847b7c12a2f27c317930c2bfe7990"),
+    "derangement": ("0d0ad7dcb456228df5387a2bd1dd8643e424c19371025c09cf2921a9ab20b17b",
+                    "b8f9c6c9b37fc34ac8e9ef7b6acc50d74fd15d84222bf3734c6b5ca361105796",
+                    "af64eeea44984bedf986fc72ad2d4205f3e9681b3187caf7316db4b6321c0955"),
+    "excedance": ("cf5b6735adbe910c36663f7d5307fcc3f7315df46a4c63123f4d37eabce1f9db",
+                  "8d1f2b37f0d84fe7a58bf63fd1725ef8bd3ef4d66aedfffc4f8f54d2213b2599",
+                  "178f27aa2653a0dc336bc37d84783ef08d4f73cc53ffe7d7b3920fa33556438c"),
+    "fibonacci": ("104a1b66366ad0a786059b5bde8700617105722867963726359c5db2a173264d",
+                  "2ccd24fb30098788b51d20b109c253471483fe0bea86023d612137edda744237",
+                  "839e6b83f4d3bb5155e8ca4bfb3c0de6d2acd1e6b2a0d3b175db045a21fd734d"),
+}
+
+
+@pytest.mark.parametrize("family", list(TRIANGLE_SHA256))
+def test_triangle_output_is_pinned(family, tmp_path):
+    import hashlib
+
+    from descentlab import cli
+
+    path = tmp_path / "tri"
+    for pin, argv in zip(TRIANGLE_SHA256[family], (["--n", "500"],
+                                                   ["--n", "60", "--format", "json"],
+                                                   ["--n", "60", "--format", "tsv"])):
+        assert cli.main(["triangle", "--family", family, *argv, "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == pin, argv
+
+
+def test_a_triangle_that_fails_midway_leaves_its_out_file_as_it_was(tmp_path, monkeypatch):
+    from descentlab import cli, families
+
+    def failing(family, n, before, last):
+        if n == 50:
+            raise ArithmeticError("row 50")
+        return next_row(family, n, before, last)
+
+    next_row = families._next_row
+    monkeypatch.setattr(families, "_next_row", failing)
+    path = tmp_path / "tri.csv"
+    path.write_text("earlier run\n")
+    for fmt in ("csv", "json"):
+        with pytest.raises(ArithmeticError, match="row 50"):
+            cli.main(["triangle", "--family", "derangement", "--n", "80",
+                      "--format", fmt, "--out", str(path)])
+        assert path.read_text() == "earlier run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["tri.csv"]
+
+
 def test_bad_flags_exit_2():
     proc = run_cli("triangle", "--family", "nope", "--n", "4", check=False)
     assert proc.returncode == 2
     proc = run_cli("triangle", "--family", "derangement", "--n", "1", check=False)
     assert proc.returncode == 2 and "derangement" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_family_and_process_choices_are_the_enum_values():
@@ -573,6 +630,15 @@ def test_plain_simulate_memory_is_bounded_at_a_million_replicates():
     assert peak < 50, peak
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_triangle_holds_rows_not_the_table(fmt):
+    # the whole derangement table to 500 peaked at 66.6 MB as CSV and at
+    # 348 MB as JSON, built before a byte was written
+    peak = peak_rss_mb(*CLI, "triangle", "--family", "derangement", "--n", "500",
+                       "--format", fmt)
+    assert peak < 30, peak
+
+
 def test_clt_past_the_triangle_limit_holds_two_rows():
     # the derangement triangle to 1000 alone holds about 0.3 GB
     peak = peak_rss_mb(*CLI, "clt", "--family", "derangement", "--n-set", "1200")
@@ -680,7 +746,7 @@ def test_sizes_outside_the_limits_exit_2_before_any_work(argv, monkeypatch, caps
     from descentlab import diagnostics, families, moments, processes
 
     monkeypatch.setattr(cli, "_sim_chunk", no_work)
-    for module, name in ((families, "descent_triangle"), (moments, "moment_table"),
+    for module, name in ((families, "rolled_rows"), (moments, "moment_table"),
                          (diagnostics, "clt_table"), (diagnostics, "identity_check"),
                          (processes, "simulate")):
         monkeypatch.setattr(module, name, no_work)

@@ -251,19 +251,17 @@ def fresh_stores():
 
 @settings(max_examples=40, deadline=None)
 @given(family=st.sampled_from(FAMILIES), a=st.integers(1, 50), b=st.integers(1, 50))
-def test_store_rows_do_not_depend_on_request_order(family, a, b):
+def test_triangles_and_counts_do_not_depend_on_request_order(family, a, b):
     a, b = max(a, family.n_min), max(b, family.n_min)
-    top = max(a, b)
-    fresh = families._Store(family)
-    expected_rows = fresh.rows.through(top)
-    expected_counts = fresh.counts.through(top)
+    expected_counts = families._Store(family).counts.through(max(a, b))
+    reference = oracles.reference_triangle(family)
     saved = families._STORES[family]
     families._STORES[family] = families._Store(family)
     try:
         first, second = descent_triangle(family, a), descent_triangle(family, b)
         for tri, m in ((first, a), (second, b)):
             assert [row for _, row in tri.rows()] == [
-                list(expected_rows[n]) for n in range(family.n_min, m + 1)
+                reference.row(n) for n in range(family.n_min, m + 1)
             ]
         assert counting_sequence(family, b) == expected_counts[: b + 1]
         assert counting_sequence(family, a) == expected_counts[: a + 1]
@@ -279,7 +277,7 @@ def test_store_rows_do_not_depend_on_request_order(family, a, b):
 @example(kind=ProcessKind.EXCEDANCE, n=300)
 def test_exact_marginal_equals_triangle_row_pmf(kind, n):
     n = max(n, kind.n_min)
-    assert exact_marginal(kind, n) == triangle_row_pmf(descent_triangle(kind.family, n), n)
+    assert exact_marginal(kind, n) == triangle_row_pmf(oracles.reference_triangle(kind.family), n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -289,15 +287,16 @@ def test_exact_marginal_equals_triangle_row_pmf(kind, n):
 @example(family=Family.FIBONACCI, ns={1, 2, 300})
 def test_rolled_rows_equal_the_triangle_rows(family, ns):
     ns = {max(n, family.n_min) for n in ns}
-    tri = descent_triangle(family, max(ns, default=family.n_min))
+    reference = oracles.reference_triangle(family)
     assert list(families.rolled_rows(family, ns)) == \
-        [(n, tuple(tri.row(n))) for n in sorted(ns)]
+        [(n, tuple(reference.row(n))) for n in sorted(ns)]
 
 
 def test_rolled_rows_keep_nothing_and_refuse_rows_below_the_first(fresh_stores):
     rows = dict(families.rolled_rows("derangement", [40, 6, 6, 12]))
     assert list(rows) == [6, 12, 40]
-    assert all(len(store.rows) == len(families._SEED_ROWS[fam])
+    assert all((len(store.counts), len(store.sums), len(store.means))
+               == (len(families._SEED_COUNTS[fam]), len(families._SEED_ROWS[fam]), 0)
                for fam, store in fresh_stores.items())
     assert list(families.rolled_rows("involution", [])) == []
     for family in ("derangement", "excedance", "eulerian", "fibonacci"):
@@ -337,34 +336,36 @@ def test_one_counting_sequence_per_family_whatever_the_sizes_asked(fresh_stores)
 def test_exact_means_are_kept_in_the_store(fresh_stores, monkeypatch):
     built = []
 
-    def counted(family, n_max):
-        built.append((family, n_max))
-        return descent_triangle(family, n_max)
+    def counted(family, n, before, last):
+        built.append((family, n))
+        return next_row(family, n, before, last)
 
-    monkeypatch.setattr(families, "descent_triangle", counted)
+    next_row = families._next_row
+    monkeypatch.setattr(families, "_next_row", counted)
     store = fresh_stores[Family.DERANGEMENT]
-    seed_rows = len(families._SEED_ROWS[Family.DERANGEMENT])
     means = processes.exact_means(ProcessKind.DERANGEMENT, 40)
     # the means and the power sums they read are kept; no row is built
     assert len(store.means) == 41 and len(store.sums) == 41
-    assert len(store.rows) == seed_rows and built == []
+    assert built == []
     assert processes.exact_means("derangement", 20) == means[:21]
     assert len(store.means) == 41 and len(store.sums) == 41  # a smaller request is a lookup
     # below the first row a mean is 0, also on a first request
     assert families.row_means("excedance", 1) == (0, 0)
     assert families.row_means("eulerian", 0) == (0,)
-    assert built == [] and len(store.rows) == seed_rows
+    assert built == []
 
 
 def test_concurrent_growth_matches_a_fresh_build(fresh_stores):
     family = Family.INVOLUTION
-    expected = families._Store(family).rows.through(90)
+    fresh = families._Store(family)
+    expected = fresh.counts.through(90), fresh.sums.through(90)
     errors = []
 
     def grow(sizes):
         try:
             for m in sizes:
-                descent_triangle(family, m)
+                counting_sequence(family, m)
+                families.row_means(family, m)
                 processes.exact_means(ProcessKind.DERANGEMENT, m)
         except Exception as exc:  # reported through the list below
             errors.append(exc)
@@ -381,7 +382,7 @@ def test_concurrent_growth_matches_a_fresh_build(fresh_stores):
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads) and not errors
-    assert fresh_stores[family].rows == expected
+    assert (fresh_stores[family].counts, fresh_stores[family].sums) == expected
     assert len(fresh_stores[Family.DERANGEMENT].means) == 91
 
 
@@ -399,15 +400,15 @@ def test_concurrent_growth_matches_a_fresh_build(fresh_stores):
 def test_store_power_sums_equal_the_row_power_sums(family, n):
     n = max(n, family.n_min)
     sums = families._STORES[family].sums.through(n)[n]
-    assert sums == triangle_row_pmf(descent_triangle(family, n), n).power_sums(4)
+    assert sums == triangle_row_pmf(oracles.reference_triangle(family), n).power_sums(4)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
 def test_term_table_restates_the_row_recurrence(family):
-    rows = families._STORES[family].rows.through(120)
-    for n in range(len(families._SEED_ROWS[family]), 121):
-        assert families._next_row(family, n, rows[n - 2], rows[n - 1]) == \
-            oracles.unrolled_row(family, rows[:n])
+    seed, tri = families._SEED_ROWS[family], oracles.reference_triangle(family)
+    rows = [*seed, *(tuple(tri.row(n)) for n in range(len(seed), 121))]
+    for n in range(len(seed), 121):
+        assert families._next_row(family, n, rows[n - 2], rows[n - 1]) == rows[n]
 
 
 def test_power_sum_checks_raise_arithmetic_errors(monkeypatch):
@@ -434,7 +435,6 @@ def test_derangement_closed_form_check_raises_on_disagreement():
 
 
 def test_involution_row_division_check_raises_on_a_remainder():
-    store = families._Store(Family.INVOLUTION)
-    store.rows[2] = (1, 2)  # not row 2: row 3's recurrence no longer divides by 3
+    # (1, 2) is not row 2: row 3's recurrence no longer divides by 3
     with pytest.raises(ArithmeticError, match="not divisible by 3"):
-        store.rows.through(3)
+        families._next_row(Family.INVOLUTION, 3, (1,), (1, 2))

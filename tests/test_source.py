@@ -87,8 +87,8 @@ def test_means_and_moment_tables_build_no_rows(module, qualname):
 
 
 # ``clt`` and the condition scans step two rolling rows through
-# ``families.rolled_rows``; the family store would keep every row to the
-# largest n they read.
+# ``families.rolled_rows``; a ``descent_triangle`` would hold every row to
+# the largest n they read.
 ROLLED = [
     ("diagnostics.py", "clt_table"),
     ("diagnostics.py", "condition_scan"),
@@ -100,6 +100,49 @@ def test_clt_tables_and_condition_scans_read_no_store(module, qualname):
     path = next(p for p in SOURCES if p.name == module)
     used = _reached_names(path, qualname) & {"descent_triangle", "triangle_row_pmf", "_STORES"}
     assert not used, f"{module}:{qualname} reaches {sorted(used)}"
+
+
+def _trees():
+    return {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+            for p in SOURCES}
+
+
+def _callers(tree, name):
+    """The innermost function around each call of ``name`` in the tree."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
+                found.append(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(tree, None)
+    return found
+
+
+# Rows come from one place: ``families.rolled_rows`` steps two rows through
+# the recurrence and keeps none.  When the family store kept every row asked
+# for, ``triangle --family derangement --n 1000`` peaked at 394 MB.
+def test_rows_are_built_by_rolled_rows_alone():
+    callers = {module: _callers(tree, "_next_row") for module, tree in _trees().items()}
+    assert {m: c for m, c in callers.items() if c} == {"families.py": ["rolled_rows"]}
+
+
+def test_the_family_store_keeps_no_rows():
+    store = _function(next(p for p in SOURCES if p.name == "families.py"), "_Store")
+    names = {node.attr for node in ast.walk(store) if isinstance(node, ast.Attribute)}
+    names |= {node.name for node in store.body if isinstance(node, ast.FunctionDef)}
+    assert "rows" not in names
+
+
+def test_nothing_reads_stored_rows():
+    reads = [(module, node.lineno) for module, tree in _trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "through"
+             and getattr(node.value, "attr", None) == "rows"]
+    assert not reads, f".rows.through read at {reads}"
 
 
 def test_batch_finals_calls_no_np_where():
