@@ -29,10 +29,11 @@ costs more to start than it saves.
 Start-up pays only for what the command runs.  Importing this module and
 building the parser loads ``tags`` (the choices) and no library module;
 each command imports its own modules when it runs (``triangle`` loads
-``families``; ``moments`` adds ``moments``; ``decompose`` and a recorded
+``families``; ``moments`` adds ``moments``; ``clt`` and ``identities`` add
+``diagnostics`` and no process layer; ``decompose`` and a recorded
 ``simulate`` load ``processes`` with ``compositions``, ``families`` and
-``rng``; ``clt`` and ``identities`` load ``diagnostics`` and those; a plain
-``simulate`` adds ``batch`` and numpy).  Importing this module also sets
+``rng``; a plain ``simulate`` adds ``batch`` and numpy).  No command loads
+``dataclasses`` or ``inspect``.  Importing this module also sets
 ``OPENBLAS_NUM_THREADS=1``, so numpy starts no idle BLAS thread pool here
 or in the pool workers, unless ``OPENBLAS_NUM_THREADS``,
 ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set.

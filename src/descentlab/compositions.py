@@ -20,10 +20,9 @@ by ``rng.Jump.draw``: the split and the draw of the family's jump process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import RuleError
 from .families import ExactPmf, Family, parse_family, two_jump_split
@@ -33,34 +32,61 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
 class JumpWord:
     """Letters over {1..s}, first letter 1."""
 
-    letters: tuple[int, ...]
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        if not self.letters:
+    def __init__(self, letters: tuple[int, ...]):
+        if not letters:
             raise ValueError("empty jump word")
-        if self.letters[0] != 1:
+        if letters[0] != 1:
             raise ValueError("jump word must start with a one-jump")
-        if min(self.letters) < 1:
+        if min(letters) < 1:
             raise ValueError("jump word letters must be positive")
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"JumpWord(letters={self.letters!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self):
+        return hash((self.letters,))
+
+    def __reduce__(self):
+        return JumpWord, (self.letters,)
 
     def __len__(self) -> int:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
-class Composition:
+class _CompositionFields(NamedTuple):
+    parts: tuple[int, ...]
+    s: int
+
+
+class Composition(_CompositionFields):
     """Ordered parts in {1..s} with live position bookkeeping."""
 
-    parts: tuple[int, ...]
-    s: int = 2
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.parts and not 1 <= min(self.parts) <= max(self.parts) <= self.s:
-            raise ValueError(f"parts must lie in 1..{self.s}")
+    def __new__(cls, parts: tuple[int, ...], s: int = 2):
+        if parts and not 1 <= min(parts) <= max(parts) <= s:
+            raise ValueError(f"parts must lie in 1..{s}")
+        return super().__new__(cls, parts, s)
+
+    @classmethod
+    def _make(cls, iterable) -> Composition:  # so ``_replace`` checks too
+        return cls(*iterable)
 
     @property
     def total(self) -> int:
@@ -79,18 +105,14 @@ class Composition:
         return tuple(zip(self.positions(), self.parts))
 
 
-def discard_map(word: JumpWord | Sequence[int]) -> Composition:
-    """Reduce a jump word to its composition.
+def _parts_from_right(letters: Sequence[int]) -> list[int]:
+    """The parts of a word's discard reduction, right to left.
 
     The walk starts at the last position p.  The letter c there is the part
     that ends at p and absorbs the c - 1 letters to its left, so the next
     part ends at p - c; a letter c > p reaches below the first position and
-    raises ``ValueError``.  The parts, read left to right, sum to the word
-    length.
+    raises ``ValueError``.  The letters are not otherwise checked.
     """
-    if not isinstance(word, JumpWord):
-        word = JumpWord(tuple(word))
-    letters = word.letters
     parts, p = [], len(letters)
     while p:
         c = letters[p - 1]
@@ -101,12 +123,22 @@ def discard_map(word: JumpWord | Sequence[int]) -> Composition:
             )
         parts.append(c)
         p -= c
+    return parts
+
+
+def discard_map(word: JumpWord | Sequence[int]) -> Composition:
+    """Reduce a jump word to its composition, by the walk of
+    ``_parts_from_right``; the parts, read left to right, sum to the word
+    length."""
+    if not isinstance(word, JumpWord):
+        word = JumpWord(tuple(word))
+    letters = word.letters
+    parts = _parts_from_right(letters)
     parts.reverse()
     return Composition(tuple(parts), max(2, max(letters)))
 
 
-@dataclass(frozen=True)
-class JumpProbabilityRule:
+class JumpProbabilityRule(NamedTuple):
     """Per-stage jump-size distribution.
 
     For the default order 2, ``fn(i)`` returns the two-jump probability at
@@ -255,20 +287,26 @@ def enumerate_compositions(n: int, s: int = 2) -> list[Composition]:
     return out
 
 
-@dataclass(frozen=True)
-class BernoulliSpec:
-    """Binary value taking ``a`` with probability ``p`` and ``b`` otherwise."""
-
+class _BernoulliFields(NamedTuple):
     p: Fraction
     a: Fraction
-    b: Fraction = field(default=ZERO)
+    b: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if not ZERO <= self.p <= ONE:
-            raise ValueError(f"probability {self.p} outside [0, 1]")
+
+class BernoulliSpec(_BernoulliFields):
+    """Binary value taking ``a`` with probability ``p`` and ``b`` otherwise."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: Fraction, a: Fraction, b: Fraction = ZERO):
+        p, a, b = Fraction(p), Fraction(a), Fraction(b)
+        if not ZERO <= p <= ONE:
+            raise ValueError(f"probability {p} outside [0, 1]")
+        return super().__new__(cls, p, a, b)
+
+    @classmethod
+    def _make(cls, iterable) -> BernoulliSpec:  # so ``_replace`` checks too
+        return cls(*iterable)
 
     def mean(self) -> Fraction:
         return self.p * self.a + (1 - self.p) * self.b

@@ -11,11 +11,9 @@ martingale differences over the exact law of their source value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .compositions import BernoulliSpec
 from .errors import FamilyError
 from .families import (
     ExactPmf,
@@ -24,8 +22,10 @@ from .families import (
     parse_family,
     rolled_rows,
 )
-from .processes import ProcessKind, _difference_moments, parse_kind
-from .tags import IDENTITY_CHECKS
+from .tags import IDENTITY_CHECKS, ProcessKind
+
+if TYPE_CHECKING:
+    from .compositions import BernoulliSpec
 
 F = Fraction
 ZERO = F(0)
@@ -60,21 +60,28 @@ def kolmogorov_distance(pmf: ExactPmf) -> float:
     return best
 
 
-@dataclass(frozen=True)
-class CltRecord:
+class _CltFields(NamedTuple):
     n: int
     mean: float
     sd: float
     K: float
     scaled: float  # sqrt(n) K or n^(1/3) K, per family
 
-    def __post_init__(self):
-        if not 0.0 <= self.K <= 1.0:
-            raise ValueError(f"row {self.n}: Kolmogorov distance {self.K} outside [0, 1]")
+
+class CltRecord(_CltFields):
+    __slots__ = ()
+
+    def __new__(cls, n: int, mean: float, sd: float, K: float, scaled: float):
+        if not 0.0 <= K <= 1.0:
+            raise ValueError(f"row {n}: Kolmogorov distance {K} outside [0, 1]")
+        return super().__new__(cls, n, mean, sd, K, scaled)
+
+    @classmethod
+    def _make(cls, iterable) -> CltRecord:  # so ``_replace`` checks too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class CltResult:
+class CltResult(NamedTuple):
     family: Family
     records: tuple[CltRecord, ...]
     skipped: tuple[int, ...]
@@ -139,8 +146,7 @@ def _least_squares(points: list[tuple[float, float]]) -> tuple[float, float]:
 # exact identities over compositions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     which: str
     n: int
     lhs: Fraction
@@ -217,8 +223,7 @@ def identity_check(which: str, n: int) -> IdentityReport:
 # numerical scans of the limit theorem's conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConditionRow:
+class ConditionRow(NamedTuple):
     i: int
     second_norm: float   # sqrt(i) * || E[Y^2|F] - 1 ||_p
     third_norm: float    # i^(1/(2p')) * || E[Y^3|F] ||_p'
@@ -242,6 +247,9 @@ def condition_scan(
     first row, or a stage whose difference has zero variance, raises
     ``FamilyError``.
     """
+    # loaded here alone, so the other diagnostics load no process layer
+    from .processes import _difference_moments, parse_kind
+
     kind = parse_kind(kind)
     p = F(p)
     pp = F(p_prime)

@@ -36,7 +36,6 @@ safe to share across threads.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, Iterable, Iterator
@@ -353,7 +352,6 @@ def counting_sequence(family: str | Family, n_max: int) -> list[int]:
     return _STORES[fam].counts.through(n_max)[: n_max + 1]
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class ExactPmf:
     """Integer-supported pmf: weight(offset + j) = counts[j] / total, exact.
 
@@ -364,12 +362,10 @@ class ExactPmf:
     ``ExactPmf(offset, weights)`` takes rational weights and scales them to a
     common denominator; ``ExactPmf.from_counts`` takes counts.  ``weights`` is
     derived, and equality and hashing are by ``(offset, weights)``, whatever
-    the scale of the counts.
+    the scale of the counts.  An ``ExactPmf`` is immutable.
     """
 
-    offset: int
-    counts: tuple[int, ...]
-    total: int
+    __slots__ = ("offset", "counts", "total")
 
     def __init__(self, offset: int, weights: Iterable[Fraction | int]):
         ws = [Fraction(w) for w in weights]
@@ -393,6 +389,18 @@ class ExactPmf:
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "total", total)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return (f"ExactPmf(offset={self.offset!r}, counts={self.counts!r}, "
+                f"total={self.total!r})")
+
+    def __reduce__(self):
+        return ExactPmf.from_counts, (self.offset, self.counts)
 
     @property
     def weights(self) -> tuple[Fraction, ...]:

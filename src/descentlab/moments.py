@@ -10,9 +10,8 @@ appear only in comparison columns against irrational asymptotic formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import FamilyError
 from .families import (
@@ -20,6 +19,7 @@ from .families import (
     ExactPmf,
     Family,
     _central_moment,
+    _reaching,
     counting_sequence,
     parse_family,
     rolled_rows,
@@ -41,24 +41,33 @@ def factorial_moment(pmf: ExactPmf, r: int) -> Fraction:
     return F(total, pmf.total)
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """Exact first four moments of one row distribution."""
-
+class _MomentFields(NamedTuple):
     n: int
     mean: Fraction
     variance: Fraction
     third_central: Fraction
     fourth_central: Fraction
 
-    def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError(f"row {self.n}: negative variance {self.variance}")
-        if self.fourth_central < self.variance**2:
+
+class MomentReport(_MomentFields):
+    """Exact first four moments of one row distribution."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, mean: Fraction, variance: Fraction,
+                third_central: Fraction, fourth_central: Fraction):
+        if variance < 0:
+            raise ValueError(f"row {n}: negative variance {variance}")
+        if fourth_central < variance**2:
             raise ValueError(
-                f"row {self.n}: fourth central moment below the squared variance "
+                f"row {n}: fourth central moment below the squared variance "
                 "(Jensen)"
             )
+        return super().__new__(cls, n, mean, variance, third_central, fourth_central)
+
+    @classmethod
+    def _make(cls, iterable) -> MomentReport:  # so ``_replace`` checks too
+        return cls(*iterable)
 
     def floats(self) -> tuple[float, float, float, float]:
         return (
@@ -133,8 +142,7 @@ def _asymptotics(family: Family, rep: MomentReport) -> dict[str, float]:
     return {}
 
 
-@dataclass(frozen=True)
-class MomentRow:
+class MomentRow(NamedTuple):
     report: MomentReport
     asymptotics: dict[str, float]
 
@@ -191,8 +199,10 @@ def involution_lambda_recurrence_residual(n_max: int) -> list[tuple[int, Fractio
              + q_n [ (n-2)(n-3)/(n(n-1)) lambda_{n-2}
                      + (n-2)(2n^2-9n+13)/(n(n-1)) ]
     with q_n = (n-1) i_{n-2} / i_n, derived from the generating-function
-    derivative relations and verified against the exact triangle.
+    derivative relations and verified against the exact triangle.  An
+    n_max below the first index raises ``FamilyError``, as for derangements.
     """
+    _reaching(Family.INVOLUTION, n_max, "index")
     lam = {n: factorial_moment(ExactPmf.from_counts(Family.INVOLUTION.k_min, row), 2)
            for n, row in rolled_rows(Family.INVOLUTION, range(1, n_max + 1))}
     out = []

@@ -38,11 +38,10 @@ part ending at position p describes the jump into stage p + 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .compositions import Composition, discard_map
+from .compositions import Composition, _parts_from_right
 from .errors import FamilyError, InfeasibleStateError
 from .families import _STORES, ExactPmf, _Grown, row_means, two_jump_split
 from .rng import TWO64, Jump, Stream
@@ -84,31 +83,47 @@ def _check_value(kind: ProcessKind, j: int, value) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ProcessState:
-    """Values at two consecutive stages: ``prev`` at stage n, ``last`` at
-    stage n+1; the next transition produces the value at stage n+2."""
-
+class _StateFields(NamedTuple):
     kind: ProcessKind
     n: int
     prev: int
     last: int
 
-    def __post_init__(self):
-        _check_value(self.kind, self.n, self.prev)
-        _check_value(self.kind, self.n + 1, self.last)
+
+class ProcessState(_StateFields):
+    """Values at two consecutive stages: ``prev`` at stage n, ``last`` at
+    stage n+1; the next transition produces the value at stage n+2."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: ProcessKind, n: int, prev: int, last: int):
+        _check_value(kind, n, prev)
+        _check_value(kind, n + 1, last)
+        return super().__new__(cls, kind, n, prev, last)
+
+    @classmethod
+    def _make(cls, iterable) -> ProcessState:  # so ``_replace`` checks too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class JumpDistribution:
-    """Joint law of (jump source, increment) for one transition."""
-
+class _JumpFields(NamedTuple):
     entries: tuple[tuple[str, int, Fraction], ...]  # (source, increment, prob)
 
-    def __post_init__(self):
-        total = sum(p for _, _, p in self.entries)
-        if total != 1 or any(p < 0 for _, _, p in self.entries):
+
+class JumpDistribution(_JumpFields):
+    """Joint law of (jump source, increment) for one transition."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries: tuple[tuple[str, int, Fraction], ...]):
+        total = sum(p for _, _, p in entries)
+        if total != 1 or any(p < 0 for _, _, p in entries):
             raise InfeasibleStateError("jump probabilities must be a distribution")
+        return super().__new__(cls, entries)
+
+    @classmethod
+    def _make(cls, iterable) -> JumpDistribution:  # so ``_replace`` checks too
+        return cls(*iterable)
 
     def two_jump_probability(self) -> Fraction:
         return sum(p for src, _, p in self.entries if src == "prev")
@@ -294,8 +309,7 @@ def gamma_factor(comp: Composition, i: int) -> Fraction:
 # martingale differences and their conditional moments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalPmf:
+class RationalPmf(NamedTuple):
     """Finite pmf over exact rational values."""
 
     outcomes: tuple[tuple[Fraction, Fraction], ...]  # (value, prob)
@@ -403,8 +417,7 @@ def conditional_moment(
 # simulation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PartRecord:
+class PartRecord(NamedTuple):
     """One composition part of a recorded run."""
 
     position: int
@@ -415,25 +428,40 @@ class PartRecord:
     gamma: Fraction
 
 
-@dataclass(frozen=True)
 class Decomposition:
-    """A recorded run's composition and parts.  One that ``simulate`` made
-    holds the run's walk (``_decompose``) and builds its parts from it when
-    they are first read; ``reconstruct`` and the CLI's audit rows read the
-    walk alone."""
+    """A recorded run's composition and parts, immutable.  One that
+    ``simulate`` made holds the run's walk (``_decompose``) and builds its
+    parts from it when they are first read; ``reconstruct`` and the CLI's
+    audit rows read the walk alone.  Equality and hashing are by
+    (composition, parts)."""
 
-    composition: tuple[int, ...]
-    parts: tuple[PartRecord, ...]
+    def __init__(self, composition: tuple[int, ...], parts: tuple[PartRecord, ...]):
+        self.__dict__.update(composition=composition, parts=parts)
 
     def __getattr__(self, name):  # reached only for an attribute never set
         if name != "parts" or "_walk" not in self.__dict__:
             raise AttributeError(name)
-        object.__setattr__(self, "parts", _records(*self._walk))
-        return self.parts
+        parts = self.__dict__["parts"] = _records(*self._walk)
+        return parts
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"Decomposition(composition={self.composition!r}, parts={self.parts!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.composition, self.parts) == (other.composition, other.parts)
+
+    def __hash__(self):
+        return hash((self.composition, self.parts))
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """One simulated run; ``steps`` holds (stage, jump order, value)."""
 
     kind: ProcessKind
@@ -556,35 +584,37 @@ def simulate(kind: str | ProcessKind, n: int, seed: int, record: bool = False,
 
     decomposition = None
     if record:
-        comp, walk = _decompose(kind, n, values, orders)
+        parts, walk = _decompose(kind, n, values, orders)
         decomposition = object.__new__(Decomposition)  # parts on first read
-        decomposition.__dict__.update(composition=comp.parts, _walk=(kind, n, walk))
+        decomposition.__dict__.update(composition=parts, _walk=(kind, n, walk))
     steps = tuple(zip(range(first, n + 1), orders[first:], values[first:]))
     return Trajectory(kind, n, seed, ((first - 2, v0), (first - 1, v1)), steps,
                       values[n], decomposition)
 
 
 def _decompose(kind: ProcessKind, n: int, values: list[int],
-               orders: list[int]) -> tuple[Composition, list[tuple]]:
+               orders: list[int]) -> tuple[tuple[int, ...], list[tuple]]:
     """The one walk over the parts of a run (its values and jump orders by
     stage; stages before the first update hold order 1, so the jump word is
     ``orders[composition_offset + 1:]``), from the right over the discard
-    reduction of that word: returns the composition and, right to left,
-    each part's (size, stage entry, d), its integer difference
+    reduction of that word: returns the composition's parts and, right to
+    left, each part's (size, stage entry, d), its integer difference
     d = scale(i) v_i - k v_{i-s} - c with c and k from
-    ``_telescoped_constants``.  The part's x is d less the entry's shift."""
+    ``_telescoped_constants``.  The part's x is d less the entry's shift.
+    The run wrote the word's letters, 1s and 2s, itself, so they are reduced
+    (``_parts_from_right``, with its own check) without ``discard_map``'s
+    checks of a word from outside."""
     offset = kind.composition_offset
-    word = orders[offset + 1:]
-    comp = discard_map(word) if word else Composition(())
+    sizes = _parts_from_right(orders[offset + 1:])
     table = _part_table(kind, n)
-    walk, pos = [], comp.total
-    for size in reversed(comp.parts):
-        stage = pos + offset
+    walk, stage = [], n
+    for size in sizes:
         c, k = _telescoped_constants(kind, stage, size)
         d = _scale(offset, stage) * values[stage] - k * values[stage - size] - c
         walk.append((size, table[stage][size - 1], d))
-        pos -= size
-    return comp, walk
+        stage -= size
+    sizes.reverse()
+    return tuple(sizes), walk
 
 
 def _telescoped_sum(kind: ProcessKind, n: int, walk) -> tuple:

@@ -63,6 +63,32 @@ def test_malformed_words_rejected():
         discard_map((1, 3, 1))  # surviving 3 would reach below position 1
 
 
+MALFORMED = [
+    (lambda: discard_map(()), "empty jump word"),
+    (lambda: discard_map([2, 1]), "must start with a one-jump"),
+    (lambda: discard_map([1, 0, 1]), "letters must be positive"),
+    (lambda: discard_map([1, -2]), "letters must be positive"),
+    (lambda: discard_map([1, 3]), "jump of size 3 at position 2 reaches below"),
+    (lambda: discard_map(JumpWord((1, 1, 4))), "jump of size 4 at position 3"),
+    (lambda: JumpWord(()), "empty jump word"),
+    (lambda: JumpWord((2, 1)), "must start with a one-jump"),
+    (lambda: JumpWord((1, 0)), "letters must be positive"),
+    (lambda: Composition((1, 3)), r"parts must lie in 1\.\.2"),
+    (lambda: Composition((0, 1), 3), r"parts must lie in 1\.\.3"),
+    (lambda: Composition((1, 2), s=1), r"parts must lie in 1\.\.1"),
+    (lambda: Composition((1, 2))._replace(parts=(1, 5)), r"parts must lie in 1\.\.2"),
+    (lambda: BernoulliSpec(F(3, 2), 1), r"probability 3/2 outside \[0, 1\]"),
+    (lambda: BernoulliSpec(F(1, 2), 1)._replace(p=-1), r"probability -1 outside"),
+]
+
+
+@pytest.mark.parametrize("index", range(len(MALFORMED)))
+def test_malformed_public_inputs_raise_their_messages(index):
+    build, message = MALFORMED[index]
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def _reduce(reduction, word):
     """The composition ``reduction`` gives, or the message it raises."""
     try:

@@ -229,7 +229,7 @@ def test_condition_scan_two_jump_order():
 
 
 def test_condition_scan_evaluates_each_conditional_moment_once(monkeypatch):
-    import descentlab.diagnostics as diag
+    import descentlab.processes as processes
     from descentlab.processes import _difference_moments, conditional_moment, parse_kind
     from test_processes import centered
 
@@ -252,7 +252,8 @@ def test_condition_scan_evaluates_each_conditional_moment_once(monkeypatch):
         calls.append(args)
         return _difference_moments(*args)
 
-    monkeypatch.setattr(diag, "_difference_moments", counted)
+    # condition_scan imports the name from processes each time it runs
+    monkeypatch.setattr(processes, "_difference_moments", counted)
     for tag, order in (("involution", 1), ("derangement", 1), ("involution", 2)):
         kind = parse_kind(tag)
         calls.clear()
@@ -272,7 +273,7 @@ def test_condition_scan_evaluates_each_conditional_moment_once(monkeypatch):
 def test_condition_scan_takes_sources_over_different_denominators(monkeypatch):
     # the stage laws give every source of a stage one den; the scan must not
     # rely on it, so sources with odd values get their moments over 3 den
-    import descentlab.diagnostics as diag
+    import descentlab.processes as processes
     from descentlab.processes import _difference_moments
 
     def rescaled(kind, i, order, src):
@@ -281,7 +282,7 @@ def test_condition_scan_takes_sources_over_different_denominators(monkeypatch):
 
     for tag in ("involution", "derangement"):
         expected = condition_scan(tag, range(10, 41))
-        monkeypatch.setattr(diag, "_difference_moments", rescaled)
+        monkeypatch.setattr(processes, "_difference_moments", rescaled)
         assert condition_scan(tag, range(10, 41)) == expected
         monkeypatch.undo()
 

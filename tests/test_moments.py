@@ -215,6 +215,18 @@ def test_lambda_recurrences_hold_exactly():
     assert all(res == 0 for _, res in derangement_lambda_recurrence_residual(100))
 
 
+@pytest.mark.parametrize("n_max", [-1, 0])
+@pytest.mark.parametrize("residual, family, first", [
+    (involution_lambda_recurrence_residual, "involution", 1),
+    (derangement_lambda_recurrence_residual, "derangement", 2),
+])
+def test_lambda_recurrences_refuse_an_n_max_below_the_first_index(residual, family,
+                                                                   first, n_max):
+    with pytest.raises(FamilyError, match=f"n_max={n_max} is below the minimum index "
+                                          f"{first} for family {family}"):
+        residual(n_max)
+
+
 def test_variance_ratio_eventually_decreasing():
     rows = moment_table("derangement", range(50, 501))
     seq = [abs(12 * r.report.variance / r.report.n - 1) for r in rows]

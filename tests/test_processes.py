@@ -803,15 +803,14 @@ def test_a_recorded_decomposition_builds_its_parts_when_read():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_reconstruct_reports_a_corrupted_part_exactly(kind):
-    from dataclasses import replace
-
     traj = simulate(kind, 30, seed=3, record=True)
-    parts = list(traj.decomposition.parts)
+    dec = traj.decomposition
+    parts = list(dec.parts)
     for j, bump in ((0, F(1)), (len(parts) // 2, F(1, 7)), (len(parts) - 1, F(-2))):
         changed = list(parts)
-        changed[j] = replace(parts[j], x=parts[j].x + bump)
-        bad = replace(traj, decomposition=replace(traj.decomposition,
-                                                  parts=tuple(changed)))
+        changed[j] = parts[j]._replace(x=parts[j].x + bump)
+        bad = traj._replace(decomposition=processes.Decomposition(dec.composition,
+                                                                  tuple(changed)))
         assert reconstruct(bad) == -parts[j].gamma * bump
 
 
@@ -832,8 +831,6 @@ def corrupted(traj, corruption):
     """The run with one part's x, alpha or gamma bumped, its alpha swapped
     for an equal-valued fresh Fraction, its size changed, or the part
     dropped."""
-    from dataclasses import replace
-
     if corruption is None:
         return traj
     j, what, change = corruption
@@ -842,12 +839,13 @@ def corrupted(traj, corruption):
     if what == "drop":
         del parts[j]
     elif what == "fresh alpha":
-        parts[j] = replace(p, alpha=F(p.alpha.numerator, p.alpha.denominator))
+        parts[j] = p._replace(alpha=F(p.alpha.numerator, p.alpha.denominator))
     elif what == "size":
-        parts[j] = replace(p, size=change)
+        parts[j] = p._replace(size=change)
     else:
-        parts[j] = replace(p, **{what: getattr(p, what) + change})
-    return replace(traj, decomposition=replace(traj.decomposition, parts=tuple(parts)))
+        parts[j] = p._replace(**{what: getattr(p, what) + change})
+    return traj._replace(decomposition=processes.Decomposition(
+        traj.decomposition.composition, tuple(parts)))
 
 
 @settings(max_examples=200, deadline=None)

@@ -308,3 +308,11 @@ def test_only_batch_imports_numpy():
     offenders = [p.name for p in SOURCES
                  if p.name != "batch.py" and "numpy" in _imported_packages(p)]
     assert not offenders, f"modules importing numpy: {offenders}"
+
+
+def test_no_module_imports_dataclasses():
+    # ``@dataclass`` execs each class's methods as the module loads, about a
+    # millisecond a class, on every CLI command's start-up; records are
+    # ``NamedTuple``s or small slotted classes.
+    offenders = [p.name for p in SOURCES if "dataclasses" in _imported_packages(p)]
+    assert not offenders, f"modules importing dataclasses: {offenders}"
