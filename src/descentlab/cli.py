@@ -14,17 +14,25 @@ any work starts: ``--n`` at most ``N_MAX``, each ``--n-set`` entry at most
 ``N_SET_MAX``, ``--n-set`` not empty, ``--replicates`` in 1..``REPLICATES_MAX``,
 ``--threads`` in 1..``THREADS_MAX`` and ``--n-max`` in
 1..``IDENTITY_BUDGET``; a value outside its range exits with code 2, as
-does a ``triangle`` or ``moments`` ``--n`` below the family's first row.
-So does an ``--out`` or ``--record`` path that cannot be written, with one
-``error:`` line and no file left behind.  For either, ``-`` means stdout.
-``triangle`` writes each row as it is rolled, so it holds two rows, not
-the table.  ``simulate`` opens its ``--record`` and ``--out`` files before
-any work (exit 2 if both name one file), runs the replicates in fixed-size
-chunks and streams the audit rows in replicate order as each chunk
-finishes; the table is written last, so an audit on stdout comes whole
-before it.  The chunks go to a pool of ``--threads`` workers only when the
-run's work in replicate-stages reaches a measured floor, below which a pool
-costs more to start than it saves.
+does an ``--n`` below the family's first row (``triangle``, ``moments``) or
+the process's first stage (``simulate``, ``decompose``), before any output
+is opened.  So does an ``--out`` or ``--record`` path that cannot be
+written, with one ``error:`` line and no file left behind.  For either,
+``-`` means stdout, and so does a path naming the file stdout writes to
+(``/dev/stdout``, or the file stdout is redirected to), which is written
+through stdout, never replaced.
+
+Every table goes through one writer, ``_write``, a row at a time as the
+rows arrive: CSV and TSV a line per row, JSON the bytes of
+``json.dumps(doc, indent=2)``.  ``triangle`` writes each row as it is
+rolled, so it holds two rows, not the table.  ``simulate`` opens its
+``--record`` and ``--out`` files before any work (exit 2 if both name one
+file other than stdout), runs the replicates in fixed-size chunks and
+streams the audit rows in replicate order as each chunk finishes; the
+table is written last, so an audit on stdout comes whole before it.  The
+chunks go to a pool of ``--threads`` workers only when the run's work in
+replicate-stages reaches a measured floor, below which a pool costs more
+to start than it saves.
 
 Start-up pays only for what the command runs.  Importing this module and
 building the parser loads ``tags`` (the choices) and no library module;
@@ -121,39 +129,44 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-class Table:
-    """Column-ordered rows plus an optional trailing summary object."""
+def _write(out, fmt: str, columns: list[str] | None, rows, trailer: dict | None = None,
+           head: dict | None = None) -> None:
+    """Write a table to ``out`` in ``fmt``, each row as it arrives.
 
-    def __init__(self, columns: list[str]):
-        self.columns = columns
-        self.rows: list[list] = []
-        self.trailer: dict | None = None
+    CSV and TSV: the header, one line per row, then ``trailer`` as one JSON
+    line.  JSON: the bytes of ``json.dumps({**head, "rows": [...],
+    **trailer}, indent=2)`` and a newline, every cell a string; ``head`` is
+    ``{"columns": columns}`` unless given.  A row of the wrong width raises
+    ``ValueError``; with ``columns`` None (JSON only) rows may be of any width.
+    """
+    def cells(row):
+        if columns is not None and len(row) != len(columns):
+            raise ValueError(f"row of {len(row)} cells for {len(columns)} columns")
+        return row
 
-    def add(self, *cells):
-        if len(cells) != len(self.columns):
-            raise ValueError(
-                f"row of {len(cells)} cells for {len(self.columns)} columns"
-            )
-        self.rows.append(list(cells))
-
-
-def _write_table(table: Table, fmt: str, out) -> None:
     if fmt == "json":
-        doc = {
-            "columns": table.columns,
-            "rows": [[_fmt_cell(c) for c in row] for row in table.rows],
-        }
-        if table.trailer is not None:
-            doc.update(table.trailer)
-        out.write(json.dumps(doc, indent=2))
-        out.write("\n")
+        doc = json.dumps({**(head or {"columns": columns}), "rows": [], **(trailer or {})},
+                         indent=2)
+        start, end = doc.split('"rows": []', 1)
+        out.write(start + '"rows": [')
+        lead = "\n"
+        for row in rows:
+            # a non-str cell's text (a number, a ratio, true or false) needs no escaping
+            out.write(lead + "    [\n" + ",\n".join(
+                "      " + (json.dumps(c) if type(c) is str else f'"{_fmt_cell(c)}"')
+                for c in cells(row)) + "\n    ]")
+            lead = ",\n"
+        out.write(("]" if lead == "\n" else "\n  ]") + end + "\n")
         return
     sep = "\t" if fmt == "tsv" else ","
-    out.write(sep.join(table.columns) + "\n")
-    for row in table.rows:
-        out.write(sep.join(_fmt_cell(c) for c in row) + "\n")
-    if table.trailer is not None:
-        out.write(json.dumps(table.trailer) + "\n")
+    out.write(sep.join(columns) + "\n")
+    for row in rows:
+        # an int, most cells by far, is its own ``str`` (a call per cell costs
+        # the triangle's CSV about 8%)
+        out.write(sep.join([str(c) if type(c) is int else _fmt_cell(c)
+                            for c in cells(row)]) + "\n")
+    if trailer is not None:
+        out.write(json.dumps(trailer) + "\n")
 
 
 @contextlib.contextmanager
@@ -164,7 +177,7 @@ def _atomic_file(path: str):
     the target when the block ends; if the block raises, the temporary file
     is removed and the target is left as it was.  A symlink is followed, so
     the file it names is replaced and the link is kept.  A device or a pipe
-    (``/dev/stdout``, say) cannot be replaced and is written in place.  A
+    (``/dev/null``, say) cannot be replaced and is written in place.  A
     path that cannot be opened for writing raises ``ValueError`` naming it.
     """
     if os.path.exists(path) and not os.path.isfile(path):
@@ -193,15 +206,27 @@ def _open_for_writing(file: str, mode: str, path: str):
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _is_stdout(path: str) -> bool:
+    """Whether ``path`` is ``-`` or names the file stdout writes to
+    (``/dev/stdout``, or the file a shell redirected stdout to), which a
+    second handle would write over and a rename would replace."""
+    if path == "-":
+        return True
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # no such file, or a stdout with no descriptor
+        return False
+
+
 def _open_out(path: str | None):
-    if path is None or path == "-":
+    if path is None or _is_stdout(path):
         return contextlib.nullcontext(sys.stdout)
     return _atomic_file(path)
 
 
-def _emit(table: Table, args) -> None:
+def _emit(args, columns, rows, trailer=None, head=None) -> None:
     with _open_out(args.out) as out:
-        _write_table(table, args.format, out)
+        _write(out, args.format, columns, rows, trailer, head)
 
 
 # ---------------------------------------------------------------------------
@@ -213,21 +238,12 @@ def cmd_triangle(args) -> int:
 
     fam = _reaching(args.family, args.n, "row")
     rows = rolled_rows(fam, range(fam.n_min, args.n + 1))
-    with _open_out(args.out) as out:
-        if args.format == "json":
-            # the bytes of ``json.dumps(doc, indent=2)``, written a row at a time
-            head = json.dumps({"family": fam.value, "n_min": fam.n_min,
-                               "k_min": fam.k_min, "rows": []}, indent=2)
-            out.write(head.removesuffix("]\n}"))
-            for i, (_, row) in enumerate(rows):
-                out.write(("," if i else "") + "\n    [\n"
-                          + ",\n".join(f'      "{c}"' for c in row) + "\n    ]")
-            out.write("\n  ]\n}\n")
-            return 0
-        sep = "\t" if args.format == "tsv" else ","
-        out.write(sep.join(["n", "k", "count"]) + "\n")
-        for n, row in rows:
-            out.write("".join(f"{n}{sep}{k}{sep}{c}\n" for k, c in enumerate(row, fam.k_min)))
+    if args.format == "json":  # one list of counts per row
+        _emit(args, None, (row for _, row in rows),
+              head={"family": fam.value, "n_min": fam.n_min, "k_min": fam.k_min})
+    else:
+        _emit(args, ["n", "k", "count"],
+              ((n, k, c) for n, row in rows for k, c in enumerate(row, fam.k_min)))
     return 0
 
 
@@ -296,16 +312,18 @@ def _pooled(record: bool, replicates: int, stages: int, threads: int) -> bool:
 
 
 def cmd_simulate(args) -> int:
+    from .families import _reaching
     from .processes import parse_kind
 
     kind = parse_kind(args.process)
+    _reaching(kind.family, args.n, "stage")
     record = args.record is not None
     chunk = RECORD_CHUNK if record else PLAIN_CHUNK
     parts = max(args.threads, -(-args.replicates // chunk))
     bounds = [args.replicates * i // parts for i in range(parts + 1)]
     payloads = [(kind.value, args.n, args.seed, lo, hi - lo, record)
                 for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    files = [f for f in (args.record, args.out) if f not in (None, "-")]
+    files = [f for f in (args.record, args.out) if f is not None and not _is_stdout(f)]
     if len(files) == 2 and os.path.realpath(files[0]) == os.path.realpath(files[1]):
         raise ValueError(f"--record and --out name the same file {args.out}")
     sep = "\t" if args.format == "tsv" else ","
@@ -337,10 +355,7 @@ def cmd_simulate(args) -> int:
                     audit.write(sep.join(row) + "\n")
                     bad += row[-1] != "0"
         # last, and after the audit is closed: the two may share one device
-        table = Table(["value", "count"])
-        for v in sorted(counts):
-            table.add(v, counts[v])
-        _write_table(table, args.format, out)
+        _write(out, args.format, ["value", "count"], ((v, counts[v]) for v in sorted(counts)))
     if bad:
         print(f"error: {bad} replicates with nonzero residual", file=sys.stderr)
         return RESIDUAL_EXIT
@@ -354,18 +369,11 @@ def cmd_moments(args) -> int:
     fam = _reaching(args.family, args.n, "row")
     rows = moment_table(fam, range(fam.n_min, args.n + 1))
     asym_cols = sorted(rows[0].asymptotics)
-    table = Table(
-        ["n", "mean", "mean_float", "variance", "variance_float",
-         "third_central", "fourth_central"] + asym_cols
-    )
-    for row in rows:
-        rep = row.report
-        table.add(
-            rep.n, rep.mean, float(rep.mean), rep.variance, float(rep.variance),
-            rep.third_central, rep.fourth_central,
-            *[row.asymptotics[c] for c in asym_cols],
-        )
-    _emit(table, args)
+    _emit(args, ["n", "mean", "mean_float", "variance", "variance_float",
+                 "third_central", "fourth_central"] + asym_cols,
+          ((rep.n, rep.mean, float(rep.mean), rep.variance, float(rep.variance),
+            rep.third_central, rep.fourth_central, *[asym[c] for c in asym_cols])
+           for rep, asym in rows))
     return 0
 
 
@@ -378,18 +386,13 @@ def cmd_clt(args) -> int:
     if any(n > N_SET_MAX for n in ns):
         raise ValueError(f"--n-set entries must be at most {N_SET_MAX}")
     res = clt_table(args.family, ns, min_n=args.min_n, fit_min_n=args.fit_min)
-    table = Table(["n", "mean", "sd", "K", "scaled"])
-    for r in res.records:
-        table.add(r.n, r.mean, r.sd, r.K, r.scaled)
-    table.trailer = {
-        "fit": {
-            "slope": _fmt_float(res.slope),
-            "intercept": _fmt_float(res.intercept),
-            "max_scaled": _fmt_float(res.max_scaled),
-            "skipped": list(res.skipped),
-        }
+    fit = {
+        "slope": _fmt_float(res.slope),
+        "intercept": _fmt_float(res.intercept),
+        "max_scaled": _fmt_float(res.max_scaled),
+        "skipped": list(res.skipped),
     }
-    _emit(table, args)
+    _emit(args, ["n", "mean", "sd", "K", "scaled"], res.records, {"fit": fit})
     return 0
 
 
@@ -397,14 +400,9 @@ def cmd_identities(args) -> int:
     from .diagnostics import identity_check
 
     which = args.check.replace("-", "_")
-    table = Table(["check", "n", "lhs", "rhs", "holds", "offset_used"])
-    failures = 0
-    for n in range(1, args.n_max + 1):
-        rep = identity_check(which, n)
-        table.add(rep.which, rep.n, rep.lhs, rep.rhs, rep.holds, rep.offset_used)
-        if not rep.holds:
-            failures += 1
-    _emit(table, args)
+    reports = [identity_check(which, n) for n in range(1, args.n_max + 1)]
+    _emit(args, ["check", "n", "lhs", "rhs", "holds", "offset_used"], reports)
+    failures = sum(not rep.holds for rep in reports)
     if failures:
         print(f"error: {failures} identity failures", file=sys.stderr)
         return IDENTITY_EXIT
@@ -412,25 +410,23 @@ def cmd_identities(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .families import _reaching
     from .processes import reconstruct, simulate
 
+    _reaching(ProcessKind(args.process).family, args.n, "stage")
     traj = simulate(args.process, args.n, seed=args.seed, record=True)
     residual = reconstruct(traj)
     dec = traj.decomposition
-    table = Table(["part", "position", "size", "stage", "x", "alpha", "gamma"])
-    for idx, p in enumerate(dec.parts, start=1):
-        table.add(idx, p.position, p.size, p.stage, p.x, p.alpha, p.gamma)
-    table.trailer = {
-        "run": {
-            "process": traj.kind.value,
-            "n": traj.n,
-            "seed": traj.seed,
-            "final": traj.final,
-            "composition": "".join(str(p) for p in dec.composition),
-            "residual": str(residual),
-        }
+    run = {
+        "process": traj.kind.value,
+        "n": traj.n,
+        "seed": traj.seed,
+        "final": traj.final,
+        "composition": "".join(str(p) for p in dec.composition),
+        "residual": str(residual),
     }
-    _emit(table, args)
+    _emit(args, ["part", "position", "size", "stage", "x", "alpha", "gamma"],
+          [(i, *p) for i, p in enumerate(dec.parts, start=1)], {"run": run})
     return 0 if residual == 0 else RESIDUAL_EXIT
 
 

@@ -90,6 +90,46 @@ def test_triangle_output_is_pinned(family, tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == pin, argv
 
 
+# sha256 of the output of each command with ``--format json`` and with
+# ``--format tsv``, taken when each command built its whole table before
+# writing it.  ``clt ... --n-set 1`` and ``decompose ... --n 2`` have no rows.
+OUTPUT_SHA256 = {
+    "moments --family derangement --n 60":
+        ("42c6a9491ea1b6a28b527e96de30a6fbc80dd8809c4fb04f70125681f4658698",
+         "e5427a94b0fc212d0dfa6118219f50d6c54c5aa92cd4ddbeec46af05823802a5"),
+    "clt --family involution --n-set 16,32,64,128":
+        ("ad31077e164647a8d54fc31300eb33640f510827b6b76cd00f2ee76f8b930305",
+         "84515f7cad07db77c2ac2951ae5f8f734254173505cb5c6cd6dd1284438c160a"),
+    "clt --family derangement --n-set 1":
+        ("d25912e49b671a12ea6e35c3960c34ba0f7585f7ff79067b7695f7961f096d5b",
+         "2d49f6d22f26f122c7875d7bae27fe8358df0eb55ab4cbdae78af1ff5c89a579"),
+    "identities --check stan1 --n-max 12":
+        ("42c25b03ea40a3f8b61825cbf2e8a823c0ce90ef8b651d079732020e1b35a6b7",
+         "96edd66a5f3b3869750115111111c04392b7c15b026226f8dc621d224ba64d0c"),
+    "decompose --process derangement --n 30 --seed 7":
+        ("a8e938864701e74230df6cd5d9b0fee7a09f1545540d1e7728dee657169a6e21",
+         "3686fb44419a446154cf99a75bd6e30ef633326a49fdf74c254d9ee6ee455055"),
+    "decompose --process excedance --n 2":
+        ("bd5e8a4619d1025fd458a16f18618738116091d425f55744a8434b09b14bb103",
+         "4022f1a9f0cb34585f44b64d9a08048131d14668f6822bcf33d2fa409286aac3"),
+    "simulate --process derangement --n 4 --replicates 5000 --seed 1":
+        ("5e6b9b79ed4ed2b82bc9013e6f83428c3960c143164aa4fa6b162334024ab26d",
+         "c89546ae6e0fbee2bc0ed4eca4ffd6b2eaa3478ca667bd5b44cb889bb23f496b"),
+}
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_SHA256))
+def test_table_output_is_pinned(command, tmp_path):
+    import hashlib
+
+    from descentlab import cli
+
+    path = tmp_path / "out"
+    for fmt, pin in zip(("json", "tsv"), OUTPUT_SHA256[command]):
+        assert cli.main([*command.split(), "--format", fmt, "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == pin, fmt
+
+
 def test_a_triangle_that_fails_midway_leaves_its_out_file_as_it_was(tmp_path, monkeypatch):
     from descentlab import cli, families
 
@@ -290,6 +330,31 @@ def test_record_dash_writes_the_audit_to_stdout_before_the_table(tmp_path):
                           cwd=tmp_path, env=env, check=True)
     assert proc.stdout == audit.read_text() + table
     assert [p.name for p in tmp_path.iterdir()] == ["audit.csv"]
+
+
+STAN1 = ["identities", "--check", "stan1", "--n-max", "2"]
+RECORDED = ["simulate", "--process", "involution", "--n", "30", "--replicates", "300",
+            "--seed", "4", "--threads", "1"]
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (STAN1, ["--out", "/dev/stdout"]),
+    (STAN1, ["--out", "{file}"]),
+    (RECORDED, ["--record", "-", "--out", "/dev/stdout"]),
+    (RECORDED, ["--record", "/dev/stdout"]),
+    (RECORDED, ["--record", "{file}", "--out", "-"]),
+])
+def test_a_path_naming_stdout_is_written_as_stdout(argv, flags, tmp_path):
+    # stdout appends to a file: a path that names that file, as /dev/stdout
+    # or by its own name, is written through stdout, not renamed over it
+    expected = run_cli(*argv, *[f if f.startswith("--") else "-" for f in flags]).stdout
+    path = tmp_path / "f"
+    path.write_text("earlier run\n")
+    with open(path, "a") as fh:
+        subprocess.run(CLI + argv + [f.replace("{file}", str(path)) for f in flags],
+                       stdout=fh, check=True)
+    assert path.read_text() == "earlier run\n" + expected
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
 
 
 def test_a_closed_stdout_ends_the_command_quietly():
@@ -502,11 +567,11 @@ def test_out_file(tmp_path):
 def test_out_file_is_complete_or_absent(tmp_path, monkeypatch):
     from descentlab import cli
 
-    def failing_write(table, fmt, out):
-        out.write(",".join(table.columns) + "\n")
+    def failing_write(out, fmt, columns, rows, trailer=None, head=None):
+        out.write(",".join(columns) + "\n")
         raise OSError("disk full")
 
-    monkeypatch.setattr(cli, "_write_table", failing_write)
+    monkeypatch.setattr(cli, "_write", failing_write)
     path = tmp_path / "moments.csv"
     argv = ["moments", "--family", "involution", "--n", "5", "--out", str(path)]
     with pytest.raises(OSError, match="disk full"):
@@ -656,10 +721,13 @@ def test_out_through_a_symlink_keeps_the_link(tmp_path):
 
 
 def test_table_rejects_a_row_of_the_wrong_width():
-    from descentlab.cli import Table
+    import io
 
-    with pytest.raises(ValueError, match="2 cells for 3 columns"):
-        Table(["n", "k", "count"]).add(1, 2)
+    from descentlab.cli import _write
+
+    for fmt in ("csv", "json", "tsv"):
+        with pytest.raises(ValueError, match="2 cells for 3 columns"):
+            _write(io.StringIO(), fmt, ["n", "k", "count"], [(1, 0, 1), (2, 0)])
 
 
 LIBRARY = ("families", "compositions", "processes", "moments", "diagnostics", "batch")
@@ -735,6 +803,9 @@ def _simulate_argv(**flags):
     ["identities", "--check", "stan1", "--n-max", "-3"],
     ["identities", "--check", "stan1", "--n-max", "0"],
     ["identities", "--check", "stan1", "--n-max", "23"],
+    _simulate_argv(process="derangement", n="1"),
+    _simulate_argv(process="derangement", n="-3") + ["--record", "-"],
+    ["decompose", "--process", "involution", "--n", "0"],
 ])
 def test_sizes_outside_the_limits_exit_2_before_any_work(argv, monkeypatch, capsys):
     import descentlab.cli as cli
@@ -755,7 +826,8 @@ def test_sizes_outside_the_limits_exit_2_before_any_work(argv, monkeypatch, caps
     except SystemExit as exc:  # argparse's refusal
         code = exc.code
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
 
 
 def test_limits_admit_the_benchmark_sizes():

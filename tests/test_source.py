@@ -316,3 +316,25 @@ def test_no_module_imports_dataclasses():
     # ``NamedTuple``s or small slotted classes.
     offenders = [p.name for p in SOURCES if "dataclasses" in _imported_packages(p)]
     assert not offenders, f"modules importing dataclasses: {offenders}"
+
+
+# The output encoding is written once: ``cli._write`` streams every table,
+# in CSV, TSV or JSON, a row at a time.
+def test_only_the_table_writer_calls_json_dumps():
+    callers = _callers(_trees()["cli.py"], "dumps")
+    assert callers and set(callers) == {"_write"}, f"json.dumps called from {callers}"
+
+
+def test_the_cli_defines_no_table_class():
+    tree = _trees()["cli.py"]
+    assert "Table" not in {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+
+def test_the_triangle_command_builds_no_text():
+    # its rows go to the writer; no f-string, join, write or dumps of its own
+    triangle = _function(next(p for p in SOURCES if p.name == "cli.py"), "cmd_triangle")
+    built = [node.lineno for node in ast.walk(triangle)
+             if isinstance(node, ast.JoinedStr)
+             or isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+                 "write", "join", "dumps", "format")]
+    assert not built, f"cmd_triangle builds text at lines {built}"
