@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FamilyError
+from .families import _reaching
 from .processes import _TABLES, Jump, ProcessKind, StageLaw, _value_range, parse_kind
 from .rng import GOLDEN, MASK64, MIX_MULTIPLIERS, MIX_SHIFTS, TWO64, stream_key
 
@@ -109,8 +109,7 @@ def batch_finals(kind: str | ProcessKind, n: int, replicates: int,
     over disjoint index ranges merge by adding counts.
     """
     kind = parse_kind(kind)
-    if n < kind.n_min:
-        raise FamilyError(f"{kind.value}: n={n} below minimum {kind.n_min}")
+    _reaching(kind.family, n, "stage")
     if replicates <= 0:
         return {}
 

@@ -9,25 +9,27 @@ integers quickly.
 
 Exit codes: 0 success, 2 bad flags, 3 nonzero reconstruction residual,
 4 failed exact identity, 141 stdout closed by its reader before the output
-ended (``| head``, say), with nothing on stderr.  Sizes are bounded before
-any work starts: ``--n`` at most ``N_MAX``, each ``--n-set`` entry at most
-``N_SET_MAX``, ``--n-set`` not empty, ``--replicates`` in 1..``REPLICATES_MAX``,
-``--threads`` in 1..``THREADS_MAX`` and ``--n-max`` in
-1..``IDENTITY_BUDGET``; a value outside its range exits with code 2, as
-does an ``--n`` below the family's first row (``triangle``, ``moments``) or
-the process's first stage (``simulate``, ``decompose``), before any output
-is opened.  So does an ``--out`` or ``--record`` path that cannot be
-written, with one ``error:`` line and no file left behind.  For either,
-``-`` means stdout, and so does a path naming the file stdout writes to
-(``/dev/stdout``, or the file stdout is redirected to), which is written
-through stdout, never replaced.
+ended (``| head``, say), with nothing on stderr.
+
+Each command's preconditions and output have one owner, ``main``.  The
+parser bounds every flag: ``--n`` at most ``N_MAX``, each ``--n-set`` entry
+at most ``N_SET_MAX``, ``--n-set`` not empty, ``--replicates`` in
+1..``REPLICATES_MAX``, ``--threads`` in 1..``THREADS_MAX``, ``--n-max`` in
+1..``IDENTITY_BUDGET``.  ``main`` then refuses an ``--n`` below the family's
+first row (``triangle``, ``moments``) or the process's first stage
+(``simulate``, ``decompose``) and opens ``--out``, before the command works
+(``cmd_*(args, out)``).  Each refusal, and an ``--out`` or ``--record`` path
+that cannot be written, exits 2 with one ``error:`` line and no file left
+behind.  For either, ``-`` means stdout, and so does a path naming the file
+stdout writes to (``/dev/stdout``, or the file stdout is redirected to),
+which is written through stdout, never replaced.
 
 Every table goes through one writer, ``_write``, a row at a time as the
 rows arrive: CSV and TSV a line per row, JSON the bytes of
 ``json.dumps(doc, indent=2)``.  ``triangle`` writes each row as it is
-rolled, so it holds two rows, not the table.  ``simulate`` opens its
-``--record`` and ``--out`` files before any work (exit 2 if both name one
-file other than stdout), runs the replicates in fixed-size chunks and
+rolled, so it holds two rows, not the table.  ``simulate`` opens its own
+``--record`` file before any work (exit 2 if it and ``--out`` name one file
+other than stdout), runs the replicates in fixed-size chunks and
 streams the audit rows in replicate order as each chunk finishes; the
 table is written last, so an audit on stdout comes whole before it.  The
 chunks go to a pool of ``--threads`` workers only when the run's work in
@@ -224,26 +226,33 @@ def _open_out(path: str | None):
     return _atomic_file(path)
 
 
-def _emit(args, columns, rows, trailer=None, head=None) -> None:
-    with _open_out(args.out) as out:
-        _write(out, args.format, columns, rows, trailer, head)
+def _n_set(text: str) -> list[int]:
+    """An argparse type: the comma-separated row sizes of ``--n-set``, each
+    at most ``N_SET_MAX``, at least one."""
+    ns = [_bounded_int(None, N_SET_MAX)(tok) for tok in text.split(",") if tok]
+    if not ns:
+        raise argparse.ArgumentTypeError("must name at least one row size")
+    return ns
+
+
+_n_set.__name__ = "int list"  # argparse names the type in "invalid int list value"
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_triangle(args) -> int:
-    from .families import _reaching, rolled_rows
+def cmd_triangle(args, out) -> int:
+    from .families import parse_family, rolled_rows
 
-    fam = _reaching(args.family, args.n, "row")
+    fam = parse_family(args.family)
     rows = rolled_rows(fam, range(fam.n_min, args.n + 1))
     if args.format == "json":  # one list of counts per row
-        _emit(args, None, (row for _, row in rows),
-              head={"family": fam.value, "n_min": fam.n_min, "k_min": fam.k_min})
+        _write(out, args.format, None, (row for _, row in rows),
+               head={"family": fam.value, "n_min": fam.n_min, "k_min": fam.k_min})
     else:
-        _emit(args, ["n", "k", "count"],
-              ((n, k, c) for n, row in rows for k, c in enumerate(row, fam.k_min)))
+        _write(out, args.format, ["n", "k", "count"],
+               ((n, k, c) for n, row in rows for k, c in enumerate(row, fam.k_min)))
     return 0
 
 
@@ -311,12 +320,10 @@ def _pooled(record: bool, replicates: int, stages: int, threads: int) -> bool:
         RECORD_POOL_FLOOR if record else PLAIN_POOL_FLOOR)
 
 
-def cmd_simulate(args) -> int:
-    from .families import _reaching
+def cmd_simulate(args, out) -> int:
     from .processes import parse_kind
 
     kind = parse_kind(args.process)
-    _reaching(kind.family, args.n, "stage")
     record = args.record is not None
     chunk = RECORD_CHUNK if record else PLAIN_CHUNK
     parts = max(args.threads, -(-args.replicates // chunk))
@@ -329,79 +336,73 @@ def cmd_simulate(args) -> int:
     sep = "\t" if args.format == "tsv" else ","
     counts: dict[int, int] = {}
     bad = 0
-    with _open_out(args.out) as out:
-        with contextlib.ExitStack() as stack:
-            if record:
-                audit = stack.enter_context(_open_out(args.record))
-                audit.write(sep.join(["replicate", "final", "composition",
-                                      "differences", "alphas", "gammas",
-                                      "residual"]) + "\n")
-            if _pooled(record, args.replicates, args.n + 1 - kind.start[0],
-                       args.threads):
-                from concurrent.futures import ProcessPoolExecutor
+    with contextlib.ExitStack() as stack:
+        if record:
+            audit = stack.enter_context(_open_out(args.record))
+            audit.write(sep.join(["replicate", "final", "composition",
+                                  "differences", "alphas", "gammas",
+                                  "residual"]) + "\n")
+        if _pooled(record, args.replicates, args.n + 1 - kind.start[0],
+                   args.threads):
+            from concurrent.futures import ProcessPoolExecutor
 
-                pool = stack.enter_context(ProcessPoolExecutor(
-                    args.threads, initializer=sys.set_int_max_str_digits,
-                    initargs=(0,)))
-                # leaving early (a closed stdout, say) drops the queued chunks
-                stack.callback(pool.shutdown, cancel_futures=True)
-                results = pool.map(_sim_chunk, payloads)
-            else:
-                results = map(_sim_chunk, payloads)
-            for c, rows in results:
-                for v, k in c.items():
-                    counts[v] = counts.get(v, 0) + k
-                for row in rows:
-                    audit.write(sep.join(row) + "\n")
-                    bad += row[-1] != "0"
-        # last, and after the audit is closed: the two may share one device
-        _write(out, args.format, ["value", "count"], ((v, counts[v]) for v in sorted(counts)))
+            pool = stack.enter_context(ProcessPoolExecutor(
+                args.threads, initializer=sys.set_int_max_str_digits,
+                initargs=(0,)))
+            # leaving early (a closed stdout, say) drops the queued chunks
+            stack.callback(pool.shutdown, cancel_futures=True)
+            results = pool.map(_sim_chunk, payloads)
+        else:
+            results = map(_sim_chunk, payloads)
+        for c, rows in results:
+            for v, k in c.items():
+                counts[v] = counts.get(v, 0) + k
+            for row in rows:
+                audit.write(sep.join(row) + "\n")
+                bad += row[-1] != "0"
+    # last, and after the audit is closed: the two may share one device
+    _write(out, args.format, ["value", "count"], ((v, counts[v]) for v in sorted(counts)))
     if bad:
         print(f"error: {bad} replicates with nonzero residual", file=sys.stderr)
         return RESIDUAL_EXIT
     return 0
 
 
-def cmd_moments(args) -> int:
-    from .families import _reaching
+def cmd_moments(args, out) -> int:
+    from .families import parse_family
     from .moments import moment_table
 
-    fam = _reaching(args.family, args.n, "row")
+    fam = parse_family(args.family)
     rows = moment_table(fam, range(fam.n_min, args.n + 1))
     asym_cols = sorted(rows[0].asymptotics)
-    _emit(args, ["n", "mean", "mean_float", "variance", "variance_float",
-                 "third_central", "fourth_central"] + asym_cols,
-          ((rep.n, rep.mean, float(rep.mean), rep.variance, float(rep.variance),
-            rep.third_central, rep.fourth_central, *[asym[c] for c in asym_cols])
-           for rep, asym in rows))
+    _write(out, args.format, ["n", "mean", "mean_float", "variance", "variance_float",
+                              "third_central", "fourth_central"] + asym_cols,
+           ((rep.n, rep.mean, float(rep.mean), rep.variance, float(rep.variance),
+             rep.third_central, rep.fourth_central, *[asym[c] for c in asym_cols])
+            for rep, asym in rows))
     return 0
 
 
-def cmd_clt(args) -> int:
+def cmd_clt(args, out) -> int:
     from .diagnostics import clt_table
 
-    ns = [int(tok) for tok in args.n_set.split(",") if tok]
-    if not ns:
-        raise ValueError("--n-set must name at least one row size")
-    if any(n > N_SET_MAX for n in ns):
-        raise ValueError(f"--n-set entries must be at most {N_SET_MAX}")
-    res = clt_table(args.family, ns, min_n=args.min_n, fit_min_n=args.fit_min)
+    res = clt_table(args.family, args.n_set, min_n=args.min_n, fit_min_n=args.fit_min)
     fit = {
         "slope": _fmt_float(res.slope),
         "intercept": _fmt_float(res.intercept),
         "max_scaled": _fmt_float(res.max_scaled),
         "skipped": list(res.skipped),
     }
-    _emit(args, ["n", "mean", "sd", "K", "scaled"], res.records, {"fit": fit})
+    _write(out, args.format, ["n", "mean", "sd", "K", "scaled"], res.records, {"fit": fit})
     return 0
 
 
-def cmd_identities(args) -> int:
+def cmd_identities(args, out) -> int:
     from .diagnostics import identity_check
 
     which = args.check.replace("-", "_")
     reports = [identity_check(which, n) for n in range(1, args.n_max + 1)]
-    _emit(args, ["check", "n", "lhs", "rhs", "holds", "offset_used"], reports)
+    _write(out, args.format, ["check", "n", "lhs", "rhs", "holds", "offset_used"], reports)
     failures = sum(not rep.holds for rep in reports)
     if failures:
         print(f"error: {failures} identity failures", file=sys.stderr)
@@ -409,11 +410,9 @@ def cmd_identities(args) -> int:
     return 0
 
 
-def cmd_decompose(args) -> int:
-    from .families import _reaching
+def cmd_decompose(args, out) -> int:
     from .processes import reconstruct, simulate
 
-    _reaching(ProcessKind(args.process).family, args.n, "stage")
     traj = simulate(args.process, args.n, seed=args.seed, record=True)
     residual = reconstruct(traj)
     dec = traj.decomposition
@@ -425,8 +424,8 @@ def cmd_decompose(args) -> int:
         "composition": "".join(str(p) for p in dec.composition),
         "residual": str(residual),
     }
-    _emit(args, ["part", "position", "size", "stage", "x", "alpha", "gamma"],
-          [(i, *p) for i, p in enumerate(dec.parts, start=1)], {"run": run})
+    _write(out, args.format, ["part", "position", "size", "stage", "x", "alpha", "gamma"],
+           [(i, *p) for i, p in enumerate(dec.parts, start=1)], {"run": run})
     return 0 if residual == 0 else RESIDUAL_EXIT
 
 
@@ -454,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=families, required=True)
     p.add_argument("--n", type=_bounded_int(None, N_MAX), required=True)
     common(p)
-    p.set_defaults(func=cmd_triangle)
+    p.set_defaults(func=cmd_triangle, first="row")
 
     p = sub.add_parser("simulate", help="Monte Carlo runs of a jump process")
     p.add_argument("--process", choices=processes, required=True)
@@ -464,17 +463,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record", default=None,
                    help="write a per-replicate decomposition audit file")
     common(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, first="stage")
 
     p = sub.add_parser("moments", help="exact moment table with asymptotics")
     p.add_argument("--family", choices=families, required=True)
     p.add_argument("--n", type=_bounded_int(None, N_MAX), required=True)
     common(p)
-    p.set_defaults(func=cmd_moments)
+    p.set_defaults(func=cmd_moments, first="row")
 
     p = sub.add_parser("clt", help="Kolmogorov distances and rate fit")
     p.add_argument("--family", choices=families, required=True)
-    p.add_argument("--n-set", required=True, help="comma-separated row sizes")
+    p.add_argument("--n-set", type=_n_set, required=True, help="comma-separated row sizes")
     p.add_argument("--min-n", type=int, default=10)
     p.add_argument("--fit-min", type=int, default=20)
     common(p)
@@ -494,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--process", choices=processes, required=True)
     p.add_argument("--n", type=_bounded_int(None, N_MAX), required=True)
     common(p)
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func=cmd_decompose, first="stage")
 
     return parser
 
@@ -503,10 +502,16 @@ def main(argv: list[str] | None = None) -> int:
     # exact values print whole, past CPython's default limit of 4300 digits
     # on an int-to-text conversion; pool workers lift it too
     sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # --n must reach a family's first row or a process's first stage
+        first = getattr(args, "first", None)
+        if first is not None:
+            from .families import _reaching
+
+            _reaching(args.family if first == "row" else args.process, args.n, first)
+        with _open_out(args.out) as out:
+            return args.func(args, out)
     except ValueError as exc:  # domain errors from bad flag values
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -333,12 +333,12 @@ class _Store:
 _STORES = {fam: _Store(fam) for fam in Family}
 
 
-def _reaching(family: str | Family, n_max: int, what: str) -> Family:
-    """The family, if ``n_max`` reaches its first ``what`` (index or row)."""
+def _reaching(family: str | Family, n: int, what: str) -> Family:
+    """The family, if ``n`` reaches its first ``what`` (index, row or stage):
+    the one first-row refusal of the library and the CLI."""
     fam = parse_family(family)
-    if n_max < fam.n_min:
-        raise FamilyError(f"n_max={n_max} is below the minimum {what} {fam.n_min} "
-                          f"for family {fam.value}")
+    if n < fam.n_min:
+        raise FamilyError(f"{fam.value}: n={n} is below the first {what} {fam.n_min}")
     return fam
 
 

@@ -153,8 +153,7 @@ def _row_sums(fam: Family, n_range: Sequence[int]) -> list[tuple[int, tuple[int,
     ns = sorted(set(n_range))
     if not ns:
         return []
-    if ns[0] < fam.n_min:
-        raise FamilyError(f"n={ns[0]} below minimum row {fam.n_min} for {fam.value}")
+    _reaching(fam, ns[0], "row")
     sums = _STORES[fam].sums.through(ns[-1])
     return [(n, sums[n]) for n in ns]
 

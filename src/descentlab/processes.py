@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from .compositions import Composition, _parts_from_right
 from .errors import FamilyError, InfeasibleStateError
-from .families import _STORES, ExactPmf, _Grown, row_means, two_jump_split
+from .families import _STORES, ExactPmf, _Grown, _reaching, row_means, two_jump_split
 from .rng import TWO64, Jump, Stream
 from .tags import ProcessKind
 
@@ -565,8 +565,7 @@ def simulate(kind: str | ProcessKind, n: int, seed: int, record: bool = False,
     only when its ``parts`` are read.
     """
     kind = parse_kind(kind)
-    if n < kind.n_min:
-        raise FamilyError(f"{kind.value}: n={n} below minimum {kind.n_min}")
+    _reaching(kind.family, n, "stage")
     first, v0, v1 = kind.start
     # every stage consumes one type draw and one value draw, so all engines
     # stay in lockstep; the run's outputs come as one block
@@ -702,8 +701,7 @@ def reconstruct(traj: Trajectory) -> Fraction:
 def exact_marginal(kind: str | ProcessKind, n: int) -> ExactPmf:
     """Marginal law at stage n, by the module docstring's marginal closure."""
     kind = parse_kind(kind)
-    if n < kind.n_min:
-        raise FamilyError(f"{kind.value}: n={n} below minimum {kind.n_min}")
+    _reaching(kind.family, n, "stage")
     (first, v0, v1), laws = kind.start, _TABLES[kind].laws.through(n)
     c = _STORES[kind.family].counts.through(n)
     rows = [(v0, [c[first - 2]]), (v1, [c[first - 1]])]  # (least value, counts)

@@ -611,6 +611,58 @@ def test_unwritable_simulate_path_exits_2_before_any_work(flag, tmp_path, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+def _refuse_work(monkeypatch):
+    """Make every command's work raise, from the module that owns it."""
+    from descentlab import cli, diagnostics, families, moments, processes
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "_sim_chunk", no_work)
+    for module, name in ((families, "rolled_rows"), (moments, "moment_table"),
+                         (diagnostics, "clt_table"), (diagnostics, "identity_check"),
+                         (processes, "simulate")):
+        monkeypatch.setattr(module, name, no_work)
+
+
+@pytest.mark.parametrize("argv", [
+    ["triangle", "--family", "derangement", "--n", "600"],
+    ["moments", "--family", "derangement", "--n", "600"],
+    ["clt", "--family", "derangement", "--n-set", "800"],
+    ["identities", "--check", "stan1", "--n-max", "12"],
+    ["decompose", "--process", "derangement", "--n", "1000"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_exits_2_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    from descentlab import cli
+
+    _refuse_work(monkeypatch)
+    path = tmp_path / "missing" / "x.csv"
+    assert cli.main(argv + ["--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {path}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_first_stage_refusals_read_alike(capsys):
+    from descentlab import cli
+    from descentlab.batch import batch_finals
+    from descentlab.errors import FamilyError
+    from descentlab.processes import exact_marginal, simulate
+
+    messages = []
+    for call in (lambda: simulate("derangement", 1, 0), lambda: exact_marginal("derangement", 1),
+                 lambda: batch_finals("derangement", 1, 4, 0)):
+        with pytest.raises(FamilyError) as info:
+            call()
+        messages.append(str(info.value))
+    assert cli.main(["simulate", "--process", "derangement", "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: derangement: n=1 is below the first stage 2\n"
+    assert messages == ["derangement: n=1 is below the first stage 2"] * 3
+
+
 @pytest.mark.parametrize("out_name", ["a.csv", "link.csv"])
 def test_record_and_out_naming_one_file_exit_2_before_any_work(out_name, tmp_path,
                                                                monkeypatch, capsys):
@@ -806,21 +858,13 @@ def _simulate_argv(**flags):
     _simulate_argv(process="derangement", n="1"),
     _simulate_argv(process="derangement", n="-3") + ["--record", "-"],
     ["decompose", "--process", "involution", "--n", "0"],
+    ["clt", "--family", "involution", "--n-set", "5,abc"],
+    ["clt", "--family", "involution", "--n-set", "16,,x"],
 ])
 def test_sizes_outside_the_limits_exit_2_before_any_work(argv, monkeypatch, capsys):
     import descentlab.cli as cli
 
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started")
-
-    # each command imports its work from the module that owns it
-    from descentlab import diagnostics, families, moments, processes
-
-    monkeypatch.setattr(cli, "_sim_chunk", no_work)
-    for module, name in ((families, "rolled_rows"), (moments, "moment_table"),
-                         (diagnostics, "clt_table"), (diagnostics, "identity_check"),
-                         (processes, "simulate")):
-        monkeypatch.setattr(module, name, no_work)
+    _refuse_work(monkeypatch)
     try:
         code = cli.main(argv)
     except SystemExit as exc:  # argparse's refusal
@@ -828,6 +872,8 @@ def test_sizes_outside_the_limits_exit_2_before_any_work(argv, monkeypatch, caps
     assert code == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err and captured.out == ""
+    if "--n-set" in argv:  # every --n-set refusal is the parser's, and names the flag
+        assert "error: argument --n-set: " in captured.err
 
 
 def test_limits_admit_the_benchmark_sizes():

@@ -301,7 +301,8 @@ def test_rolled_rows_keep_nothing_and_refuse_rows_below_the_first(fresh_stores):
     assert list(families.rolled_rows("involution", [])) == []
     for family in ("derangement", "excedance", "eulerian", "fibonacci"):
         fam = Family(family)
-        with pytest.raises(FamilyError, match=f"below the minimum row {fam.n_min}"):
+        with pytest.raises(FamilyError, match=f"{family}: n={fam.n_min - 1} is below "
+                                              f"the first row {fam.n_min}"):
             next(families.rolled_rows(family, [fam.n_min - 1, 10]))
 
 

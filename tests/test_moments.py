@@ -192,9 +192,9 @@ def test_moment_tables_equal_the_row_pmf_moments(family):
 
 
 def test_moment_tables_below_the_first_row_raise():
-    with pytest.raises(FamilyError, match="below minimum row 2"):
+    with pytest.raises(FamilyError, match="derangement: n=1 is below the first row 2"):
         moment_table("derangement", range(1, 5))
-    with pytest.raises(FamilyError, match="below minimum row 1"):
+    with pytest.raises(FamilyError, match="involution: n=0 is below the first row 1"):
         fourth_moment_scan("involution", range(0, 5))
 
 
@@ -222,8 +222,8 @@ def test_lambda_recurrences_hold_exactly():
 ])
 def test_lambda_recurrences_refuse_an_n_max_below_the_first_index(residual, family,
                                                                    first, n_max):
-    with pytest.raises(FamilyError, match=f"n_max={n_max} is below the minimum index "
-                                          f"{first} for family {family}"):
+    with pytest.raises(FamilyError, match=f"{family}: n={n_max} is below the first index "
+                                          f"{first}"):
         residual(n_max)
 
 
