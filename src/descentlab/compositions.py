@@ -16,6 +16,8 @@ the same walk.  Stages too early for a jump of some size renormalize the
 rule over the feasible sizes (stage 1 is always a one-jump).  A family's
 rule is its ``families.two_jump_split``, and the sampler decides each stage
 by ``rng.Jump.draw``: the split and the draw of the family's jump process.
+A sum of independent specs is the fold over ending positions of
+``families._position_moments``, each step of lag 1.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import RuleError
-from .families import ExactPmf, Family, parse_family, two_jump_split
+from .families import ExactPmf, Family, _position_moments, parse_family, two_jump_split
 from .rng import Jump, Stream
 
 ZERO = Fraction(0)
@@ -257,16 +259,16 @@ def composition_probability(rule: JumpProbabilityRule, comp: Composition) -> Fra
     """Exact probability of the composition under the rule.
 
     Product over parts of the feasible stage distribution evaluated at the
-    part's ending position; sums to exactly 1 over all compositions.
+    part's ending position; a part above the rule's order has no mass.  So
+    the sum over ``enumerate_compositions(n, s)`` is exactly 1 for any
+    s >= the rule's order.
     """
     prob = ONE
     for pos, size in comp.position_pairs():
-        if pos == 1:
-            if size != 1:
-                return ZERO
-            continue  # the first update is always a one-jump
-        vec = rule.feasible_vector(pos)
-        prob *= vec[size - 1]
+        if size > rule.order:
+            return ZERO
+        if pos > 1:  # the first update is always a one-jump
+            prob *= rule.feasible_vector(pos)[size - 1]
     return prob
 
 
@@ -321,7 +323,7 @@ def word_statistic(specs: Sequence[BernoulliSpec], word: JumpWord | Sequence[int
     The part ending at position p contributes specs[p-1].a for a 2-part and
     specs[p-1].b for a 1-part (the spec's success value is tied to the
     two-jump).  Raises IndexError when the spec vector is shorter than the
-    word.
+    word, and ValueError for a part above 2, which a spec does not score.
     """
     comp = discard_map(word)
     if comp.total > len(specs):
@@ -330,22 +332,20 @@ def word_statistic(specs: Sequence[BernoulliSpec], word: JumpWord | Sequence[int
         )
     total = ZERO
     for pos, size in comp.position_pairs():
+        if size > 2:
+            raise ValueError(f"a {size}-part ends at position {pos}; "
+                             "a BernoulliSpec scores only 1- and 2-parts")
         spec = specs[pos - 1]
         total += spec.a if size == 2 else spec.b
     return total
 
 
 def binary_sum_moments(specs: Sequence[BernoulliSpec], max_order: int = 4) -> list[Fraction]:
-    """Raw moments E[T^r], r = 0..max_order, of T = sum of independent specs."""
+    """Raw moments E[T^r], r = 0..max_order, of T = sum of independent specs,
+    by the fold ``_position_moments`` with every step of lag 1."""
     if max_order > 4:
         raise ValueError("moments are supported up to order 4")
-    from math import comb
-
-    moments = [ONE] + [ZERO] * max_order  # point mass at zero
-    for spec in specs:
-        b = [spec.raw_moment(r) for r in range(max_order + 1)]
-        moments = [
-            sum(comb(r, j) * moments[j] * b[r - j] for j in range(r + 1))
-            for r in range(max_order + 1)
-        ]
-    return moments
+    if max_order < 0:
+        raise ValueError("moment order must be >= 0")
+    return [Fraction(m) for m in _position_moments(len(specs), lambda i: (
+        (1, 1 - specs[i - 1].p, specs[i - 1].b), (1, specs[i - 1].p, specs[i - 1].a)), max_order)]

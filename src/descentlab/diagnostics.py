@@ -2,8 +2,9 @@
 
 Kolmogorov distances standardize a row pmf by its exact mean and standard
 deviation and compare the exact CDF against the standard normal at every
-jump, from both sides.  Identity checks sum over compositions exactly by a
-forward recurrence over ending positions, in O(n) exact operations.
+jump, from both sides.  The identity checks and the variance-contraction
+check sum over compositions exactly by the fold over ending positions,
+``families._position_moments``, in O(n) exact operations.
 Condition scans evaluate the normalized conditional moment norms of the
 martingale differences over the exact law of their source value.
 """
@@ -12,12 +13,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import FamilyError
 from .families import (
     ExactPmf,
     Family,
+    _position_moments,
     counting_sequence,
     parse_family,
     rolled_rows,
@@ -28,7 +30,6 @@ if TYPE_CHECKING:
     from .compositions import BernoulliSpec
 
 F = Fraction
-ZERO = F(0)
 
 
 def normal_cdf(x: float) -> float:
@@ -155,20 +156,6 @@ class IdentityReport(NamedTuple):
     offset_used: int
 
 
-def _product_sum(n: int, two: Callable[[int], int | Fraction]) -> Fraction:
-    """Sum over compositions of n of the product of ``two(p)`` over the
-    positions p that end a 2-part (a 1-part weighs 1).
-
-    A composition of p ends in a 1-part after a composition of p-1 or in a
-    2-part after one of p-2, so S_p = S_{p-1} + two(p) S_{p-2} with
-    S_0 = S_1 = 1 (Stanley, EC1 4.7).
-    """
-    prev, cur = 1, 1
-    for p in range(2, n + 1):
-        prev, cur = cur, cur + two(p) * prev
-    return F(cur)
-
-
 def identity_check(which: str, n: int) -> IdentityReport:
     """Verify one exact identity at size n, exactly, in O(n) operations.
 
@@ -176,8 +163,8 @@ def identity_check(which: str, n: int) -> IdentityReport:
     equals an involution count; stan2: the squared weighting equals a
     factorial; both are checked against the natural index and its successor,
     recording which offset holds.  derangement_sum: the reciprocal-position
-    product sum equals the truncated alternating series.  The three sums run
-    a forward recurrence over ending positions.  fibonacci_pmf: the triangle
+    product sum equals the truncated alternating series.  The three sums are
+    folds ``_position_moments`` over compositions.  fibonacci_pmf: the triangle
     row equals the composition census, comb(n-k, k) compositions of n with
     k 2-parts.
     """
@@ -186,24 +173,18 @@ def identity_check(which: str, n: int) -> IdentityReport:
     if n < 1:
         raise ValueError("n must be >= 1")
 
-    if which == "stan1":
-        lhs = _product_sum(n, lambda p: p - 1)
-        seq = counting_sequence(Family.INVOLUTION, n + 1)
+    if which in ("stan1", "stan2"):
+        power = 1 if which == "stan1" else 2
+        lhs = F(_position_moments(n, lambda p: ((1, 1, 0), (2, (p - 1) ** power, 0)), 0)[0])
+        rhs = (counting_sequence(Family.INVOLUTION, n + 1)[n:] if power == 1
+               else [math.factorial(n), math.factorial(n + 1)])
         for offset in (0, 1):
-            if lhs == seq[n + offset]:
-                return IdentityReport(which, n, lhs, F(seq[n + offset]), True, offset)
-        return IdentityReport(which, n, lhs, F(seq[n]), False, 0)
-
-    if which == "stan2":
-        lhs = _product_sum(n, lambda p: (p - 1) ** 2)
-        for offset in (0, 1):
-            rhs = F(math.factorial(n + offset))
-            if lhs == rhs:
-                return IdentityReport(which, n, lhs, rhs, True, offset)
-        return IdentityReport(which, n, lhs, F(math.factorial(n)), False, 0)
+            if lhs == rhs[offset]:
+                return IdentityReport(which, n, lhs, F(rhs[offset]), True, offset)
+        return IdentityReport(which, n, lhs, F(rhs[0]), False, 0)
 
     if which == "derangement_sum":
-        lhs = _product_sum(n, lambda p: F(1, p)) / (n + 2)
+        lhs = F(_position_moments(n, lambda p: ((1, 1, 0), (2, F(1, p), 0)), 0)[0], n + 2)
         rhs = sum(F((-1) ** k, math.factorial(k)) for k in range(n + 3))
         return IdentityReport(which, n, lhs, rhs, lhs == rhs, 0)
 
@@ -306,33 +287,26 @@ def psi_variance_check(
     summands must have exactly zero mean; stage 1 is always a one-jump, so
     spec 1 must put no mass on the two-jump.
 
-    The discard reduction's composition law factors over ending positions,
-    so (E psi, E psi^2) over the compositions of p follow from those of p-1
-    (a 1-part ends at p) and p-2 (a 2-part ends at p); each has total mass 1.
+    Both are folds ``_position_moments`` with the same branches: stage i
+    adds ``specs[i-1].b``, or ``specs[i-1].a`` with probability p.  T_n
+    takes the two-jump from position i - 1; psi(T_n), whose law factors over
+    the discard reduction's ending positions, from i - 2.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if len(specs) < n:
         raise IndexError(f"need {n} specs, got {len(specs)}")
-    specs = list(specs[:n])
     if specs[0].p != 0:
         raise ValueError("stage 1 is always a one-jump: specs[0].p must be 0")
-    for idx, spec in enumerate(specs, start=1):
+    for idx, spec in enumerate(specs[:n], start=1):
         if spec.mean() != 0:
             raise ValueError(f"spec {idx} has nonzero mean {spec.mean()}")
 
-    var_t = sum(
-        spec.raw_moment(2) - spec.mean() ** 2 for spec in specs
-    )
+    def variance(two_lag: int) -> Fraction:
+        _, m1, m2 = _position_moments(n, lambda i: (
+            (1, 1 - specs[i - 1].p, specs[i - 1].b),
+            (two_lag, specs[i - 1].p, specs[i - 1].a)), 2)
+        return m2 - m1 * m1
 
-    # (E psi, E psi^2) at p-2 and p-1; position -1 has weight specs[0].p = 0
-    back = last = (ZERO, ZERO)
-    for spec in specs:
-        m1 = m2 = ZERO
-        for w, v, (s1, s2) in ((1 - spec.p, spec.b, last), (spec.p, spec.a, back)):
-            m1 += w * (s1 + v)
-            m2 += w * (s2 + 2 * v * s1 + v * v)
-        back, last = last, (m1, m2)
-    mean_psi, second_psi = last
-    var_psi = second_psi - mean_psi * mean_psi
+    var_t, var_psi = variance(1), variance(2)
     return var_t, var_psi, var_psi <= var_t

@@ -25,6 +25,10 @@ n-1 and n-2: in the sum every term above degree r cancels, so a step is
 O(r**2) integer operations however wide the row.  Row means and moments
 read the power sums and need no row.
 
+Sums over compositions have one owner too, the fold ``_position_moments``:
+the identity sums and the variance-contraction check of ``diagnostics`` read
+it, and so, with every step at lag 1, does ``compositions.binary_sum_moments``.
+
 Every per-index cache is a grow-only list of one type, ``_Grown``: each
 family's counting sequence, row power sums and row means here, and each
 process kind's stage laws and part constants in ``processes``.  A request
@@ -259,6 +263,27 @@ def _central_moment(sums, r: int) -> Fraction:
     num = (1 - r) * neg_s1**r + sum(comb(r, i) * sums[i] * t ** (i - 1) * neg_s1 ** (r - i)
                                     for i in range(2, r + 1))
     return Fraction(num, t**r)
+
+
+def _position_moments(n: int, branches: Callable[[int], Iterable[tuple]],
+                      r_max: int) -> list:
+    """[sum of w T^r over the paths to position n, r = 0..r_max], exactly.
+
+    A step ending at position p takes one branch (lag, weight, value) of
+    ``branches(p)`` from a path ending at p - lag: it multiplies the path's
+    weight w by the weight and adds the value to its total T.  Position 0
+    holds one empty path and no earlier position holds any.  Lags 1 and 2
+    walk the compositions of n, whose law factors over ending positions
+    (Stanley, EC1 4.7); lag 1 alone walks n independent terms.  The sums at
+    p follow from those at p - lag binomially, in O(n r_max^2) operations.
+    """
+    sums = [[1] + [0] * r_max]
+    for p in range(1, n + 1):
+        steps = [(w, v, sums[p - lag]) for lag, w, v in branches(p) if lag <= p]
+        sums.append([sum(w * comb(r, j) * v ** (r - j) * prev[j]
+                         for w, v, prev in steps for j in range(r + 1))
+                     for r in range(r_max + 1)])
+    return sums[n]
 
 
 # Entries 0..len-1 of each counting sequence before any growth, and the rows

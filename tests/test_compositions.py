@@ -144,6 +144,15 @@ def test_probabilities_sum_to_one_arbitrary_rule():
         assert total == 1
 
 
+def test_a_part_above_the_rule_order_has_no_mass():
+    rule = constant_rule(F(1, 2))
+    assert composition_probability(rule, Composition((1, 3), 3)) == 0
+    for s in (3, 4):
+        for n in range(1, 11):
+            total = sum(composition_probability(rule, c) for c in enumerate_compositions(n, s))
+            assert total == 1
+
+
 def test_word_marginalization_identity():
     # summing word probabilities over the fibers of the discard map gives the
     # product formula; exhaustive over all words at n = 10
@@ -312,6 +321,12 @@ def test_word_statistic_index_error():
         word_statistic([BernoulliSpec(F(1, 2), 1, 0)], (1, 1, 1))
 
 
+def test_word_statistic_refuses_a_part_above_two():
+    # a spec scores a 1-part (b) or a 2-part (a); a 3-part is neither
+    with pytest.raises(ValueError, match="3-part ends at position 3"):
+        word_statistic([BernoulliSpec(F(1, 2), 1, 0)] * 4, (1, 1, 3))
+
+
 def test_binary_sum_moments_examples():
     m = binary_sum_moments([BernoulliSpec(F(1, 2), 1, -1)])
     assert m[1] == 0 and m[2] == 1
@@ -323,6 +338,9 @@ def test_binary_sum_moments_examples():
 
     with pytest.raises(ValueError):
         binary_sum_moments(counter, max_order=5)
+    for specs in (counter, []):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            binary_sum_moments(specs, max_order=-1)
 
 
 def test_binary_sum_moments_against_enumeration():

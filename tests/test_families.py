@@ -1,5 +1,6 @@
 """Triangles, counting sequences, and row pmfs against independent oracles."""
 
+import itertools
 import math
 import sys
 import threading
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from descentlab import families, processes
-from descentlab.compositions import family_rule
+from descentlab.compositions import enumerate_compositions, family_rule
 from descentlab.diagnostics import kolmogorov_distance, normal_cdf
 from descentlab.errors import FamilyError, RuleError
 from descentlab.families import (
@@ -439,3 +440,47 @@ def test_involution_row_division_check_raises_on_a_remainder():
     # (1, 2) is not row 2: row 3's recurrence no longer divides by 3
     with pytest.raises(ArithmeticError, match="not divisible by 3"):
         families._next_row(Family.INVOLUTION, 3, (1,), (1, 2))
+
+
+# Brute-force sums for the fold over ending positions: every composition of
+# n, or every outcome of n independent terms, weighed and totalled directly.
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+def _brute_moments(paths, r_max):
+    """[sum of w T^r, r = 0..r_max] over (w, T) pairs."""
+    return [sum((w * t**r for w, t in paths), Fraction(0)) for r in range(r_max + 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), r_max=st.integers(0, 4))
+def test_position_moments_sum_over_every_composition(data, n, r_max):
+    # branch (w, v) of lag = size for the part of that size ending at p
+    table = {(p, size): data.draw(st.tuples(_RATIONALS, _RATIONALS))
+             for p in range(1, n + 1) for size in (1, 2)}
+    paths = []
+    for comp in enumerate_compositions(n):
+        w, t = Fraction(1), Fraction(0)
+        for p, size in comp.position_pairs():
+            w, t = w * table[p, size][0], t + table[p, size][1]
+        paths.append((w, t))
+    folded = families._position_moments(
+        n, lambda p: tuple((size, *table[p, size]) for size in (1, 2)), r_max)
+    assert folded == _brute_moments(paths, r_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 10), r_max=st.integers(0, 4))
+def test_position_moments_with_lag_one_sum_over_independent_outcomes(data, n, r_max):
+    # two lag-1 branches per position: 2^n outcomes of n independent terms
+    table = [data.draw(st.lists(st.tuples(_RATIONALS, _RATIONALS), min_size=2, max_size=2))
+             for _ in range(n)]
+    paths = []
+    for choice in itertools.product((0, 1), repeat=n):
+        w, t = Fraction(1), Fraction(0)
+        for branch, c in zip(table, choice):
+            w, t = w * branch[c][0], t + branch[c][1]
+        paths.append((w, t))
+    folded = families._position_moments(
+        n, lambda p: [(1, w, v) for w, v in table[p - 1]], r_max)
+    assert folded == _brute_moments(paths, r_max)

@@ -102,6 +102,31 @@ def test_clt_tables_and_condition_scans_read_no_store(module, qualname):
     assert not used, f"{module}:{qualname} reaches {sorted(used)}"
 
 
+# The composition law factors over ending positions, and a sum of
+# independent terms is the same walk with every step of lag 1: one fold,
+# ``families._position_moments``, owns that recurrence for the identity
+# sums, the psi-variance check and the binary-sum moments, so no reader
+# keeps a hand-written copy.  The derangement drift moments E[A^r] are to
+# read it next.
+FOLD_READERS = [
+    ("diagnostics.py", "identity_check"),
+    ("diagnostics.py", "psi_variance_check"),
+    ("compositions.py", "binary_sum_moments"),
+]
+
+
+@pytest.mark.parametrize("module, qualname", FOLD_READERS, ids=lambda v: v)
+def test_position_sums_read_the_one_fold(module, qualname):
+    path = next(p for p in SOURCES if p.name == module)
+    assert "_position_moments" in _reached_names(path, qualname)
+
+
+def test_the_hand_written_product_sum_is_gone():
+    defined = {node.name for tree in _trees().values() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert "_product_sum" not in defined and "_position_moments" in defined
+
+
 def _trees():
     return {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
             for p in SOURCES}
