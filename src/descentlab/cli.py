@@ -27,14 +27,16 @@ which is written through stdout, never replaced.
 Every table goes through one writer, ``_write``, a row at a time as the
 rows arrive: CSV and TSV a line per row, JSON the bytes of
 ``json.dumps(doc, indent=2)``.  ``triangle`` writes each row as it is
-rolled, so it holds two rows, not the table.  ``simulate`` opens its own
-``--record`` file before any work (exit 2 if it and ``--out`` name one file
-other than stdout), runs the replicates in fixed-size chunks and
-streams the audit rows in replicate order as each chunk finishes; the
-table is written last, so an audit on stdout comes whole before it.  The
-chunks go to a pool of ``--threads`` workers only when the run's work in
-replicate-stages reaches a measured floor, below which a pool costs more
-to start than it saves.
+rolled, so it holds two rows, not the table.  A recorded run's texts, its
+audit row and its ``decompose`` table, come whole from
+``processes._run_text``; this module only streams them.  ``simulate`` opens
+its own ``--record`` file before any work (exit 2 if it and ``--out`` name
+one file other than stdout), runs the replicates in fixed-size chunks and
+streams the audit rows, CSV unless ``--format tsv``, in replicate order as
+each chunk finishes; the table is written last, so an audit on stdout
+comes whole before it.  The chunks go to a pool of ``--threads`` workers
+only when the run's work in replicate-stages reaches a measured floor,
+below which a pool costs more to start than it saves.
 
 Start-up pays only for what the command runs.  Importing this module and
 building the parser loads ``tags`` (the choices) and no library module;
@@ -56,8 +58,6 @@ import contextlib
 import json
 import os
 import sys
-from itertools import accumulate
-from math import gcd
 
 from .tags import IDENTITY_BUDGET, IDENTITY_CHECKS, Family, ProcessKind
 
@@ -262,55 +262,19 @@ def _sim_chunk(payload) -> tuple[dict[int, int], list[list[str]]]:
         from .batch import batch_finals  # numpy only for plain runs
 
         return batch_finals(kind_tag, n, count, seed, start_index=start), []
-    from .processes import _scale, _telescoped_sum, parse_kind, simulate
+    from .processes import _run_text, parse_kind, simulate
 
     kind = parse_kind(kind_tag)
-    scale = _scale(kind.composition_offset, n)
-    texts = _alpha_texts(kind, n)
-    counts: dict[int, int] = {}
-    audit: list[list[str]] = []
+    counts, audit = {}, []
     for r in range(start, start + count):
-        # a row straight from the run's walk, parts right to left; its
+        # one recorded run per row, as ``processes`` prints it; its
         # ``PartRecord``s are never read, so never built
         traj = simulate(kind, n, seed, record=True, stream_index=r)
-        dec, final = traj.decomposition, traj.final
-        walk = dec._walk[2]
-        num, den, runs = _telescoped_sum(kind, n, walk)
-        counts[final] = counts.get(final, 0) + 1
-        audit.append([
-            str(r), str(final), "".join(map(str, dec.composition)),
-            # x = d - p/q prints as (d q - p)/q, which is in lowest terms
-            ";".join(reversed([str(d - e.shift_num) if e.shift_den == 1
-                               else f"{d * e.shift_den - e.shift_num}/{e.shift_den}"
-                               for _, e, d in walk])),
-            ";".join([texts[p][size - 1] for size, p
-                      in zip(dec.composition, accumulate(dec.composition))]),
-            ";".join(reversed([text for c, gnum, gden in runs
-                               for text in (_ratio_text(gnum, gden),) * c])),
-            _ratio_text(scale * final * den - num, den)])
+        composition, (*_, xs, alphas, gammas), residual = _run_text(traj)
+        counts[traj.final] = counts.get(traj.final, 0) + 1
+        audit.append([str(r), str(traj.final), composition,
+                      ";".join(xs), ";".join(alphas), ";".join(gammas), residual])
     return counts, audit
-
-
-_ALPHA_TEXTS: dict[ProcessKind, list[tuple[str, ...]]] = {}
-
-
-def _alpha_texts(kind: ProcessKind, n: int) -> list[tuple[str, ...]]:
-    """texts[p][order - 1]: the audit text of the alpha of a recorded part
-    that ends at position p with a jump of that order, through stage n; each
-    is formatted once per process (kept in ``_ALPHA_TEXTS``), not per row."""
-    from .processes import _part_table
-
-    texts, offset = _ALPHA_TEXTS.setdefault(kind, []), kind.composition_offset
-    parts = _part_table(kind, n)
-    texts.extend(tuple(str(e.alpha) for e in parts[p + offset] or ())
-                 for p in range(len(texts), n - offset + 1))
-    return texts
-
-
-def _ratio_text(num: int, den: int) -> str:
-    """``str(Fraction(num, den))`` for a positive ``den``, by one gcd."""
-    g = gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _pooled(record: bool, replicates: int, stages: int, threads: int) -> bool:
@@ -411,22 +375,15 @@ def cmd_identities(args, out) -> int:
 
 
 def cmd_decompose(args, out) -> int:
-    from .processes import reconstruct, simulate
+    from .processes import _run_text, simulate
 
     traj = simulate(args.process, args.n, seed=args.seed, record=True)
-    residual = reconstruct(traj)
-    dec = traj.decomposition
-    run = {
-        "process": traj.kind.value,
-        "n": traj.n,
-        "seed": traj.seed,
-        "final": traj.final,
-        "composition": "".join(str(p) for p in dec.composition),
-        "residual": str(residual),
-    }
+    composition, columns, residual = _run_text(traj)
+    run = {"process": traj.kind.value, "n": traj.n, "seed": traj.seed, "final": traj.final,
+           "composition": composition, "residual": residual}
     _write(out, args.format, ["part", "position", "size", "stage", "x", "alpha", "gamma"],
-           [(i, *p) for i, p in enumerate(dec.parts, start=1)], {"run": run})
-    return 0 if residual == 0 else RESIDUAL_EXIT
+           ((i, *part) for i, part in enumerate(zip(*columns), start=1)), {"run": run})
+    return 0 if residual == "0" else RESIDUAL_EXIT
 
 
 # ---------------------------------------------------------------------------

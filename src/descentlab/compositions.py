@@ -135,9 +135,7 @@ def discard_map(word: JumpWord | Sequence[int]) -> Composition:
     if not isinstance(word, JumpWord):
         word = JumpWord(tuple(word))
     letters = word.letters
-    parts = _parts_from_right(letters)
-    parts.reverse()
-    return Composition(tuple(parts), max(2, max(letters)))
+    return Composition(tuple(reversed(_parts_from_right(letters))), max(2, max(letters)))
 
 
 class JumpProbabilityRule(NamedTuple):
@@ -234,11 +232,15 @@ class WordSampler:
             *cums, _ = accumulate(law.counts)
             self._stages.append(Jump(1, tuple((lambda _, c=c: c) for c in cums), law.total))
 
-    def sample(self, stream: Stream) -> JumpWord:
+    def _letters(self, stream: Stream) -> list[int]:
+        """One word's letters: 1, then one draw in 1..s per later stage."""
         letters = [1]
         for jump, u in zip(self._stages, stream.block(len(self._stages))):
             letters.append(jump.draw(0, u))
-        return JumpWord(tuple(letters))
+        return letters
+
+    def sample(self, stream: Stream) -> JumpWord:
+        return JumpWord(tuple(self._letters(stream)))
 
 
 def sample_jump_word(rule: JumpProbabilityRule, n: int, stream: Stream) -> JumpWord:
@@ -247,8 +249,11 @@ def sample_jump_word(rule: JumpProbabilityRule, n: int, stream: Stream) -> JumpW
 
 
 def sample_composition(rule: JumpProbabilityRule, n: int, stream: Stream) -> Composition:
-    """One random composition of n from the coupled jump process."""
-    return discard_map(sample_jump_word(rule, n, stream))
+    """One random composition of n, parts in 1..``rule.order``: the sampler's
+    own letters reduced by ``_parts_from_right``, without the checks that
+    ``JumpWord`` and ``discard_map`` make of a word from outside."""
+    parts = _parts_from_right(WordSampler(rule, n)._letters(stream))
+    return Composition(tuple(reversed(parts)), rule.order)
 
 
 # Order-s composition sampling is the same draw at every order.

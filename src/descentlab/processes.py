@@ -14,8 +14,8 @@ O(n^2) operations.  A recorded run reads its jump word off its steps; the
 word's discard reduction yields a composition, and the run decomposes over
 its parts into differences, deterministic adjustments and multiplicative
 factors that reconstruct the centered, scaled final value exactly.  Each
-kind keeps two grow-only lists (``_StageTable``): the stage laws, which
-every engine reads, and the per-stage constants a recorded part reads.
+kind keeps three grow-only lists (``_StageTable``): the stage laws, which
+every engine reads, and a recorded part's constants and adjustment texts.
 
 The reconstruction proves the identity with small integers, and one
 function owns a part's integer arithmetic (``_telescoped_constants``): the
@@ -27,8 +27,8 @@ exact mean.  A decomposition built by hand is summed term by term instead.
 One stage loop (``simulate``, over one block of draws, each type draw against
 the stage's stored threshold), one walk over the parts (``_decompose``) and
 one integer core (``_telescoped_sum``) serve the library's
-``Decomposition`` and ``reconstruct`` and the CLI's audit rows; a recorded
-run builds its ``PartRecord``s only when they are read.
+``Decomposition`` and ``reconstruct`` and what the CLI prints of a run
+(``_run_text``); a recorded run builds its ``PartRecord``s only when read.
 
 Stage bookkeeping: involution and fibonacci runs decompose over compositions
 of n (part position == stage).  Derangement and excedance runs start at stage
@@ -39,6 +39,8 @@ part ending at position p describes the jump into stage p + 2.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd
 from typing import NamedTuple
 
 from .compositions import Composition, _parts_from_right
@@ -431,8 +433,8 @@ class PartRecord(NamedTuple):
 class Decomposition:
     """A recorded run's composition and parts, immutable.  One that
     ``simulate`` made holds the run's walk (``_decompose``) and builds its
-    parts from it when they are first read; ``reconstruct`` and the CLI's
-    audit rows read the walk alone.  Equality and hashing are by
+    parts from it when they are first read; ``reconstruct`` and
+    ``_run_text`` read the walk alone.  Equality and hashing are by
     (composition, parts)."""
 
     def __init__(self, composition: tuple[int, ...], parts: tuple[PartRecord, ...]):
@@ -503,22 +505,30 @@ class _Part(NamedTuple):
 
 
 class _StageTable:
-    """Stage constants of one process kind, in two grow-only lists.
+    """Stage constants of one process kind, in three grow-only lists.
 
     ``laws[m]`` is the law into stage m (``None`` before the first update);
     ``parts[m][order - 1]`` is the ``_Part`` of a recorded part that ends at
     stage m with a jump of that order (``None`` before the first part's
-    stage, which takes one-jumps only).  As an entry is added, its
-    adjustment less its shift is checked against its
-    ``_telescoped_constants`` exactly, which is what lets ``reconstruct``
-    cancel the mean terms; a mismatch raises ``ArithmeticError``.  No entry
-    depends on the size of the run that asks for it.
+    stage, which takes one-jumps only).  As a part is added, its adjustment
+    less its shift is checked against its ``_telescoped_constants`` exactly,
+    which is what lets ``reconstruct`` cancel the mean terms; a mismatch
+    raises ``ArithmeticError``.  No entry depends on the size of the run
+    that asks for it.  ``alphas[m][order - 1]`` is that part's adjustment as
+    text, formatted on its first read (``alpha_text``), so output formats
+    only what it prints; a cell holds None or its one text.
     """
 
     def __init__(self, kind: ProcessKind):
         self.kind = kind
         self.laws = _Grown([None] * kind.start[0], self._next_law)
         self.parts = _Grown([None] * (kind.composition_offset + 1), self._next_parts)
+        self.alphas = _Grown([], lambda alphas: [None, None])
+
+    def alpha_text(self, m: int, order: int) -> str:
+        """The text of ``parts[m][order - 1]``'s adjustment, kept in its cell."""
+        text = self.alphas[m][order - 1] = str(self.parts[m][order - 1].alpha)
+        return text
 
     def _next_law(self, laws: list) -> StageLaw:
         return _stage_law(self.kind, len(laws))
@@ -585,7 +595,7 @@ def simulate(kind: str | ProcessKind, n: int, seed: int, record: bool = False,
     if record:
         parts, walk = _decompose(kind, n, values, orders)
         decomposition = object.__new__(Decomposition)  # parts on first read
-        decomposition.__dict__.update(composition=parts, _walk=(kind, n, walk))
+        decomposition.__dict__.update(composition=parts, _walk=(kind, n, values[n], walk))
     steps = tuple(zip(range(first, n + 1), orders[first:], values[first:]))
     return Trajectory(kind, n, seed, ((first - 2, v0), (first - 1, v1)), steps,
                       values[n], decomposition)
@@ -616,20 +626,21 @@ def _decompose(kind: ProcessKind, n: int, values: list[int],
     return tuple(sizes), walk
 
 
-def _telescoped_sum(kind: ProcessKind, n: int, walk) -> tuple:
-    """The integer core of ``reconstruct``: for a run's parts right to left,
-    as (size, stage entry, d), the sum gamma_i (d_i + c_i) + gamma_1 k_1 mu_s
+def _telescoped_sum(kind: ProcessKind, n: int, final: int, walk) -> tuple:
+    """The integer core of ``reconstruct``: for a run's final value and its
+    parts right to left, as (size, stage entry, d), the residual
+        scale(n) final - sum gamma_i (d_i + c_i) - gamma_1 k_1 mu_s
     as an integer numerator and a positive denominator, not in lowest terms,
-    and the factors as (count, gnum, den), ``count`` consecutive parts whose
-    gamma is gnum / den.  c and k are the entries', which ``_decompose`` did
-    not use, so a zero residual checks them too; no parts sum to scale(n) mu_n."""
+    and the factors, right to left, as (count, gnum, den): ``count`` parts
+    whose gamma is gnum / den.  c and k are the entries', which ``_decompose``
+    did not use, so a zero residual checks them too (no parts: k_1 = scale(n))."""
     offset = kind.composition_offset
     factors = kind is _DERANGEMENT
     pos = n - offset  # where the next part, right to left, ends
     # finished runs of equal gamma sum to num / den, ``run`` sums d + c under
     # gnum / den, and a 2-part ending at ``split`` grows gamma by split/(split-1)
     num, gnum, den, run, split, count, runs = 0, 1, 1, 0, 0, 0, []
-    k = _scale(offset, n)
+    scale = k = _scale(offset, n)
     for size, entry, d in walk:
         if split:
             runs.append((count, gnum, den))
@@ -642,22 +653,50 @@ def _telescoped_sum(kind: ProcessKind, n: int, walk) -> tuple:
         pos -= size
     runs.append((count, gnum, den))
     mu = _STORES[kind.family].means.through(offset)[offset]
-    return ((num + run * gnum) * mu.denominator + gnum * k * mu.numerator,
-            den * mu.denominator, runs)
+    den *= mu.denominator
+    return (scale * final * den - (num + run * gnum) * mu.denominator
+            - gnum * k * mu.numerator, den, runs)
 
 
-def _records(kind: ProcessKind, n: int, walk) -> tuple[PartRecord, ...]:
-    """The parts of a walked run, left to right: x is d less the entry's
-    shift, and consecutive parts with equal factors share one gamma object."""
-    gammas = [g for count, gnum, den in _telescoped_sum(kind, n, walk)[2]
-              for g in (F(gnum, den),) * count]
-    offset = kind.composition_offset
-    parts, pos = [], n - offset
-    for (size, entry, d), gamma in zip(walk, gammas):
-        x = F(d * entry.shift_den - entry.shift_num, entry.shift_den)
-        parts.append(PartRecord(pos, size, pos + offset, x, entry.alpha, gamma))
-        pos -= size
-    return tuple(reversed(parts))
+def _walked(kind: ProcessKind, n: int, final: int, walk, number) -> tuple[list, list, object]:
+    """The one place a walked run's parts' x and gamma, left to right, and
+    its residual are formed: each is ``number(num, den)`` in lowest terms,
+    den > 0 (a ``Fraction``, or text by ``_ratio_text``).  x = d - p/q, the
+    entry's shift, is (d q - p)/q; equal consecutive factors share one gamma."""
+    def lowest(a, b):
+        g = gcd(a, b)
+        return number(a // g, b // g)
+
+    num, den, runs = _telescoped_sum(kind, n, final, walk)
+    xs = [number(d * e.shift_den - e.shift_num, e.shift_den) for _, e, d in reversed(walk)]
+    gammas = [g for count, gnum, gden in reversed(runs) for g in (lowest(gnum, gden),) * count]
+    return xs, gammas, lowest(num, den)
+
+
+def _records(kind: ProcessKind, n: int, final: int, walk) -> tuple[PartRecord, ...]:
+    """The parts of a walked run, left to right."""
+    xs, gammas, _ = _walked(kind, n, final, walk, F)
+    ends, offset = accumulate(size for size, _, _ in reversed(walk)), kind.composition_offset
+    return tuple(PartRecord(p, size, p + offset, x, e.alpha, g)
+                 for p, (size, e, _), x, g in zip(ends, reversed(walk), xs, gammas))
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for num/den in lowest terms, den > 0."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _run_text(traj: Trajectory) -> tuple[str, tuple[list, ...], str]:
+    """What a recorded run of ``simulate`` prints, from one walk: its
+    composition's digits, its parts' columns left to right (position, size,
+    stage, and x, alpha and gamma as text), and ``str(reconstruct(traj))``.
+    The caller lifts CPython's limit on int-to-text digits, as the CLI does."""
+    xs, gammas, residual = _walked(*traj.decomposition._walk, _ratio_text)
+    sizes, offset = traj.decomposition.composition, traj.kind.composition_offset
+    positions, table = list(accumulate(sizes)), _TABLES[traj.kind]
+    stages, texts = [p + offset for p in positions], table.alphas.through(traj.n)
+    alphas = [texts[m][s - 1] or table.alpha_text(m, s) for m, s in zip(stages, sizes)]
+    return "".join(map(str, sizes)), (positions, sizes, stages, xs, alphas, gammas), residual
 
 
 def reconstruct(traj: Trajectory) -> Fraction:
@@ -677,8 +716,8 @@ def reconstruct(traj: Trajectory) -> Fraction:
         residual = scale(n) value_n - sum_i gamma_i (d_i + c_i) - gamma_1 k_1 mu_s
     with s the first part's source stage (mu_s is 1 for derangement and
     excedance runs, 0 for the others); the integer core ``_telescoped_sum``
-    sums the d + c between the 2-parts of a derangement run, where gamma
-    changes.
+    forms it, summing the d + c between the 2-parts of a derangement run,
+    where gamma changes.
 
     That shortcut is taken for the walk that ``simulate`` keeps with a run
     of this kind and size.  Any other decomposition, one built or changed by
@@ -689,11 +728,11 @@ def reconstruct(traj: Trajectory) -> Fraction:
     if traj.decomposition is None:
         raise ValueError("trajectory was not recorded with a decomposition")
     kind, n, dec = traj.kind, traj.n, traj.decomposition
-    scale = _scale(kind.composition_offset, n)
     walked = dec.__dict__.get("_walk")
     if walked is not None and walked[:2] == (kind, n):
-        num, den, _ = _telescoped_sum(kind, n, walked[2])
-        return F(scale * traj.final * den - num, den)
+        num, den, _ = _telescoped_sum(kind, n, traj.final, walked[3])
+        return F(num, den)
+    scale = _scale(kind.composition_offset, n)
     total = sum((p.gamma * (p.x + p.alpha) for p in dec.parts), ZERO)
     return scale * (traj.final - _STORES[kind.family].means[n]) - total
 

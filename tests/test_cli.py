@@ -450,6 +450,8 @@ def test_a_recorded_simulate_builds_no_part_objects(tmp_path, monkeypatch):
                          "--replicates", "20", "--seed", "4", "--threads", "1",
                          "--record", str(tmp_path / "a.csv"),
                          "--out", str(tmp_path / "t.csv")]) == 0
+        assert cli.main(["decompose", "--process", kind.value, "--n", "30",
+                         "--seed", "4", "--out", str(tmp_path / "d.csv")]) == 0
 
 
 def test_a_wrong_part_constant_shows_in_the_recorded_residual(tmp_path, capsys):
@@ -530,6 +532,38 @@ def test_decompose_command():
     run = json.loads(lines[-1])["run"]
     assert run["residual"] == "0"
     assert sum(int(c) for c in run["composition"]) == 18
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=kinds, data=st.data(), seed=st.integers(0, 2**64 - 1),
+       fmt=st.sampled_from(["csv", "json"]))
+def test_decompose_rows_are_the_parts_of_the_recorded_run(kind, data, seed, fmt):
+    import contextlib
+    import io
+
+    from descentlab import cli
+    from descentlab.processes import reconstruct, simulate
+
+    n = data.draw(st.integers(kind.n_min, 120), label="n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["decompose", "--process", kind.value, "--n", str(n),
+                         "--seed", str(seed), "--format", fmt]) == 0
+    if fmt == "json":
+        doc = json.loads(out.getvalue())
+        rows, run = doc["rows"], doc["run"]
+    else:
+        header, *lines, trailer = out.getvalue().splitlines()
+        assert header == "part,position,size,stage,x,alpha,gamma"
+        rows, run = [line.split(",") for line in lines], json.loads(trailer)["run"]
+    traj = simulate(kind, n, seed, record=True)
+    parts = traj.decomposition.parts
+    assert rows == [[str(i), str(p.position), str(p.size), str(p.stage),
+                     str(p.x), str(p.alpha), str(p.gamma)]
+                    for i, p in enumerate(parts, start=1)]
+    assert run == {"process": kind.value, "n": n, "seed": seed, "final": traj.final,
+                   "composition": "".join(str(p.size) for p in parts),
+                   "residual": str(reconstruct(traj))}
 
 
 # sha256 of the stdout of ``moments --family derangement --n 478``, the

@@ -21,6 +21,7 @@ from descentlab.compositions import (
     family_rule,
     higher_order_sample,
     sample_composition,
+    sample_jump_word,
     word_statistic,
 )
 from descentlab.errors import RuleError
@@ -242,6 +243,25 @@ def test_sampler_draws_the_words_of_the_threshold_loop(n, seed, data):
     ours, theirs = Stream(seed), Stream(seed)
     for _ in range(3):
         assert sampler.sample(ours).letters == threshold_sample(rule, n, theirs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 10), seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_sampled_compositions_carry_the_rule_order(n, seed, data):
+    # labelled by the largest letter drawn, an order-3 draw of (1, 1, 2)
+    # came back as s = 2 and matched no member of enumerate_compositions(4, 3)
+    rule = data.draw(rational_rules(n), label="rule")
+    comp = sample_composition(rule, n, Stream(seed))
+    assert comp.s == rule.order
+    assert comp in enumerate_compositions(n, rule.order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 30), seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_sampled_composition_is_the_reduction_of_the_sampled_word(n, seed, data):
+    rule = data.draw(rational_rules(n), label="rule")
+    assert (sample_composition(rule, n, Stream(seed)).parts
+            == discard_map(sample_jump_word(rule, n, Stream(seed))).parts)
 
 
 def test_higher_order_reduces_to_binary():

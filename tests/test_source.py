@@ -135,18 +135,12 @@ def _trees():
 def _callers(tree, name, arg=None):
     """The innermost function around each call of ``name`` in the tree (with
     ``arg``, only the calls whose first argument reads as it)."""
-    found = []
+    def called(node):
+        return isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)) and (
+            arg is None or node.args and ast.unparse(node.args[0]) == arg)
 
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            called = isinstance(child, ast.Call) and name in (
-                getattr(child.func, "id", None), getattr(child.func, "attr", None))
-            if called and (arg is None or child.args and ast.unparse(child.args[0]) == arg):
-                found.append(owner)
-            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
-
-    visit(tree, None)
-    return found
+    return [owner for _, owner in _owners(tree, called)]
 
 
 # Rows come from one place: ``families.rolled_rows`` steps two rows through
@@ -185,18 +179,59 @@ def test_batch_finals_calls_no_np_where():
     assert not calls, f"batch_finals calls where() at lines {calls}"
 
 
+def _owners(tree, match):
+    """(line, qualified name of the innermost function or class) of each
+    node in the tree that ``match`` accepts."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                found.append((child.lineno, owner))
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+            else:
+                visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
 def _str_calls(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "str"]
+    """(line, owner) of each call of ``str``, or ``str`` passed to a call."""
+    def calls_str(node):
+        return isinstance(node, ast.Call) and any(
+            getattr(f, "id", None) == "str" for f in (node.func, *node.args))
+
+    return _owners(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), calls_str)
+
+
+# What a recorded run prints is formed in ``processes``, which owns the run's
+# walk, by these functions alone; only the CLI calls ``_run_text``.
+RUN_TEXT = {"_run_text", "_ratio_text", "_StageTable.alpha_text"}
 
 
 def test_only_the_cli_calls_str():
     # CPython refuses ``str`` of an int past its digit limit (4300 digits by
     # default) unless the process lifts it, as ``cli.main`` does; so the
     # library formats nothing, and exact values of any size stay usable.
-    offenders = {p.name: _str_calls(p) for p in SOURCES if p.name != "cli.py"}
+    # The one exception is the CLI's own output of a recorded run, formed in
+    # ``processes`` by ``RUN_TEXT``, which no public function reaches.
+    offenders = {p.name: [line for line, owner in _str_calls(p)
+                          if p.name != "processes.py" or owner not in RUN_TEXT]
+                 for p in SOURCES if p.name != "cli.py"}
     assert not any(offenders.values()), f"str() calls outside cli.py: {offenders}"
+    callers = {module: _callers(tree, "_run_text") for module, tree in _trees().items()}
+    assert {m: c for m, c in callers.items() if c} == {
+        "cli.py": ["_sim_chunk", "cmd_decompose"]}
+    path = next(p for p in SOURCES if p.name == "processes.py")
+    tree = _trees()["processes.py"]
+    public = [node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    reaching = [name for name in public
+                if {"_run_text", "_ratio_text", "alpha_text"} & _reached_names(path, name)]
+    assert not reaching, f"public names of processes that form text: {reaching}"
 
 
 def _imported_packages(path):
@@ -379,6 +414,43 @@ def test_only_main_opens_the_out_file():
 
 def test_only_main_checks_the_first_row_in_the_cli():
     assert _callers(_trees()["cli.py"], "_reaching") == ["main"]
+
+
+# What a recorded run prints has one owner: ``processes._run_text`` turns the
+# run's walk into each part's x, alpha and gamma text and the residual text,
+# and the CLI's audit row and ``decompose`` table stream them.  When the CLI
+# built the audit row from the walk itself, the x text, the gamma expansion
+# and the residual were each written twice, there and in ``processes``.
+def test_a_recorded_run_prints_through_one_function():
+    trees = _trees()
+    cli = trees["cli.py"]
+    private = {name for name in _imported_from(cli, "processes").values()
+               if name.startswith("_")}
+    assert private == {"_run_text"}
+    attributes = {node.attr for node in ast.walk(cli) if isinstance(node, ast.Attribute)
+                  and node.attr.startswith("_") and not node.attr.startswith("__")}
+    assert not attributes, f"cli.py reads private attributes {attributes}"
+    caches = [node.lineno for node in cli.body
+              if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, (
+                  ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp,
+                  ast.Call))]
+    assert not caches, f"cli.py keeps module-level state at lines {caches}"
+
+    def shifts(node):
+        return isinstance(node, ast.Attribute) and node.attr in ("shift_num", "shift_den")
+
+    def owners(find):
+        found = {module: sorted(set(find(tree))) for module, tree in trees.items()}
+        return {module: names for module, names in found.items() if names}
+
+    # x from a part's shift, the factors' expansion and the residual: each in
+    # one function, read as numbers by ``_records`` and as text by ``_run_text``
+    assert owners(lambda tree: [o for _, o in _owners(tree, shifts)]) == {
+        "processes.py": ["_walked"]}
+    assert owners(lambda tree: _callers(tree, "_telescoped_sum")) == {
+        "processes.py": ["_walked", "reconstruct"]}
+    assert owners(lambda tree: _callers(tree, "_walked")) == {
+        "processes.py": ["_records", "_run_text"]}
 
 
 def test_every_command_takes_its_args_and_out_file():
