@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from numbers import Number
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import RuleError
@@ -167,6 +168,8 @@ class JumpProbabilityRule(NamedTuple):
             if not ZERO <= q <= ONE:
                 raise RuleError(f"rule {self.name} gave q({i}) = {q} outside [0, 1]")
             return (ONE - q, q)
+        if isinstance(raw, Number):
+            raise RuleError(f"rule {self.name} gave q({i}) = {raw!r}, not an int or a Fraction")
         vec = tuple(Fraction(v) for v in raw)
         if len(vec) != self.order:
             raise RuleError(

@@ -1,10 +1,11 @@
 """Exact moment machinery over triangle rows.
 
 Factorial moments, central moments, the first-order inhomogeneous recurrence
-solver, per-family moment tables with asymptotic comparison columns, and
-fourth-moment scans.  Moment tables and scans read the row power sums kept
-in each family's store, so they build no triangle.  Everything exact; floats
-appear only in comparison columns against irrational asymptotic formulas.
+solver, per-family moment tables with asymptotic comparison columns,
+fourth-moment scans and the E[X(X-1)] (lambda) recurrence checks.  The
+tables, scans and checks read the row power sums kept in each family's
+store, so none of them builds a row.  Everything exact; floats appear only
+in comparison columns against irrational asymptotic formulas.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from .families import (
     Family,
     _central_moment,
     _reaching,
-    counting_sequence,
     parse_family,
-    rolled_rows,
     two_jump_split,
 )
 
@@ -191,6 +190,14 @@ def fourth_moment_scan(
 
 # family second-factorial-moment recurrences --------------------------------
 
+def _lambdas(family: Family, n_max: int) -> tuple[list, dict[int, Fraction]]:
+    """The family's stored row power sums and lambda_n = E[X(X-1)] =
+    (S_2 - S_1) / S_0 of its rows through n_max, so no row is built."""
+    sums = _STORES[_reaching(family, n_max, "index")].sums.through(n_max)
+    return sums, {n: F(sums[n][2] - sums[n][1], sums[n][0])
+                  for n in range(family.n_min, n_max + 1)}
+
+
 def involution_lambda_recurrence_residual(n_max: int) -> list[tuple[int, Fraction]]:
     """Residuals of the involution E[X(X-1)] recurrence, exactly zero.
 
@@ -201,9 +208,7 @@ def involution_lambda_recurrence_residual(n_max: int) -> list[tuple[int, Fractio
     derivative relations and verified against the exact triangle.  An
     n_max below the first index raises ``FamilyError``, as for derangements.
     """
-    _reaching(Family.INVOLUTION, n_max, "index")
-    lam = {n: factorial_moment(ExactPmf.from_counts(Family.INVOLUTION.k_min, row), 2)
-           for n, row in rolled_rows(Family.INVOLUTION, range(1, n_max + 1))}
+    _, lam = _lambdas(Family.INVOLUTION, n_max)
     out = []
     for n in range(3, n_max + 1):
         q = F(*two_jump_split(Family.INVOLUTION, n))
@@ -219,21 +224,14 @@ def derangement_lambda_recurrence_residual(n_max: int) -> list[tuple[int, Fracti
     """Residuals of the derangement E[X(X-1)] recurrence, exactly zero.
 
     lambda_n = (n-2) d_{n-1}/d_n lambda_{n-1} + (2n-4) d_{n-1} mu_{n-1} / d_n
-             + (-1)^n (n-1)(n-2) / d_n.
+             + (-1)^n (n-1)(n-2) / d_n,
+    with d_n = S_0(n) and d_{n-1} mu_{n-1} = S_1(n-1) read from the store.
     """
-    counts = counting_sequence(Family.DERANGEMENT, n_max)
-    lam: dict[int, Fraction] = {}
-    mu: dict[int, Fraction] = {}
-    for n, row in rolled_rows(Family.DERANGEMENT, range(2, n_max + 1)):
-        pmf = ExactPmf.from_counts(Family.DERANGEMENT.k_min, row)
-        lam[n] = factorial_moment(pmf, 2)
-        mu[n] = pmf.mean()
+    sums, lam = _lambdas(Family.DERANGEMENT, n_max)
     out = []
     for n in range(3, n_max + 1):
-        rhs = (
-            F((n - 2) * counts[n - 1], counts[n]) * lam[n - 1]
-            + F((2 * n - 4) * counts[n - 1], counts[n]) * mu[n - 1]
-            + F((-1) ** n * (n - 1) * (n - 2), counts[n])
-        )
+        before, d_n = sums[n - 1], sums[n][0]
+        rhs = (F((n - 2) * before[0], d_n) * lam[n - 1] + F((2 * n - 4) * before[1], d_n)
+               + F((-1) ** n * (n - 1) * (n - 2), d_n))
         out.append((n, lam[n] - rhs))
     return out

@@ -1,5 +1,7 @@
 """Discard map, composition probabilities, samplers, and word statistics."""
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -202,6 +204,19 @@ def test_sample_composition_rejects_invalid_rule():
     bad = JumpProbabilityRule(lambda i: F(3, 2), name="bad")
     with pytest.raises(RuleError):
         sample_composition(bad, 5, Stream(0))
+
+
+@pytest.mark.parametrize("value", [0.5, Decimal("0.5")], ids=repr)
+def test_a_rule_giving_an_inexact_number_is_refused(value):
+    rule = JumpProbabilityRule(lambda i: value, name="inexact")
+    message = f"rule inexact gave q(3) = {value!r}, not an int or a Fraction"
+    with pytest.raises(RuleError, match=re.escape(message)):
+        rule.vector(3)
+    for use in (lambda: sample_composition(rule, 5, Stream(0)),
+                lambda: composition_probability(rule, Composition((1, 2, 2))),
+                lambda: WordSampler(rule, 5)):
+        with pytest.raises(RuleError, match="not an int or a Fraction"):
+            use()
 
 
 def test_sample_composition_chi_square():

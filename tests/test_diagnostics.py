@@ -302,6 +302,12 @@ def test_condition_scan_refuses_sources_below_the_first_row(monkeypatch):
             condition_scan(tag, stages, order=order)
 
 
+@pytest.mark.parametrize("tag", ["fibonacci", "excedance"])
+def test_condition_scan_refuses_a_kind_it_does_not_cover(tag):
+    with pytest.raises(FamilyError, match="condition scans cover involution and derangement"):
+        condition_scan(tag, range(10, 21))
+
+
 def test_condition_scan_refuses_a_degenerate_stage():
     # derangement row 2 has one member, and the stage-3 difference is zero
     for stages in ([3], range(3, 10)):

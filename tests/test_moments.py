@@ -6,10 +6,18 @@ from fractions import Fraction
 import pytest
 from test_cli import peak_rss_mb
 
+from descentlab import families
 from descentlab.errors import FamilyError
-from descentlab.families import ExactPmf, Family, descent_triangle, triangle_row_pmf
+from descentlab.families import (
+    ExactPmf,
+    Family,
+    descent_triangle,
+    rolled_rows,
+    triangle_row_pmf,
+)
 from descentlab.moments import (
     MomentReport,
+    _lambdas,
     central_moments,
     derangement_lambda_recurrence_residual,
     factorial_moment,
@@ -171,7 +179,7 @@ def test_fourth_moment_scan():
     assert fourth_moment_scan("derangement", [2]) == [(2, 0, 0.0)]
     assert fourth_moment_scan("involution", range(5, 5)) == []
 
-    with pytest.raises(Exception):
+    with pytest.raises(FamilyError, match="fourth-moment scan covers involution and derangement"):
         fourth_moment_scan("fibonacci", range(4, 10))
 
 
@@ -182,8 +190,10 @@ def test_moment_tables_equal_the_row_pmf_moments(family):
     assert [row.report.n for row in rows] == list(range(family.n_min, 201))
     for row in rows:
         pmf = triangle_row_pmf(tri, row.report.n)
+        exact = (pmf.mean(), *map(pmf.central_moment, (2, 3, 4)))
         assert (row.report.mean, row.report.variance, row.report.third_central,
-                row.report.fourth_central) == (pmf.mean(), *map(pmf.central_moment, (2, 3, 4)))
+                row.report.fourth_central) == exact
+        assert row.report.floats() == tuple(map(float, exact))
     if family in (Family.INVOLUTION, Family.DERANGEMENT):
         scan = fourth_moment_scan(family, range(family.n_min, 201))
         assert [n for n, _, _ in scan] == list(range(family.n_min, 201))
@@ -211,8 +221,27 @@ moments.moment_table("derangement", range(2, 601))
 
 
 def test_lambda_recurrences_hold_exactly():
-    assert all(res == 0 for _, res in involution_lambda_recurrence_residual(100))
-    assert all(res == 0 for _, res in derangement_lambda_recurrence_residual(100))
+    assert all(res == 0 for _, res in involution_lambda_recurrence_residual(1000))
+    assert all(res == 0 for _, res in derangement_lambda_recurrence_residual(1000))
+
+
+def test_lambda_recurrences_build_no_rows(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(families, "_next_row", refuse)
+    for residual in (involution_lambda_recurrence_residual,
+                     derangement_lambda_recurrence_residual):
+        assert [n for n, res in residual(300) if res == 0] == list(range(3, 301))
+
+
+@pytest.mark.parametrize("family", [Family.INVOLUTION, Family.DERANGEMENT],
+                         ids=lambda f: f.value)
+def test_the_stored_lambdas_equal_the_row_factorial_moments(family):
+    _, lam = _lambdas(family, 200)
+    for n, row in rolled_rows(family, range(family.n_min, 201)):
+        assert lam[n] == factorial_moment(ExactPmf.from_counts(family.k_min, row), 2)
+    assert sorted(lam) == list(range(family.n_min, 201))
 
 
 @pytest.mark.parametrize("n_max", [-1, 0])

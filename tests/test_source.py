@@ -76,13 +76,16 @@ NO_ROWS = [
     ("families.py", "_Store._next_mean"),
     ("moments.py", "moment_table"),
     ("moments.py", "fourth_moment_scan"),
+    ("moments.py", "involution_lambda_recurrence_residual"),
+    ("moments.py", "derangement_lambda_recurrence_residual"),
 ]
 
 
 @pytest.mark.parametrize("module, qualname", NO_ROWS, ids=lambda v: v)
 def test_means_and_moment_tables_build_no_rows(module, qualname):
     path = next(p for p in SOURCES if p.name == module)
-    used = _reached_names(path, qualname) & {"descent_triangle", "triangle_row_pmf"}
+    used = _reached_names(path, qualname) & {"rolled_rows", "_next_row", "descent_triangle",
+                                             "triangle_row_pmf"}
     assert not used, f"{module}:{qualname} reaches {sorted(used)}"
 
 
@@ -149,6 +152,17 @@ def _callers(tree, name, arg=None):
 def test_rows_are_built_by_rolled_rows_alone():
     callers = {module: _callers(tree, "_next_row") for module, tree in _trees().items()}
     assert {m: c for m, c in callers.items() if c} == {"families.py": ["rolled_rows"]}
+
+
+# Only the readers of row entries roll rows: means, moments and the lambda
+# checks read the power sums in each family's store.
+def test_only_the_readers_of_row_entries_roll_rows():
+    callers = {module: sorted(_callers(tree, "rolled_rows")) for module, tree in _trees().items()}
+    assert {m: c for m, c in callers.items() if c} == {
+        "cli.py": ["cmd_triangle"],
+        "diagnostics.py": ["clt_table", "condition_scan", "identity_check"],
+        "families.py": ["descent_triangle"],
+    }
 
 
 def test_the_family_store_keeps_no_rows():
