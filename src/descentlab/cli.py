@@ -15,14 +15,16 @@ Each command's preconditions and output have one owner, ``main``.  The
 parser bounds every flag: ``--n`` at most ``N_MAX``, each ``--n-set`` entry
 at most ``N_SET_MAX``, ``--n-set`` not empty, ``--replicates`` in
 1..``REPLICATES_MAX``, ``--threads`` in 1..``THREADS_MAX``, ``--n-max`` in
-1..``IDENTITY_BUDGET``.  ``main`` then refuses an ``--n`` below the family's
-first row (``triangle``, ``moments``) or the process's first stage
-(``simulate``, ``decompose``) and opens ``--out``, before the command works
-(``cmd_*(args, out)``).  Each refusal, and an ``--out`` or ``--record`` path
-that cannot be written, exits 2 with one ``error:`` line and no file left
-behind.  For either, ``-`` means stdout, and so does a path naming the file
-stdout writes to (``/dev/stdout``, or the file stdout is redirected to),
-which is written through stdout, never replaced.
+1..``IDENTITY_BUDGET``, ``--seed`` in 0..``SEED_MAX`` (the streams take a
+seed mod 2**64, so one outside would draw the runs of another).  ``main``
+then refuses an ``--n`` below the family's first row (``triangle``,
+``moments``) or the process's first stage (``simulate``, ``decompose``) and
+opens ``--out``, before the command works (``cmd_*(args, out)``).  Each
+refusal, and an ``--out`` or ``--record`` path that cannot be written, exits
+2 with one ``error:`` line and no file left behind.  For either, ``-``
+means stdout, and so does a path naming the file stdout writes to
+(``/dev/stdout``, or the file stdout is redirected to), which is written
+through stdout, never replaced.
 
 Every table goes through one writer, ``_write``, a row at a time as the
 rows arrive: CSV and TSV a line per row, JSON the bytes of
@@ -81,6 +83,7 @@ N_MAX = 1000
 N_SET_MAX = 4000
 REPLICATES_MAX = 1_000_000
 THREADS_MAX = 256
+SEED_MAX = 2**64 - 1  # the streams take a seed mod 2**64
 
 # Replicates per simulate chunk, whatever --threads is: a recorded chunk
 # holds its audit rows (about 27 KB each for derangements at n=100), a plain
@@ -398,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("csv", "json", "tsv"), default="csv")
-        p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+        p.add_argument("--seed", type=_bounded_int(0, SEED_MAX), default=0,
+                       help="64-bit master seed")
         p.add_argument("--threads", type=_bounded_int(1, THREADS_MAX),
                        default=_default_threads())
         p.add_argument("--out", default=None, help="output path (default stdout)")

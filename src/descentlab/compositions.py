@@ -170,7 +170,12 @@ class JumpProbabilityRule(NamedTuple):
             return (ONE - q, q)
         if isinstance(raw, Number):
             raise RuleError(f"rule {self.name} gave q({i}) = {raw!r}, not an int or a Fraction")
-        vec = tuple(Fraction(v) for v in raw)
+        vec = tuple(raw)
+        for j, v in enumerate(vec, 1):
+            if not isinstance(v, (Fraction, int)):
+                raise RuleError(
+                    f"rule {self.name} gave q_{j}({i}) = {v!r}, not an int or a Fraction")
+        vec = tuple(map(Fraction, vec))
         if len(vec) != self.order:
             raise RuleError(
                 f"rule {self.name} gave {len(vec)} probabilities at stage {i}, "

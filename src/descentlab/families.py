@@ -19,11 +19,11 @@ row recurrence and keeps none, so a deep row costs O(n) integers, not the
 triangle up to it.  ``descent_triangle`` gathers the rows of one call.
 
 Each family's row recurrence is written once, as a term table (``_TERMS``).
-The rows are built from it, and so are the power sums
-S_r(n) = sum_k k**r count(n, k), r <= 4, which follow from those of rows
-n-1 and n-2: in the sum every term above degree r cancels, so a step is
-O(r**2) integer operations however wide the row.  Row means and moments
-read the power sums and need no row.
+The rows are built from it, the jump laws of ``processes`` (``_lag_law``)
+and the power sums S_r(n) = sum_k k**r count(n, k), r <= 4, which follow
+from those of rows n-1 and n-2: in the sum every term above degree r
+cancels, so a step is O(r**2) integer operations however wide the row.
+Row means and moments read the power sums and need no row.
 
 Sums over compositions have one owner too, the fold ``_position_moments``:
 the identity sums and the variance-contraction check of ``diagnostics`` read
@@ -87,16 +87,19 @@ def _next_count(family: Family, seq: list[int]) -> int:
 
 def two_jump_split(family: str | Family, m: int) -> tuple[int, int]:
     """(num, den) of the two-jump probability into stage m >= 2: the part of
-    the class size den = c_m built from index m - 2, num = (m-1) c_{m-2}
-    (m in a two-cycle), or c_{m-2} for fibonacci (m swapped with m - 1)."""
+    the class size den = c_m built from index m - 2, num = w c_{m-2} with w
+    the lag-2 total of ``_LAGS`` over div(m): m - 1 (m in a two-cycle), or 1
+    for fibonacci (m swapped with m - 1)."""
     fam = parse_family(family)
-    if fam is Family.EULERIAN:
-        raise RuleError("the eulerian family has a first-order recurrence; "
+    if 2 not in _LAGS[fam]:
+        raise RuleError(f"the {fam.value} family has a first-order recurrence; "
                         "no two-jump rule exists")
     if m < 2:
         raise FamilyError(f"no two-jump split below index 2, got {m}")
     counts = _STORES[fam].counts.through(m)
-    w = 1 if fam is Family.FIBONACCI else m - 1
+    w, rem = divmod(_at(_LAGS[fam][2][2], m), _at(_TERMS[fam][0], m))
+    if rem:
+        raise ArithmeticError(f"{fam.value}: div({m}) does not divide the lag-2 weight")
     return w * counts[m - 2], counts[m]
 
 
@@ -105,8 +108,9 @@ def two_jump_split(family: str | Family, m: int) -> tuple[int, int]:
 # polynomial lists its coefficients from the constant term up; ``coef`` is
 # one in k of degree at most 2 whose coefficients are polynomials in n of
 # degree at most 2, so ((1,), (1,)) is k + 1 and ((0, 1), (-1,)) is n - k.
-# ``_next_row`` builds the rows from it and ``_power_sum_recurrence`` the
-# power sums.
+# ``_next_row`` builds the rows from it, ``_power_sum_recurrence`` the
+# power sums and the processes' jump laws, which need the shifts of one lag
+# to run without a gap, one term each.
 _TERMS = {
     Family.EULERIAN: ((1,), (
         (1, 0, ((1,), (1,))),                    # (k + 1) A(n-1, k)
@@ -183,36 +187,57 @@ _POWERS = 4  # the store keeps S_0..S_4 of every row
 
 
 def _power_sum_recurrence(family: Family) -> tuple:
-    """(div, steps): div(n) S_r(n) = sum of c(n) S_d(n - lag) over the
+    """(div, steps, lags): div(n) S_r(n) = sum of c(n) S_d(n - lag) over the
     (lag, d, c) of ``steps[r]``, each c a polynomial in n.
 
     A term (lag, shift, sum_b c_b(n) k^b) of ``_TERMS`` adds
     sum_j (j + shift)^(r+b) c_b(n) row_(n-lag)[j], whose j^d part is
     comb(r+b, d) shift^(r+b-d) c_b(n) S_d(n - lag).  Every part above
     degree r must cancel, or the sums would need higher ones.
+
+    At r = 0 the parts are the weight coef(n, j + shift) that an entry j of
+    row n - lag sends to k = j + shift.  ``lags[lag]`` is (base, cums, total):
+    the least shift, the weight of shifts base..base + i in powers of j, and
+    that of all, a polynomial in n alone once the parts above degree 0 cancel.
     """
     div, terms = _TERMS[family]
-    steps = []
+    steps, lags = [], {}
     for r in range(_POWERS + 1):
-        acc: dict[tuple[int, int], list[int]] = {}
-        for lag, shift, coef in terms:
+        acc: dict[int, list[list[int]]] = {}
+        for lag, shift, coef in sorted(terms):
+            polys = acc.setdefault(lag, [[0, 0, 0] for _ in range(r + 3)])
             for b, c_b in enumerate(coef):
                 for d in range(r + b + 1):
                     w = comb(r + b, d) * shift ** (r + b - d)
-                    poly = acc.setdefault((lag, d), [0, 0, 0])
                     for a, c in enumerate(c_b):
-                        poly[a] += w * c
-        if any(any(poly) for (_, d), poly in acc.items() if d > r):
+                        polys[d][a] += w * c
+            if r == 0:  # the weight of the lag's shifts up to this one
+                lags.setdefault(lag, (shift, []))[1].append(tuple(map(tuple, polys)))
+        if any(any(poly) for polys in acc.values() for poly in polys[r + 1:]):
             raise ArithmeticError(
                 f"{family.value}: the row recurrence leaves a term above degree {r} "
                 f"in the power sum S_{r}"
             )
-        steps.append(tuple((lag, d, tuple(poly)) for (lag, d), poly in sorted(acc.items())
-                           if any(poly)))
-    return div, tuple(steps)
+        steps.append(tuple((lag, d, tuple(poly)) for lag, polys in sorted(acc.items())
+                           for d, poly in enumerate(polys) if any(poly)))
+    return div, tuple(steps), {lag: (b, c[:-1], c[-1][0]) for lag, (b, c) in lags.items()}
 
 
 _SUM_RECURRENCES = {fam: _power_sum_recurrence(fam) for fam in Family}
+_LAGS = {fam: recurrence[2] for fam, recurrence in _SUM_RECURRENCES.items()}
+
+
+def _lag_law(family: Family, lag: int, m: int) -> tuple:
+    """(base, cums, total) of ``_LAGS`` at index m, each cum a function of the
+    source, alike on an int and an int64 array (inline: ``_at`` took twice as long)."""
+    base, cums, (t0, t1, t2) = _LAGS[family][lag]
+    mm = m * m
+    return base, tuple(_in_source(a + b * m + c * mm, d + e * m + f * mm, g + h * m + i * mm)
+                       for (a, b, c), (d, e, f), (g, h, i) in cums), t0 + t1 * m + t2 * mm
+
+
+def _in_source(a: int, b: int, c: int):  # s -> a + b s + c s^2
+    return (lambda s: a + s * (b + s * c)) if c else (lambda s: a + b * s)
 
 
 def _next_sums(family: Family, sums: list[tuple[int, ...]],
@@ -220,7 +245,7 @@ def _next_sums(family: Family, sums: list[tuple[int, ...]],
     """(S_0, ..., S_4) of row n = len(sums), from the sums of rows n-1
     and n-2; S_0 is checked against the class size ``counts[n]``."""
     n = len(sums)
-    div, steps = _SUM_RECURRENCES[family]
+    div, steps, _ = _SUM_RECURRENCES[family]
     div = _at(div, n)
     out = []
     for r, step in enumerate(steps):

@@ -3,7 +3,8 @@
 Each statistic family evolves by one-jumps (from the previous value) and
 two-jumps (from the value two stages back): the type split is the family's
 ``two_jump_split``, and each increment is an ``rng.Jump``.  That law is
-written once per (kind, stage), in integers (``_stage_law``); the exact
+read off the family's term table once per (kind, stage), in integers, with
+no per-kind branch (``_stage_law``, from ``families._lag_law``); the exact
 ``Fraction`` entries, the scalar draw, the batch engine's gates and the
 martingale differences' laws and conditional moments all read it, and so
 does the exact marginal: the type draw ignores the values and a jump reads
@@ -45,7 +46,7 @@ from typing import NamedTuple
 
 from .compositions import Composition, _parts_from_right
 from .errors import FamilyError, InfeasibleStateError
-from .families import _STORES, ExactPmf, _Grown, _reaching, row_means, two_jump_split
+from .families import _STORES, ExactPmf, _Grown, _lag_law, _reaching, row_means, two_jump_split
 from .rng import TWO64, Jump, Stream
 from .tags import ProcessKind
 
@@ -138,17 +139,6 @@ class JumpDistribution(_JumpFields):
         return out
 
 
-def _succ(s):
-    return s + 1
-
-
-def _ident(s):
-    return s
-
-
-_STAY, _STEP = Jump(0, (), 1), Jump(1, (), 1)  # deterministic increments
-
-
 class StageLaw(NamedTuple):
     """Transition into stage m: a two-jump (from stage m-2) with probability
     ``two_num / den``, else a one-jump (from stage m-1).  A draw u takes the
@@ -163,33 +153,17 @@ class StageLaw(NamedTuple):
 
 
 # Enum members as globals: a class-attribute lookup of a member costs more
-# than the rest of a stage's law in Python 3.11, and the law is built per stage.
+# than the rest of a part's constants in Python 3.11, read once per part.
 _INVOLUTION, _DERANGEMENT, _FIBONACCI = (
     ProcessKind.INVOLUTION, ProcessKind.DERANGEMENT, ProcessKind.FIBONACCI)
 
 
 def _stage_law(kind: ProcessKind, m: int) -> StageLaw:
-    """The transition law into stage m, in integers: the one place it is
-    written.  The type split is the family's (``two_jump_split``)."""
-    if kind is _FIBONACCI:
-        two, one = _STEP, _STAY
-    elif kind is _INVOLUTION:
-        def le0(s):  # numerators of P(increment <= 0) and P(increment <= 1)
-            return (s + 1) ** 2 + m - 2
-
-        def le1(s):
-            return (s + 1) * (2 * m - 3 - s) + 1
-
-        two = Jump(0, (le0, le1), (m - 1) * m)
-        one = Jump(0, (_succ,), m)
-    elif kind is _DERANGEMENT:
-        two = Jump(1, (_succ,), m - 1)
-        one = Jump(0, (_succ,), m - 1)
-    else:  # excedance
-        two = _STEP
-        one = Jump(0, (_ident,), m - 1)
+    """The transition law into stage m, in integers: each jump is its lag's
+    terms in the family's term table, the type split ``two_jump_split``."""
     num, den = two_jump_split(kind.family, m)
-    return StageLaw(num, den, -(-num * TWO64 // den), two, one)
+    return StageLaw(num, den, -(-num * TWO64 // den),
+                    Jump(*_lag_law(kind.family, 2, m)), Jump(*_lag_law(kind.family, 1, m)))
 
 
 def _entries(law: StageLaw, prev: int, last: int) -> list[tuple[str, int, Fraction]]:
@@ -354,10 +328,9 @@ def _difference_law(kind: ProcessKind, i: int, order: int, src) -> list[tuple]:
         )
     _check_value(kind, i - order, src)
     if i < kind.start[0]:  # the first part of a run from stage 0 stays at 0
-        jump = _STAY
-    else:
-        law = _TABLES[kind].laws.through(i)[i]
-        jump = law.two if order == 2 else law.one
+        return [(0, 1)]
+    law = _TABLES[kind].laws.through(i)[i]
+    jump = law.two if order == 2 else law.one
     if not jump.cums:
         return [(0, jump.den)]
     c, k = _telescoped_constants(kind, i, order)
@@ -521,7 +494,7 @@ class _StageTable:
 
     def __init__(self, kind: ProcessKind):
         self.kind = kind
-        self.laws = _Grown([None] * kind.start[0], self._next_law)
+        self.laws = _Grown([None] * kind.start[0], lambda laws: _stage_law(kind, len(laws)))
         self.parts = _Grown([None] * (kind.composition_offset + 1), self._next_parts)
         self.alphas = _Grown([], lambda alphas: [None, None])
 
@@ -529,9 +502,6 @@ class _StageTable:
         """The text of ``parts[m][order - 1]``'s adjustment, kept in its cell."""
         text = self.alphas[m][order - 1] = str(self.parts[m][order - 1].alpha)
         return text
-
-    def _next_law(self, laws: list) -> StageLaw:
-        return _stage_law(self.kind, len(laws))
 
     def _next_parts(self, parts: list) -> tuple[_Part, ...]:
         kind, m = self.kind, len(parts)

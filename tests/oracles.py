@@ -2,9 +2,10 @@
 
 These enumerate permutation classes, compositions and jump words directly and
 count statistics from the definitions; they never touch the recurrences they
-check.  Nine keep an implementation the package replaced, as the reference
+check.  Ten keep an implementation the package replaced, as the reference
 its successor is compared with: each family's row recurrence written out
-term by term, the keep-list discard reduction, the sampler's threshold
+term by term, each process kind's stage law and two-jump weight written
+out by hand, the keep-list discard reduction, the sampler's threshold
 loop, the exact draw's product test, the per-draw stage loop of
 ``simulate``, the per-kind branch formula of a part's integer difference,
 the audit rows of a recorded ``simulate`` chunk built from the
@@ -31,17 +32,18 @@ from descentlab.compositions import (
     enumerate_compositions,
     word_statistic,
 )
-from descentlab.families import _SEED_ROWS, CountTriangle, ExactPmf, Family
+from descentlab.families import _SEED_ROWS, CountTriangle, ExactPmf, Family, counting_sequence
 from descentlab.processes import (
     _TABLES,
     ProcessKind,
+    StageLaw,
     _entries,
     _value_range,
     exact_means,
     parse_kind,
     simulate,
 )
-from descentlab.rng import GOLDEN, MASK64, TWO64, Stream, stream_key
+from descentlab.rng import GOLDEN, MASK64, TWO64, Jump, Stream, stream_key
 
 
 def descents(perm: tuple[int, ...]) -> int:
@@ -269,6 +271,41 @@ def product_draw(jump, src: int, u64: int) -> int:
             break
         inc += 1
     return inc
+
+
+def reference_two_jump_split(family: Family, m: int) -> tuple[int, int]:
+    """(num, den) of the two-jump probability into stage m >= 2, by the
+    hand-written weight: num = (m-1) c_{m-2} (m in a two-cycle), or
+    c_{m-2} for fibonacci (m swapped with m - 1), and den = c_m."""
+    counts = counting_sequence(family, m)
+    w = 1 if family is Family.FIBONACCI else m - 1
+    return w * counts[m - 2], counts[m]
+
+
+def reference_stage_law(kind, m: int) -> StageLaw:
+    """The transition law into stage m, written out per kind: the
+    reference for the law that ``_stage_law`` reads off the term table."""
+    kind = parse_kind(kind)
+    stay, step = Jump(0, (), 1), Jump(1, (), 1)
+    if kind is ProcessKind.FIBONACCI:
+        two, one = step, stay
+    elif kind is ProcessKind.INVOLUTION:
+        def le0(s):  # numerators of P(increment <= 0) and P(increment <= 1)
+            return (s + 1) ** 2 + m - 2
+
+        def le1(s):
+            return (s + 1) * (2 * m - 3 - s) + 1
+
+        two = Jump(0, (le0, le1), (m - 1) * m)
+        one = Jump(0, (lambda s: s + 1,), m)
+    elif kind is ProcessKind.DERANGEMENT:
+        two = Jump(1, (lambda s: s + 1,), m - 1)
+        one = Jump(0, (lambda s: s + 1,), m - 1)
+    else:  # excedance
+        two = step
+        one = Jump(0, (lambda s: s,), m - 1)
+    num, den = reference_two_jump_split(kind.family, m)
+    return StageLaw(num, den, -(-num * TWO64 // den), two, one)
 
 
 def stage_loop(kind, n: int, seed: int, stream_index: int = 0):

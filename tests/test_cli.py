@@ -919,6 +919,34 @@ def test_limits_admit_the_benchmark_sizes():
     assert N_MAX >= 600 and REPLICATES_MAX >= 1_000_000 and THREADS_MAX >= 2
 
 
+@pytest.mark.parametrize("seed", [2**64, -1])
+@pytest.mark.parametrize("command", ["simulate", "decompose"])
+def test_a_seed_outside_64_bits_exits_2(command, seed, tmp_path, capsys):
+    # the streams take a seed mod 2**64: 2**64 would draw the runs of seed 0
+    # and -1 those of 2**64 - 1, under a seed of its own in the output
+    import descentlab.cli as cli
+
+    argv = _simulate_argv() if command == "simulate" else [
+        "decompose", "--process", "derangement", "--n", "12"]
+    path = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--seed", str(seed), "--out", str(path)])
+    assert exc.value.code == 2 and not path.exists()
+    err = capsys.readouterr().err
+    assert f"--seed: must be in 0..{2**64 - 1}, got {seed}" in err
+
+
+def test_the_largest_64_bit_seed_runs(tmp_path):
+    import descentlab.cli as cli
+
+    path = tmp_path / "d.csv"
+    seed = str(2**64 - 1)
+    assert cli.main(["decompose", "--process", "derangement", "--n", "12",
+                     "--seed", seed, "--out", str(path)]) == 0
+    assert f'"seed": {seed}' in path.read_text().splitlines()[-1]
+    assert cli.main(_simulate_argv() + ["--seed", seed, "--out", str(path)]) == 0
+
+
 def test_nonpositive_threads_exit_2_from_the_command_line():
     proc = run_cli(*_simulate_argv(threads="0"), check=False)
     assert proc.returncode == 2 and proc.stdout == ""

@@ -219,6 +219,19 @@ def test_a_rule_giving_an_inexact_number_is_refused(value):
             use()
 
 
+@pytest.mark.parametrize("vector", [(0.5, 0.25, 0.25), (0.1, 0.2, 0.7),
+                                    (Decimal("0.5"), F(1, 4), F(1, 4))], ids=repr)
+def test_a_rule_giving_an_inexact_vector_entry_is_refused(vector):
+    # dyadic floats and decimals were taken as exact, other floats refused
+    # as a vector that does not sum to 1
+    rule = JumpProbabilityRule(lambda i: vector, order=3, name="inexact")
+    message = f"rule inexact gave q_1(3) = {vector[0]!r}, not an int or a Fraction"
+    with pytest.raises(RuleError, match=re.escape(message)):
+        rule.vector(3)
+    assert JumpProbabilityRule(lambda i: (0, F(1, 2), F(1, 2)), order=3).vector(3) == (
+        0, F(1, 2), F(1, 2))
+
+
 def test_sample_composition_chi_square():
     rule = family_rule("fibonacci")
     n, reps = 8, 1_000_000

@@ -313,6 +313,23 @@ def test_two_jump_split_counts_the_members_with_m_in_a_two_cycle(fam):
         assert two_jump_split(fam, m) == oracles.two_cycle_census(fam, m)
 
 
+@pytest.mark.parametrize("fam", ["involution", "derangement", "excedance", "fibonacci"])
+def test_two_jump_split_equals_the_hand_written_weight(fam):
+    # the weight read off the term table's lag-2 terms, against
+    # (m - 1) c_{m-2}, or c_{m-2} for fibonacci
+    for m in range(2, 401):
+        assert two_jump_split(fam, m) == oracles.reference_two_jump_split(Family(fam), m)
+
+
+def test_an_inexact_two_jump_weight_raises(monkeypatch):
+    # div(m) = 2m: the lag-2 weight m(m - 1) over it is inexact at m = 4
+    _, terms = families._TERMS[Family.INVOLUTION]
+    monkeypatch.setitem(families._TERMS, Family.INVOLUTION, ((0, 2), terms))
+    assert two_jump_split("involution", 3) == (1, 4)  # (m - 1)/2 c_1 of c_3
+    with pytest.raises(ArithmeticError, match=r"involution: div\(4\) does not divide"):
+        two_jump_split("involution", 4)
+
+
 def test_two_jump_split_needs_a_second_order_recurrence_and_index_two():
     message = "the eulerian family has a first-order recurrence"
     with pytest.raises(RuleError, match=message):

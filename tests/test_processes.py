@@ -181,6 +181,24 @@ def test_a_wrong_stage_law_makes_the_closure_raise(kind, fresh_tables):
         exact_marginal(kind, 12)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_stage_laws_equal_the_hand_written_laws(kind):
+    # the law read off the term table against each kind's law written out
+    # by hand, at every stage to 400 and every value a jump's source may take
+    for m in range(kind.start[0], 401):
+        law, ref = _stage_law(kind, m), oracles.reference_stage_law(kind, m)
+        assert (law.two_num, law.den, law.threshold) == (ref.two_num, ref.den, ref.threshold)
+        for lag, jump, expected in ((2, law.two, ref.two), (1, law.one, ref.one)):
+            assert jump.base == expected.base and len(jump.cums) == len(expected.cums)
+            if not jump.cums:  # deterministic: no draw reads its den
+                continue
+            assert jump.den == expected.den
+            lo, hi = _value_range(kind, m - lag)
+            sources = range(lo, hi + 1)
+            for cum, ref_cum in zip(jump.cums, expected.cums):
+                assert [cum(s) for s in sources] == [ref_cum(s) for s in sources]
+
+
 # ---------------------------------------------------------------------------
 # martingale differences
 # ---------------------------------------------------------------------------

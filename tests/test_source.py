@@ -1,6 +1,7 @@
 """Source-level rules for the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ CHECKS = [
     ("families.py", "_next_row"),
     ("families.py", "_power_sum_recurrence"),
     ("families.py", "_next_sums"),
+    ("families.py", "two_jump_split"),
     ("batch.py", "_gates"),
     ("processes.py", "_StageTable._next_parts"),
     ("processes.py", "exact_marginal"),
@@ -414,6 +416,35 @@ def test_the_triangle_command_builds_no_text():
              or isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
                  "write", "join", "dumps", "format")]
     assert not built, f"cmd_triangle builds text at lines {built}"
+
+
+# Each family's recurrence has one owner, its term table ``families._TERMS``:
+# the processes' stage laws and the two-jump split read each lag's law and
+# weight off it (``families._LAGS``).  When each kind's law was written out
+# by hand in ``_stage_law``, and the split's weight as m - 1 or 1, the
+# recurrence was stated three times.
+def _compared_members(module, qualname, enum):
+    """The members of ``enum`` that a comparison in the function names,
+    directly or through a module global bound to the member."""
+    mod = importlib.import_module(f"descentlab.{module[:-3]}")
+    aliases = {name: value.name for name, value in vars(mod).items() if isinstance(value, enum)}
+    path = next(p for p in SOURCES if p.name == module)
+    return {aliases.get(n.id, n.id) if isinstance(n, ast.Name) else n.attr
+            for node in ast.walk(_function(path, qualname)) if isinstance(node, ast.Compare)
+            for n in ast.walk(node)
+            if isinstance(n, ast.Name) and n.id in aliases
+            or isinstance(n, ast.Attribute) and n.attr in enum.__members__}
+
+
+def test_the_stage_laws_and_the_split_have_no_per_kind_branch():
+    from descentlab.tags import Family, ProcessKind
+
+    assert _compared_members("processes.py", "_stage_law", ProcessKind) == set()
+    assert _compared_members("families.py", "two_jump_split", Family) <= {"EULERIAN"}
+    defined = {name for name, _ in _private_definitions(_trees()["processes.py"])}
+    assert not defined & {"_succ", "_ident", "_STEP"}
+    assert "_lag_law" in _reached_names(next(p for p in SOURCES if p.name == "processes.py"),
+                                        "_stage_law")
 
 
 # A command's preconditions and output have one owner, ``cli.main``: it
