@@ -19,18 +19,19 @@ row recurrence and keeps none, so a deep row costs O(n) integers, not the
 triangle up to it.  ``descent_triangle`` gathers the rows of one call.
 
 Each family's row recurrence is written once, as a term table (``_TERMS``).
-The rows are built from it, the jump laws of ``processes`` (``_lag_law``)
-and the power sums S_r(n) = sum_k k**r count(n, k), r <= 4, which follow
-from those of rows n-1 and n-2: in the sum every term above degree r
-cancels, so a step is O(r**2) integer operations however wide the row.
-Row means and moments read the power sums and need no row.
+The rows and their lengths are built from it, the jump laws of ``processes``
+(``_lag_law``) and the power sums S_r(n) = sum_k k**r count(n, k), r <= 4,
+which follow from those of rows n-1 and n-2: in the sum every term above
+degree r cancels, so a step is O(r**2) integer operations however wide the
+row.  The counts are the r = 0 step alone, and the r = 1 step gives each
+lag's conditional mean.  Row means and moments read the sums, not rows.
 
 Sums over compositions have one owner too, the fold ``_position_moments``:
 the identity sums and the variance-contraction check of ``diagnostics`` read
 it, and so, with every step at lag 1, does ``compositions.binary_sum_moments``.
 
 Every per-index cache is a grow-only list of one type, ``_Grown``: each
-family's counting sequence, row power sums and row means here, and each
+family's counting sequence, row lengths, power sums and means here, and each
 process kind's stage laws and part constants in ``processes``.  A request
 beyond the stored index extends a list from its last entries under the
 list's own lock; nothing is rebuilt and no entry changes, so the lists are
@@ -64,24 +65,18 @@ def parse_family(tag: str | Family) -> Family:
 # ---------------------------------------------------------------------------
 
 def _next_count(family: Family, seq: list[int]) -> int:
-    """Class size at index len(seq), from the entries before it.
+    """Class size at index n = len(seq): S_0 of row n, by the r = 0 step of
+    the power-sum recurrence over the counts alone."""
+    n, step = len(seq), _SUM_RECURRENCES[family][1][0]
+    return _divided(family, n, 0, sum(_at(c, n) * seq[n - lag] for lag, _, c in step))
 
-    Derangement counts are cross-checked against the closed form
-    n! * sum_{i<=n} (-1)^i / i!, accumulated as a_n = n a_{n-1} + (-1)^n;
-    since a_{n-1} was checked equal to d_{n-1}, that is n d_{n-1} + (-1)^n.
-    """
-    n = len(seq)
-    if family is Family.EULERIAN:
-        return n * seq[-1]
-    if family is Family.INVOLUTION:
-        return seq[-1] + (n - 1) * seq[-2]
-    if family is Family.FIBONACCI:
-        return seq[-1] + seq[-2]
-    value = (n - 1) * (seq[-1] + seq[-2])
+
+def _derangement_count(family: Family, seq: list[int]) -> int:
+    """``_next_count``, checked against n d_{n-1} + (-1)^n: the closed form
+    n! * sum_{i<=n} (-1)^i / i! accumulated from d_{n-1}, itself checked."""
+    n, value = len(seq), _next_count(family, seq)
     if value != n * seq[-1] + (-1) ** n:
-        raise ArithmeticError(
-            f"d_{n}: the derangement closed form disagrees with the recurrence"
-        )
+        raise ArithmeticError(f"d_{n}: the derangement closed form disagrees with the recurrence")
     return value
 
 
@@ -158,7 +153,7 @@ def _next_row(family: Family, n: int, before: tuple[int, ...],
     div, terms = _TERMS[family]
     div = _at(div, n)
     lagged = (None, last, before)
-    acc = [0] * max(len(lagged[lag]) + shift for lag, shift, _ in terms)
+    acc = [0] * _STORES[family].lengths.through(n)[n]
     for lag, shift, coef in terms:
         ck = [_at(c_b, n) for c_b in coef]
         c0, c1, c2 = ck + [0] * (3 - len(ck))
@@ -240,29 +235,29 @@ def _in_source(a: int, b: int, c: int):  # s -> a + b s + c s^2
     return (lambda s: a + s * (b + s * c)) if c else (lambda s: a + b * s)
 
 
+def _divided(family: Family, n: int, r: int, total: int) -> int:
+    """A step's total of S_r of row n over div(n), which must divide it."""
+    div = _at(_SUM_RECURRENCES[family][0], n)
+    q, rem = divmod(total, div)
+    if rem:
+        raise ArithmeticError(f"{family.value} row {n}: the power-sum total of S_{r} "
+                              f"is not divisible by {div}")
+    return q
+
+
 def _next_sums(family: Family, sums: list[tuple[int, ...]],
                counts: list[int]) -> tuple[int, ...]:
     """(S_0, ..., S_4) of row n = len(sums), from the sums of rows n-1
     and n-2; S_0 is checked against the class size ``counts[n]``."""
     n = len(sums)
-    div, steps, _ = _SUM_RECURRENCES[family]
-    div = _at(div, n)
-    out = []
-    for r, step in enumerate(steps):
-        total = sum(_at(c, n) * sums[n - lag][d] for lag, d, c in step)
-        q, rem = divmod(total, div)
-        if rem:
-            raise ArithmeticError(
-                f"{family.value} row {n}: the power-sum total of S_{r} "
-                f"is not divisible by {div}"
-            )
-        out.append(q)
+    out = tuple(_divided(family, n, r, sum(_at(c, n) * sums[n - lag][d] for lag, d, c in step))
+                for r, step in enumerate(_SUM_RECURRENCES[family][1]))
     if out[0] != counts[n]:
         raise ArithmeticError(
             f"{family.value} row {n}: the power sums give {out[0]} members, "
             f"the counting sequence {counts[n]}"
         )
-    return tuple(out)
+    return out
 
 
 def _power_sums(offset: int, counts: Iterable[int], r: int) -> tuple[int, ...]:
@@ -354,18 +349,23 @@ class _Grown(list):
 
 
 class _Store:
-    """Grow-only counting sequence, row power sums and row means of one
-    family.
+    """Grow-only counting sequence, row lengths, row power sums and row
+    means of one family.
 
-    ``counts[n]``, ``sums[n]`` and ``means[n]`` belong to index n.
-    ``sums[n]`` is (S_0, ..., S_4) of row n, grown by the power-sum
+    ``counts[n]``, ``lengths[n]``, ``sums[n]`` and ``means[n]`` belong to
+    index n.  A row's length is the longest reach of a term over the row it
+    reads.  ``sums[n]`` is (S_0, ..., S_4) of row n, grown by the power-sum
     recurrence (seeded from the seed rows), so the means and moments it
     gives build no row.
     """
 
     def __init__(self, family: Family):
         self.family = family
-        self.counts = _Grown(_SEED_COUNTS[family], lambda seq: _next_count(family, seq))
+        count = (_derangement_count if family in (Family.DERANGEMENT, Family.EXCEDANCE)
+                 else _next_count)
+        self.counts = _Grown(_SEED_COUNTS[family], lambda seq: count(family, seq))
+        self.lengths = _Grown(map(len, _SEED_ROWS[family]), lambda lengths: max(
+            lengths[len(lengths) - lag] + shift for lag, shift, _ in _TERMS[family][1]))
         self.sums = _Grown(
             (_power_sums(family.k_min, row, _POWERS) for row in _SEED_ROWS[family]),
             lambda sums: _next_sums(family, sums, self.counts.through(len(sums))),

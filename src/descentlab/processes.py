@@ -1,35 +1,29 @@
 """Jump processes with exact rational transitions and their decompositions.
 
 Each statistic family evolves by one-jumps (from the previous value) and
-two-jumps (from the value two stages back): the type split is the family's
-``two_jump_split``, and each increment is an ``rng.Jump``.  That law is
-read off the family's term table once per (kind, stage), in integers, with
-no per-kind branch (``_stage_law``, from ``families._lag_law``); the exact
-``Fraction`` entries, the scalar draw, the batch engine's gates and the
-martingale differences' laws and conditional moments all read it, and so
-does the exact marginal: the type draw ignores the values and a jump reads
-one source value, so the stage-m law is the stage-(m-2) law pushed through
-``law.two`` plus the stage-(m-1) law pushed through ``law.one``, a closure
-that ``exact_marginal`` runs over two rolling rows of integer counts in
-O(n^2) operations.  A recorded run reads its jump word off its steps; the
-word's discard reduction yields a composition, and the run decomposes over
-its parts into differences, deterministic adjustments and multiplicative
-factors that reconstruct the centered, scaled final value exactly.  Each
-kind keeps three grow-only lists (``_StageTable``): the stage laws, which
-every engine reads, and a recorded part's constants and adjustment texts.
+two-jumps (from the value two stages back).  All a kind needs is read off
+its family's term table, with no per-kind branch: the type split
+(``two_jump_split``), each jump's increment law (``_stage_law``), a stage's
+value range (its row's span) and a recorded part's constants
+(``_CONSTANTS``).  Every engine reads the stage laws.  The type draw ignores
+the values and a jump reads one source value, so the stage-m marginal is the
+stage-(m-2) one pushed through ``law.two`` plus the stage-(m-1) one pushed
+through ``law.one``, run over two rolling rows of integer counts in O(n^2)
+operations.
 
-The reconstruction proves the identity with small integers, and one
-function owns a part's integer arithmetic (``_telescoped_constants``): the
-part's difference is an integer in its source and new values less a mean
-shift, and its adjustment an integer plus two mean terms, checked once per
-stage as the table grows; the mean terms of adjacent parts cancel through
-the factors, so a run's residual needs only the parts' integers and one
-exact mean.  A decomposition built by hand is summed term by term instead.
-One stage loop (``simulate``, over one block of draws, each type draw against
-the stage's stored threshold), one walk over the parts (``_decompose``) and
-one integer core (``_telescoped_sum``) serve the library's
-``Decomposition`` and ``reconstruct`` and what the CLI prints of a run
-(``_run_text``); a recorded run builds its ``PartRecord``s only when read.
+A recorded run's jump word reduces to a composition, and the run decomposes
+over its parts into differences x, adjustments alpha and factors gamma that
+reconstruct the centered, scaled final value exactly.  One function owns a
+part's integers (``_telescoped_constants``): x is an integer d in the
+source and new values less a mean shift, and alpha an integer plus two mean
+terms (``_adjustment``), which cancel between adjacent parts through the
+factors, so a run's residual needs only the parts' integers and one exact
+mean.  Each kind keeps three grow-only lists (``_StageTable``): the stage
+laws, a recorded part's constants and its adjustment texts.  One stage loop
+(``simulate``), one walk over the parts (``_decompose``) and one integer
+core (``_telescoped_sum``) serve ``Decomposition``, ``reconstruct`` and what
+the CLI prints of a run (``_run_text``); a decomposition built by hand is
+summed term by term instead.
 
 Stage bookkeeping: involution and fibonacci runs decompose over compositions
 of n (part position == stage).  Derangement and excedance runs start at stage
@@ -46,7 +40,8 @@ from typing import NamedTuple
 
 from .compositions import Composition, _parts_from_right
 from .errors import FamilyError, InfeasibleStateError
-from .families import _STORES, ExactPmf, _Grown, _lag_law, _reaching, row_means, two_jump_split
+from .families import (_LAGS, _STORES, _SUM_RECURRENCES, ExactPmf, _Grown, _lag_law, _reaching,
+                       row_means, two_jump_split)
 from .rng import TWO64, Jump, Stream
 from .tags import ProcessKind
 
@@ -64,21 +59,19 @@ def parse_kind(tag: str | ProcessKind) -> ProcessKind:
 
 
 def _value_range(kind: ProcessKind, j: int) -> tuple[int, int]:
-    """Inclusive range of attainable values at stage j."""
-    if kind in (ProcessKind.DERANGEMENT, ProcessKind.EXCEDANCE):
-        if j < 2:
-            return (0, 0)
-        return (1, max(1, j - 1))
-    if j < 1:
-        return (0, 0)
-    if kind is ProcessKind.FIBONACCI:
-        return (0, j // 2)
-    return (0, max(0, j - 1))
+    """Inclusive range of attainable values at stage j >= 0: the span of row
+    j of the family's triangle, from its length in the store; (0, 0) for the
+    empty placeholder rows below the first."""
+    fam = kind.family
+    length, lo = _STORES[fam].lengths.through(j)[j], fam.k_min
+    return (lo, lo + length - 1) if length else (0, 0)
 
 
 def _check_value(kind: ProcessKind, j: int, value) -> None:
-    """Raise ``InfeasibleStateError`` unless ``value`` lies in the range of
-    attainable values at stage j."""
+    """Raise ``InfeasibleStateError`` for a stage j below 0, or a ``value``
+    outside the range of attainable values at stage j."""
+    if j < 0:
+        raise InfeasibleStateError(f"{kind.value}: stage {j} is below 0")
     lo, hi = _value_range(kind, j)
     if not lo <= value <= hi:
         raise InfeasibleStateError(
@@ -152,12 +145,6 @@ class StageLaw(NamedTuple):
     one: Jump
 
 
-# Enum members as globals: a class-attribute lookup of a member costs more
-# than the rest of a part's constants in Python 3.11, read once per part.
-_INVOLUTION, _DERANGEMENT, _FIBONACCI = (
-    ProcessKind.INVOLUTION, ProcessKind.DERANGEMENT, ProcessKind.FIBONACCI)
-
-
 def _stage_law(kind: ProcessKind, m: int) -> StageLaw:
     """The transition law into stage m, in integers: each jump is its lag's
     terms in the family's term table, the type split ``two_jump_split``."""
@@ -200,7 +187,7 @@ def jump_distribution(state: ProcessState) -> JumpDistribution:
 
 
 # ---------------------------------------------------------------------------
-# exact means and the deterministic adjustment terms
+# exact means and a recorded part's constants
 # ---------------------------------------------------------------------------
 
 def exact_means(kind: str | ProcessKind, n_max: int) -> tuple[Fraction, ...]:
@@ -212,28 +199,6 @@ def exact_means(kind: str | ProcessKind, n_max: int) -> tuple[Fraction, ...]:
     return row_means(parse_kind(kind).family, n_max)
 
 
-def alpha_term(kind: str | ProcessKind, i: int, order: int, mu) -> Fraction:
-    """Deterministic adjustment for a jump of the given order into stage i.
-
-    ``mu`` maps a stage index to the exact mean at that stage (callable or
-    indexable).  Only derangement and excedance decompositions carry
-    adjustments.
-    """
-    kind = parse_kind(kind)
-    get = mu if callable(mu) else mu.__getitem__
-    if order not in (1, 2):
-        raise ValueError(f"jump order must be 1 or 2, got {order}")
-    if kind is ProcessKind.DERANGEMENT:
-        if order == 1:
-            return F(i - 2) - (i - 1) * get(i) + (i - 2) * get(i - 1)
-        return F(2 * i - 3) - (i - 1) * get(i) + (i - 2) * get(i - 2)
-    if kind is ProcessKind.EXCEDANCE:
-        if order == 1:
-            return F(i - 1) - (i - 1) * get(i) + (i - 2) * get(i - 1)
-        return F(i - 1) - (i - 1) * get(i) + (i - 1) * get(i - 2)
-    return ZERO
-
-
 def _scale(offset: int, i: int) -> int:
     """The factor of the centered stage-i value in the identity that
     ``reconstruct`` checks: i - 1 for runs that start at stage 2 (a nonzero
@@ -242,28 +207,89 @@ def _scale(offset: int, i: int) -> int:
     return i - 1 if offset else i
 
 
+def _linear_quotient(s0: int, p, den, what: str) -> tuple[int, int]:
+    """(q0, q1) with (i + s0) p(i) = (q0 + q1 i) den(i), by long division of the
+    polynomials (constant term first); ``ArithmeticError`` unless it exists."""
+    num = [s0 * a + b for a, b in zip((*p, 0), (0, *p))]
+    den = den[:max(j for j, d in enumerate(den) if d) + 1]
+    q = [0] * max(2, len(num) - len(den) + 1)
+    for j in reversed(range(len(num) - len(den) + 1)):
+        q[j] = num[j + len(den) - 1] // den[-1]
+        for t, d in enumerate(den, j):
+            num[t] -= q[j] * d
+    if any(num) or any(q[2:]):
+        raise ArithmeticError(f"{what} is no linear polynomial in the stage")
+    return q[0], q[1]
+
+
+def _part_constants(kind: ProcessKind) -> tuple:
+    """At index s = 1, 2: (c0, c1, k0, k1, b0, b1), the coefficients of c(i),
+    k(i) and slope(i) of a part that ends at stage i with a jump of order s.
+    The r = 1 step of the power-sum recurrence at lag s, over the lag's total
+    (``families._LAGS``), is E[v_i | v_(i-s) = x] = a + b x; c = scale(i) a
+    and slope = scale(i) b.  A random jump's k is its slope, so d has
+    conditional mean zero; a deterministic one (empty ``cums``, b = 1) realizes
+    its source alone, and its k is the source stage's scale, scale(i - s)."""
+    s0 = _scale(kind.composition_offset, 0)  # scale(i) = i + s0
+    mean = {(lag, d): c for lag, d, c in _SUM_RECURRENCES[kind.family][1][1]}
+    out = [None]
+    for order in (1, 2):
+        _, cums, total = _LAGS[kind.family][order]
+        what = f"{kind.value}: scale(i) E[v_i | v_(i-{order})]"
+        c, slope = (_linear_quotient(s0, mean.get((order, d), (0,)), total, what) for d in (0, 1))
+        out.append((*c, *(slope if cums else (s0 - order, 1)), *slope))
+    return tuple(out)
+
+
+# keyed by value (a str): an Enum member's hash runs Python code, and a part reads this
+_CONSTANTS = {kind._value_: _part_constants(kind) for kind in ProcessKind}
+
+
 def _telescoped_constants(kind: ProcessKind, i: int, order: int) -> tuple[int, int]:
     """(c, k) of a part that ends at stage i with a jump of order s: the one
-    owner of a part's integer arithmetic.  From v_{i-s} to v_i the part adds
-        x + alpha = scale(i) (v_i - mu_i) - k (v_{i-s} - mu_{i-s}),
-    where scale is ``_scale``, x is d = scale(i) v_i - k v_{i-s} - c less the
-    stage's ``_mean_shift``, and so alpha less that shift is
-    c - scale(i) mu_i + k mu_{i-s}.
+    owner of a part's integer arithmetic.  The part adds x + alpha =
+    scale(i) (v_i - mu_i) - k (v_{i-s} - mu_{i-s}), where x is
+    d = scale(i) v_i - k v_{i-s} - c less the part's shift (``_adjustment``).
+    k is the source stage's scale times the factor the part gives the parts
+    before it, so that k mu_{i-s} cancels the previous part's mean term."""
+    c0, c1, k0, k1, _, _ = _CONSTANTS[kind._value_][order]
+    return c0 + c1 * i, k0 + k1 * i
 
-    c is an integer; k is the scale of the source stage times the factor
-    the part gives the parts before it, so that k mu_{i-s} cancels the
-    previous part's mean term.  The excedance two-jump's shift 2 mu_{i-2}
-    is folded into its k; a fibonacci part's adjustment is zero and its
-    mean terms are its shift; an involution part has neither, and its c is
-    i mu_i - (i-s) mu_{i-s}, an integer since mu_i = (i-1)/2.
-    """
-    if kind is _DERANGEMENT:
-        return (i - 2 if order == 1 else 2 * i - 3), i - 2
-    if kind is ProcessKind.EXCEDANCE:
-        return i - 1, i - 1 - order
-    if kind is _INVOLUTION:
-        return (i - 1 if order == 1 else 2 * i - 3), i - order
-    return 0, i - order  # fibonacci
+
+def _part_offset(kind: ProcessKind, i: int, order: int) -> int:
+    """The kind's ``composition_offset``, if a part of this order can end at stage i."""
+    if order not in (1, 2):
+        raise ValueError(f"jump order must be 1 or 2, got {order}")
+    offset = kind.composition_offset
+    if i < offset + order:
+        raise InfeasibleStateError(
+            f"{kind.value}: stage {i} below the first order-{order} part stage {offset + order}")
+    return offset
+
+
+def _adjustment(kind: ProcessKind, i: int, order: int, get) -> tuple[Fraction, Fraction]:
+    """(alpha, shift) of a part that ends at stage i with a jump of this
+    order, ``get`` mapping a stage to its exact mean.  A run from stage 0
+    carries no adjustment: x is all of scale(i) (v_i - mu_i) - k (v_{i-s} -
+    mu_{i-s}).  A run from stage 2 keeps in x the jump's innovation and its
+    centered drift, scale(i) (v_i - E[v_i | v_{i-s}]) + (slope(i) - k)
+    (v_{i-s} - mu_{i-s}), so its shift is zero for a random jump."""
+    offset = _part_offset(kind, i, order)
+    c, k = _telescoped_constants(kind, i, order)
+    scale, mu_i, mu_src = _scale(offset, i), get(i), get(i - order)
+    if not offset:
+        return ZERO, scale * mu_i - k * mu_src - c
+    b0, b1 = _CONSTANTS[kind._value_][order][4:]
+    shift = (b0 + b1 * i - k) * mu_src
+    return F(c - scale * mu_i + k * mu_src + shift), shift
+
+
+def alpha_term(kind: str | ProcessKind, i: int, order: int, mu) -> Fraction:
+    """Deterministic adjustment of a part of the given order that ends at
+    stage i, which only derangement and excedance runs carry; ``mu`` maps a
+    stage to its exact mean (callable or indexable).  A stage where no such
+    part ends raises ``InfeasibleStateError``."""
+    return _adjustment(parse_kind(kind), i, order, mu if callable(mu) else mu.__getitem__)[0]
 
 
 def gamma_factor(comp: Composition, i: int) -> Fraction:
@@ -300,11 +326,11 @@ class RationalPmf(NamedTuple):
 def _center(kind: ProcessKind, i: int, order: int) -> Fraction:
     """The center of the conditioning value, written only here: a
     difference's ``w`` is its source value (at stage i - order) minus this."""
-    if kind is _INVOLUTION:
+    if kind is ProcessKind.INVOLUTION:
         return F(i - order - 1, 2)
-    if kind is _DERANGEMENT:
+    if kind is ProcessKind.DERANGEMENT:
         return F(i - 3, 2)
-    if kind is _FIBONACCI:
+    if kind is ProcessKind.FIBONACCI:
         return ZERO
     return F(i - 1, 2)  # excedance
 
@@ -318,14 +344,7 @@ def _difference_law(kind: ProcessKind, i: int, order: int, src) -> list[tuple]:
     a deterministic jump (empty ``cums``) realizes a function of its source
     alone, so its centered difference is the point mass 0.
     """
-    if order not in (1, 2):
-        raise ValueError(f"jump order must be 1 or 2, got {order}")
-    offset = kind.composition_offset
-    first = offset + order
-    if i < first:
-        raise InfeasibleStateError(
-            f"{kind.value}: stage {i} below the first order-{order} part stage {first}"
-        )
+    offset = _part_offset(kind, i, order)
     _check_value(kind, i - order, src)
     if i < kind.start[0]:  # the first part of a run from stage 0 stays at 0
         return [(0, 1)]
@@ -454,17 +473,6 @@ class Trajectory(NamedTuple):
         return vals
 
 
-def _mean_shift(kind: ProcessKind, i: int, order: int, means) -> Fraction:
-    """The exact-mean part of the difference realized by a jump of the given
-    order into stage i; the rest is an integer in the source and new values
-    (the d of ``_telescoped_constants``)."""
-    if kind is _FIBONACCI:  # i (new - mu_i) - (i - order) (src - mu_{i-order})
-        return i * means[i] - (i - order) * means[i - order]
-    if kind is ProcessKind.EXCEDANCE and order == 2:  # 2 (src - mu_{i-2})
-        return 2 * means[i - 2]
-    return ZERO
-
-
 class _Part(NamedTuple):
     """Constants of a recorded part that ends at one stage with a jump of one
     order: its adjustment, its mean shift in lowest terms (x is d less
@@ -483,13 +491,13 @@ class _StageTable:
     ``laws[m]`` is the law into stage m (``None`` before the first update);
     ``parts[m][order - 1]`` is the ``_Part`` of a recorded part that ends at
     stage m with a jump of that order (``None`` before the first part's
-    stage, which takes one-jumps only).  As a part is added, its adjustment
-    less its shift is checked against its ``_telescoped_constants`` exactly,
-    which is what lets ``reconstruct`` cancel the mean terms; a mismatch
-    raises ``ArithmeticError``.  No entry depends on the size of the run
-    that asks for it.  ``alphas[m][order - 1]`` is that part's adjustment as
-    text, formatted on its first read (``alpha_text``), so output formats
-    only what it prints; a cell holds None or its one text.
+    stage, which takes one-jumps only).  As a part is added, a random
+    jump's mean shift is checked to be zero, as x is a martingale difference
+    (an involution part's shift reads the means, so this checks them too),
+    or ``ArithmeticError``.  No entry depends on the size of the run.
+    ``alphas[m][order - 1]`` is that part's adjustment as text, formatted on
+    its first read (``alpha_text``), so output formats only what it prints;
+    a cell holds None or its one text.
     """
 
     def __init__(self, kind: ProcessKind):
@@ -505,21 +513,18 @@ class _StageTable:
 
     def _next_parts(self, parts: list) -> tuple[_Part, ...]:
         kind, m = self.kind, len(parts)
-        means = _STORES[kind.family].means.through(m)
+        get = _STORES[kind.family].means.through(m).__getitem__
         # a 2-part ends one stage after the first part at the earliest
         orders = (1, 2) if m >= kind.composition_offset + 2 else (1,)
         out = []
         for order in orders:
-            alpha = alpha_term(kind, m, order, means)
-            shift = _mean_shift(kind, m, order, means)
-            c, k = _telescoped_constants(kind, m, order)
-            scale = _scale(kind.composition_offset, m)
-            if alpha - shift != c - scale * means[m] + k * means[m - order]:
+            alpha, shift = _adjustment(kind, m, order, get)
+            if shift and _LAGS[kind.family][order][1]:  # a random jump
                 raise ArithmeticError(
-                    f"{kind.value}: the order-{order} part constants at stage {m} "
-                    "do not telescope"
-                )
-            out.append(_Part(alpha, shift.numerator, shift.denominator, c, k))
+                    f"{kind.value}: the order-{order} part at stage {m} is no martingale "
+                    f"difference: its jump is random and its mean shift {shift} is not zero")
+            out.append(_Part(alpha, shift.numerator, shift.denominator,
+                             *_telescoped_constants(kind, m, order)))
         return tuple(out)
 
 
@@ -605,7 +610,8 @@ def _telescoped_sum(kind: ProcessKind, n: int, final: int, walk) -> tuple:
     whose gamma is gnum / den.  c and k are the entries', which ``_decompose``
     did not use, so a zero residual checks them too (no parts: k_1 = scale(n))."""
     offset = kind.composition_offset
-    factors = kind is _DERANGEMENT
+    # from the term tables: only a derangement two-jump's k is not its source's scale
+    factors = kind is ProcessKind.DERANGEMENT
     pos = n - offset  # where the next part, right to left, ends
     # finished runs of equal gamma sum to num / den, ``run`` sums d + c under
     # gnum / den, and a 2-part ending at ``split`` grows gamma by split/(split-1)

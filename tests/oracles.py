@@ -2,10 +2,12 @@
 
 These enumerate permutation classes, compositions and jump words directly and
 count statistics from the definitions; they never touch the recurrences they
-check.  Ten keep an implementation the package replaced, as the reference
+check.  Eleven keep an implementation the package replaced, as the reference
 its successor is compared with: each family's row recurrence written out
 term by term, each process kind's stage law and two-jump weight written
-out by hand, the keep-list discard reduction, the sampler's threshold
+out by hand, each kind's part constants (c, k, shift, alpha), value range
+and each family's counting recurrence written out per kind, the keep-list
+discard reduction, the sampler's threshold
 loop, the exact draw's product test, the per-draw stage loop of
 ``simulate``, the per-kind branch formula of a part's integer difference,
 the audit rows of a recorded ``simulate`` chunk built from the
@@ -306,6 +308,74 @@ def reference_stage_law(kind, m: int) -> StageLaw:
         one = Jump(0, (lambda s: s,), m - 1)
     num, den = reference_two_jump_split(kind.family, m)
     return StageLaw(num, den, -(-num * TWO64 // den), two, one)
+
+
+def reference_telescoped_constants(kind, i: int, order: int) -> tuple[int, int]:
+    """(c, k) of a part that ends at stage i with a jump of the given order,
+    written out per kind: the reference for the constants that
+    ``processes._telescoped_constants`` reads off the term table.  Here a
+    fibonacci part's c is 0 and its mean terms are its shift."""
+    kind = parse_kind(kind)
+    if kind is ProcessKind.DERANGEMENT:
+        return (i - 2 if order == 1 else 2 * i - 3), i - 2
+    if kind is ProcessKind.EXCEDANCE:
+        return i - 1, i - 1 - order
+    if kind is ProcessKind.INVOLUTION:
+        return (i - 1 if order == 1 else 2 * i - 3), i - order
+    return 0, i - order  # fibonacci
+
+
+def reference_alpha_term(kind, i: int, order: int, mu) -> Fraction:
+    """The deterministic adjustment of a part, written out per kind; ``mu``
+    indexes the exact means."""
+    kind = parse_kind(kind)
+    if kind is ProcessKind.DERANGEMENT:
+        if order == 1:
+            return Fraction(i - 2) - (i - 1) * mu[i] + (i - 2) * mu[i - 1]
+        return Fraction(2 * i - 3) - (i - 1) * mu[i] + (i - 2) * mu[i - 2]
+    if kind is ProcessKind.EXCEDANCE:
+        if order == 1:
+            return Fraction(i - 1) - (i - 1) * mu[i] + (i - 2) * mu[i - 1]
+        return Fraction(i - 1) - (i - 1) * mu[i] + (i - 1) * mu[i - 2]
+    return Fraction(0)
+
+
+def reference_mean_shift(kind, i: int, order: int, mu) -> Fraction:
+    """The exact-mean part of a part's difference, written out per kind, for
+    the c of ``reference_telescoped_constants``."""
+    kind = parse_kind(kind)
+    if kind is ProcessKind.FIBONACCI:
+        return i * mu[i] - (i - order) * mu[i - order]
+    if kind is ProcessKind.EXCEDANCE and order == 2:
+        return 2 * mu[i - 2]
+    return Fraction(0)
+
+
+def reference_value_range(kind, j: int) -> tuple[int, int]:
+    """Inclusive range of attainable values at stage j, written out per kind."""
+    kind = parse_kind(kind)
+    if kind in (ProcessKind.DERANGEMENT, ProcessKind.EXCEDANCE):
+        if j < 2:
+            return (0, 0)
+        return (1, max(1, j - 1))
+    if j < 1:
+        return (0, 0)
+    if kind is ProcessKind.FIBONACCI:
+        return (0, j // 2)
+    return (0, max(0, j - 1))
+
+
+def reference_next_count(family: Family, seq: list[int]) -> int:
+    """Class size at index len(seq), by each family's counting recurrence
+    written out."""
+    n = len(seq)
+    if family is Family.EULERIAN:
+        return n * seq[-1]
+    if family is Family.INVOLUTION:
+        return seq[-1] + (n - 1) * seq[-2]
+    if family is Family.FIBONACCI:
+        return seq[-1] + seq[-2]
+    return (n - 1) * (seq[-1] + seq[-2])
 
 
 def stage_loop(kind, n: int, seed: int, stream_index: int = 0):

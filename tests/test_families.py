@@ -446,6 +446,16 @@ def test_power_sum_checks_raise_arithmetic_errors(monkeypatch):
         families._next_sums(Family.INVOLUTION, sums, counts)
 
 
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+def test_counts_equal_the_hand_written_recurrences(family):
+    # the r = 0 step of the power-sum recurrence over the counts, against
+    # each family's counting recurrence written out, to index 1000
+    seq = list(families._SEED_COUNTS[family])
+    while len(seq) <= 1000:
+        seq.append(oracles.reference_next_count(family, seq))
+    assert families._Store(family).counts.through(1000) == seq
+
+
 def test_derangement_closed_form_check_raises_on_disagreement():
     store = families._Store(Family.DERANGEMENT)
     store.counts[1] = 1  # d_1 corrupted: the next recurrence step disagrees

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from test_cli import peak_rss_mb
-from descentlab import processes
+from descentlab import families, processes
 from descentlab.compositions import (
     Composition,
     JumpProbabilityRule,
@@ -19,7 +19,7 @@ from descentlab.compositions import (
     family_rule,
 )
 from descentlab.errors import FamilyError, InfeasibleStateError
-from descentlab.families import descent_triangle, triangle_row_pmf
+from descentlab.families import Family, descent_triangle, triangle_row_pmf
 from descentlab.processes import (
     ProcessKind,
     ProcessState,
@@ -113,6 +113,22 @@ def test_jump_distribution_guards():
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
+def test_process_state_refuses_a_negative_stage(kind):
+    # below stage 0 no row exists; a list-backed span must not wrap round
+    for n in (-5, -1):
+        with pytest.raises(InfeasibleStateError, match=f"stage {n} is below 0"):
+            ProcessState(kind, n, 0, 0)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_value_ranges_equal_the_hand_written_ranges(kind):
+    # the span of each stage's row, read off the row lengths in the family's
+    # store, against each kind's range written out, at every stage to 400
+    for j in range(401):
+        assert _value_range(kind, j) == oracles.reference_value_range(kind, j)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_exact_marginal_matches_triangle(kind):
     tri = descent_triangle(kind.family, 9)
     for n in range(kind.n_min, 10):
@@ -197,6 +213,66 @@ def test_stage_laws_equal_the_hand_written_laws(kind):
             sources = range(lo, hi + 1)
             for cum, ref_cum in zip(jump.cums, expected.cums):
                 assert [cum(s) for s in sources] == [ref_cum(s) for s in sources]
+
+
+def test_an_inexact_part_constant_raises(monkeypatch):
+    # a derangement one-jump with weights (k + 1) and (n - k): its total is
+    # n, and (n - 1) E[v_n | v_(n-1)] = (n - 1)^2 (x + 1) / n is no polynomial
+    terms = dict(families._TERMS)
+    div, (one_stay, _, *two) = terms[Family.DERANGEMENT]
+    terms[Family.DERANGEMENT] = (div, (one_stay, (1, 1, ((0, 1), (-1,))), *two))
+    monkeypatch.setattr(families, "_TERMS", terms)
+    lags = dict(families._LAGS)
+    lags[Family.DERANGEMENT] = families._power_sum_recurrence(Family.DERANGEMENT)[2]
+    monkeypatch.setattr(processes, "_LAGS", lags)
+    message = r"derangement: scale\(i\) E\[v_i \| v_\(i-1\)\] is no linear polynomial"
+    with pytest.raises(ArithmeticError, match=message):
+        processes._part_constants(ProcessKind.DERANGEMENT)
+
+
+def part_stages(kind, order, last=400):
+    """The stages where a part of the given order can end, to ``last``."""
+    return range(kind.composition_offset + order, last + 1)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_part_constants_equal_the_hand_written_constants(kind):
+    # every part's c, k, shift and alpha, read off the term table, against
+    # each kind's constants written out, at every stage a part can end to
+    # 400.  A fibonacci two-jump's c is i, where the hand-written one is 0:
+    # there the shift absorbs it, so d + c (k), x (c + shift) and alpha agree
+    means = exact_means(kind, 400)
+    table = processes._part_table(kind, 400)
+    for order in (1, 2):
+        for i in part_stages(kind, order):
+            c, k = processes._telescoped_constants(kind, i, order)
+            ref_c, ref_k = oracles.reference_telescoped_constants(kind, i, order)
+            ref_shift = oracles.reference_mean_shift(kind, i, order, means)
+            ref_alpha = oracles.reference_alpha_term(kind, i, order, means)
+            part = table[i][order - 1]
+            shift = F(part.shift_num, part.shift_den)
+            assert (part.c, part.k) == (c, k) and k == ref_k
+            assert c + shift == ref_c + ref_shift
+            assert part.alpha == alpha_term(kind, i, order, means) == ref_alpha
+            moved = i if kind is ProcessKind.FIBONACCI and order == 2 else 0
+            assert (c, shift) == (ref_c + moved, ref_shift - moved)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_part_k_is_the_source_scale_but_at_derangement_two_jumps(kind):
+    # so a run's factors gamma are 1 but at derangement two-parts, where k
+    # over the source stage's scale is p/(p - 1) at the part's position p:
+    # ``_telescoped_sum`` expands factors for derangement runs alone
+    offset = kind.composition_offset
+    for order in (1, 2):
+        for i in part_stages(kind, order):
+            _, k = processes._telescoped_constants(kind, i, order)
+            source = processes._scale(offset, i - order)
+            if kind is ProcessKind.DERANGEMENT and order == 2 and source:
+                p = i - offset
+                assert F(k, source) == F(p, p - 1)
+            else:
+                assert k == source
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +421,21 @@ def test_alpha_term_examples():
         assert abs(a1 + F(1, 2)) < F(2, i)
         a2 = alpha_term("derangement", i, 2, means)
         assert abs(a2 - F(i - 1, 2)) < F(2, i)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_alpha_term_refuses_a_stage_where_no_part_ends(kind):
+    # below the first part stage the means would be read at negative stages,
+    # which Python's indexing wraps round to the end of the list
+    means = exact_means(kind, 5)
+    for order in (1, 2):
+        first = kind.composition_offset + order
+        for i in range(first):
+            with pytest.raises(InfeasibleStateError, match=f"stage {i} below the first"):
+                alpha_term(kind, i, order, means)
+        alpha_term(kind, first, order, means)
+    with pytest.raises(ValueError, match="jump order must be 1 or 2"):
+        alpha_term(kind, 4, 3, means)
 
 
 def test_gamma_factor_examples():
@@ -882,29 +973,32 @@ def test_reconstruct_equals_the_full_sum(kind, n, seed, index, data):
 def test_part_constants_check_raises_on_a_corrupted_mean(monkeypatch):
     from descentlab.families import _STORES, Family, _Store
 
-    # an involution part's c is i mu_i - (i - order) mu_{i-order}, so its
-    # constants pin the means; for the other kinds the check is an identity
-    # in the means and pins the adjustments and shifts instead (below)
+    # an involution part's shift is i mu_i - (i - order) mu_{i-order} - c,
+    # and its jump is random, so a wrong mean leaves x a nonzero mean
     store = _Store(Family.INVOLUTION)
     store.means.through(9)
     store.means[7] += F(1, 3)
     monkeypatch.setitem(_STORES, Family.INVOLUTION, store)
     table = processes._StageTable(ProcessKind.INVOLUTION)
     table.parts.through(6)
-    with pytest.raises(ArithmeticError, match="stage 7 do not telescope"):
+    with pytest.raises(ArithmeticError, match="order-1 part at stage 7 is no martingale"):
         table.parts.through(7)
 
 
 def test_part_constants_check_raises_on_a_wrong_adjustment(monkeypatch):
-    real = processes.alpha_term
+    # a derangement one-jump's k one above its conditional slope at stage 7:
+    # the part's shift (slope - k) mu_6 is no longer zero, so the adjustment
+    # would have to absorb a drift of x
+    real = processes._telescoped_constants
 
-    def alpha_off_at_stage_7(kind, i, order, mu):
-        return real(kind, i, order, mu) + (i == 7)
+    def k_off_at_stage_7(kind, i, order):
+        c, k = real(kind, i, order)
+        return c, k + (i == 7)
 
-    monkeypatch.setattr(processes, "alpha_term", alpha_off_at_stage_7)
+    monkeypatch.setattr(processes, "_telescoped_constants", k_off_at_stage_7)
     table = processes._StageTable(ProcessKind.DERANGEMENT)
     table.parts.through(6)
-    with pytest.raises(ArithmeticError, match="order-1 part constants at stage 7"):
+    with pytest.raises(ArithmeticError, match="order-1 part at stage 7 is no martingale"):
         table.parts.through(7)
 
 

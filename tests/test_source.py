@@ -25,12 +25,14 @@ def test_the_package_sources_are_found():
 # The exact invariant checks made as a cache grows or a gate is built; each
 # must raise ArithmeticError, whatever the interpreter's optimization level.
 CHECKS = [
-    ("families.py", "_next_count"),
+    ("families.py", "_derangement_count"),
     ("families.py", "_next_row"),
     ("families.py", "_power_sum_recurrence"),
+    ("families.py", "_divided"),
     ("families.py", "_next_sums"),
     ("families.py", "two_jump_split"),
     ("batch.py", "_gates"),
+    ("processes.py", "_linear_quotient"),
     ("processes.py", "_StageTable._next_parts"),
     ("processes.py", "exact_marginal"),
 ]
@@ -445,6 +447,36 @@ def test_the_stage_laws_and_the_split_have_no_per_kind_branch():
     assert not defined & {"_succ", "_ident", "_STEP"}
     assert "_lag_law" in _reached_names(next(p for p in SOURCES if p.name == "processes.py"),
                                         "_stage_law")
+
+
+# A recorded part's constants, the span of a stage's values and the counts
+# are read off the term table too: c, k and the conditional slope come from
+# the lags' r = 1 pass (``processes._CONSTANTS``), the span from the row
+# lengths that each family's store grows, and the counts from the r = 0 step
+# of the power-sum recurrence.  When each was written per kind, as four
+# branch ladders and a second counting recurrence, the recurrence was stated
+# again in each of them.
+CONSTANTS = [
+    ("processes.py", "_telescoped_constants"),
+    ("processes.py", "_part_constants"),
+    ("processes.py", "_adjustment"),
+    ("processes.py", "alpha_term"),
+    ("processes.py", "_value_range"),
+    ("families.py", "_next_count"),
+]
+
+
+@pytest.mark.parametrize("module, qualname", CONSTANTS, ids=lambda v: v)
+def test_the_part_constants_ranges_and_counts_have_no_per_kind_branch(module, qualname):
+    from descentlab.tags import Family, ProcessKind
+
+    assert _compared_members(module, qualname, ProcessKind) == set()
+    assert _compared_members(module, qualname, Family) == set()
+
+
+def test_the_per_kind_shift_is_gone():
+    defined = {name for name, _ in _private_definitions(_trees()["processes.py"])}
+    assert "_mean_shift" not in defined and "_CONSTANTS" in defined
 
 
 # A command's preconditions and output have one owner, ``cli.main``: it
