@@ -332,7 +332,9 @@ class _Grown(list):
 
     A step may grow other lists but never its own, so locks nest in one
     direction only.  Entries never change, so readers take no lock; callers
-    read the list but never write it.
+    read the list but never write it.  One exception: ``_StageTable.alpha_text``
+    in ``processes`` writes each cell of an alpha entry once, after growth,
+    and only with that cell's one text, so threads that race write the same.
     """
 
     def __init__(self, seed: Iterable, step: Callable[[list], object]):

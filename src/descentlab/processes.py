@@ -202,8 +202,8 @@ def exact_means(kind: str | ProcessKind, n_max: int) -> tuple[Fraction, ...]:
 def _scale(offset: int, i: int) -> int:
     """The factor of the centered stage-i value in the identity that
     ``reconstruct`` checks: i - 1 for runs that start at stage 2 (a nonzero
-    ``composition_offset``), i otherwise.  It takes the offset, which the
-    per-part loops hold, as an enum property costs more than the rest."""
+    ``composition_offset``), i otherwise.  It takes the offset, which each
+    caller holds already."""
     return i - 1 if offset else i
 
 
@@ -241,8 +241,7 @@ def _part_constants(kind: ProcessKind) -> tuple:
     return tuple(out)
 
 
-# keyed by value (a str): an Enum member's hash runs Python code, and a part reads this
-_CONSTANTS = {kind._value_: _part_constants(kind) for kind in ProcessKind}
+_CONSTANTS = {kind: _part_constants(kind) for kind in ProcessKind}
 
 
 def _telescoped_constants(kind: ProcessKind, i: int, order: int) -> tuple[int, int]:
@@ -252,7 +251,7 @@ def _telescoped_constants(kind: ProcessKind, i: int, order: int) -> tuple[int, i
     d = scale(i) v_i - k v_{i-s} - c less the part's shift (``_adjustment``).
     k is the source stage's scale times the factor the part gives the parts
     before it, so that k mu_{i-s} cancels the previous part's mean term."""
-    c0, c1, k0, k1, _, _ = _CONSTANTS[kind._value_][order]
+    c0, c1, k0, k1, _, _ = _CONSTANTS[kind][order]
     return c0 + c1 * i, k0 + k1 * i
 
 
@@ -279,7 +278,7 @@ def _adjustment(kind: ProcessKind, i: int, order: int, get) -> tuple[Fraction, F
     scale, mu_i, mu_src = _scale(offset, i), get(i), get(i - order)
     if not offset:
         return ZERO, scale * mu_i - k * mu_src - c
-    b0, b1 = _CONSTANTS[kind._value_][order][4:]
+    b0, b1 = _CONSTANTS[kind][order][4:]
     shift = (b0 + b1 * i - k) * mu_src
     return F(c - scale * mu_i + k * mu_src + shift), shift
 
@@ -607,26 +606,25 @@ def _telescoped_sum(kind: ProcessKind, n: int, final: int, walk) -> tuple:
         scale(n) final - sum gamma_i (d_i + c_i) - gamma_1 k_1 mu_s
     as an integer numerator and a positive denominator, not in lowest terms,
     and the factors, right to left, as (count, gnum, den): ``count`` parts
-    whose gamma is gnum / den.  c and k are the entries', which ``_decompose``
-    did not use, so a zero residual checks them too (no parts: k_1 = scale(n))."""
+    whose gamma is gnum / den.  A part whose k is not its source stage's
+    scale grows the gamma of the parts before it by k / scale (by the term
+    tables, only a derangement two-part does).  c and k are the entries',
+    which ``_decompose`` did not use, so a zero residual checks them too
+    (no parts: k_1 = scale(n))."""
     offset = kind.composition_offset
-    # from the term tables: only a derangement two-jump's k is not its source's scale
-    factors = kind is ProcessKind.DERANGEMENT
-    pos = n - offset  # where the next part, right to left, ends
     # finished runs of equal gamma sum to num / den, ``run`` sums d + c under
-    # gnum / den, and a 2-part ending at ``split`` grows gamma by split/(split-1)
-    num, gnum, den, run, split, count, runs = 0, 1, 1, 0, 0, 0, []
-    scale = k = _scale(offset, n)
+    # gnum / den, and ``s`` is the scale of the stage the last part left from
+    # (a scale is its stage plus a constant, so it falls by each part's size)
+    num, gnum, den, run, count, runs = 0, 1, 1, 0, 0, []
+    scale = k = s = _scale(offset, n)
     for size, entry, d in walk:
-        if split:
+        if k != s:
             runs.append((count, gnum, den))
-            num = (num + run * gnum) * (split - 1)
-            gnum, den, run, count = gnum * split, den * (split - 1), 0, 0
+            num = (num + run * gnum) * s
+            gnum, den, run, count = gnum * k, den * s, 0, 0
         run += d + entry.c
-        k = entry.k
+        k, s = entry.k, s - size
         count += 1
-        split = pos if factors and size == 2 else 0
-        pos -= size
     runs.append((count, gnum, den))
     mu = _STORES[kind.family].means.through(offset)[offset]
     den *= mu.denominator
@@ -692,8 +690,7 @@ def reconstruct(traj: Trajectory) -> Fraction:
         residual = scale(n) value_n - sum_i gamma_i (d_i + c_i) - gamma_1 k_1 mu_s
     with s the first part's source stage (mu_s is 1 for derangement and
     excedance runs, 0 for the others); the integer core ``_telescoped_sum``
-    forms it, summing the d + c between the 2-parts of a derangement run,
-    where gamma changes.
+    forms it, summing the d + c between the parts where gamma changes.
 
     That shortcut is taken for the walk that ``simulate`` keeps with a run
     of this kind and size.  Any other decomposition, one built or changed by

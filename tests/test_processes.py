@@ -121,6 +121,37 @@ def test_process_state_refuses_a_negative_stage(kind):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_run_starts_from_its_familys_first_row(kind):
+    # ``start`` is derived, not written per kind: the first row n_min holds
+    # the one entry k_min, the stage before it holds 0, and the first
+    # update is into stage n_min + 1
+    family = kind.family
+    assert kind.start == (family.n_min + 1, 0, family.k_min)
+    assert kind.n_min == family.n_min and family.value == kind.value
+    n, row = next(families.rolled_rows(family, [family.n_min]))
+    assert (n, tuple(row)) == (family.n_min, (1,))
+    ProcessState(kind, kind.start[0] - 2, *kind.start[1:])
+
+
+@pytest.mark.parametrize("member", [*Family, *ProcessKind], ids=str)
+def test_members_pickle_copy_and_key_dicts_as_themselves(member):
+    import copy
+    import pickle
+
+    twin = pickle.loads(pickle.dumps(member))
+    assert twin is member and copy.deepcopy(member) is member
+    assert type(member)(member.value) is member
+    assert {m: m.value for m in type(member)}[twin] == member.value
+
+
+def test_an_unknown_kind_is_refused():
+    with pytest.raises(ValueError):
+        ProcessKind("eulerian")
+    with pytest.raises(FamilyError, match="unknown process kind 'eulerian'"):
+        processes.parse_kind("eulerian")
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_value_ranges_equal_the_hand_written_ranges(kind):
     # the span of each stage's row, read off the row lengths in the family's
     # store, against each kind's range written out, at every stage to 400
@@ -262,7 +293,7 @@ def test_part_constants_equal_the_hand_written_constants(kind):
 def test_part_k_is_the_source_scale_but_at_derangement_two_jumps(kind):
     # so a run's factors gamma are 1 but at derangement two-parts, where k
     # over the source stage's scale is p/(p - 1) at the part's position p:
-    # ``_telescoped_sum`` expands factors for derangement runs alone
+    # ``_telescoped_sum`` grows gamma by k over that scale wherever they differ
     offset = kind.composition_offset
     for order in (1, 2):
         for i in part_stages(kind, order):

@@ -426,13 +426,15 @@ def test_the_triangle_command_builds_no_text():
 # by hand in ``_stage_law``, and the split's weight as m - 1 or 1, the
 # recurrence was stated three times.
 def _compared_members(module, qualname, enum):
-    """The members of ``enum`` that a comparison in the function names,
-    directly or through a module global bound to the member."""
+    """The members of ``enum`` that a comparison in the function (or, with
+    no ``qualname``, the whole module) names, directly or through a module
+    global bound to the member."""
     mod = importlib.import_module(f"descentlab.{module[:-3]}")
     aliases = {name: value.name for name, value in vars(mod).items() if isinstance(value, enum)}
     path = next(p for p in SOURCES if p.name == module)
+    scope = _function(path, qualname) if qualname else _trees()[module]
     return {aliases.get(n.id, n.id) if isinstance(n, ast.Name) else n.attr
-            for node in ast.walk(_function(path, qualname)) if isinstance(node, ast.Compare)
+            for node in ast.walk(scope) if isinstance(node, ast.Compare)
             for n in ast.walk(node)
             if isinstance(n, ast.Name) and n.id in aliases
             or isinstance(n, ast.Attribute) and n.attr in enum.__members__}
@@ -462,6 +464,7 @@ CONSTANTS = [
     ("processes.py", "_adjustment"),
     ("processes.py", "alpha_term"),
     ("processes.py", "_value_range"),
+    ("processes.py", "_telescoped_sum"),
     ("families.py", "_next_count"),
 ]
 
@@ -477,6 +480,22 @@ def test_the_part_constants_ranges_and_counts_have_no_per_kind_branch(module, qu
 def test_the_per_kind_shift_is_gone():
     defined = {name for name, _ in _private_definitions(_trees()["processes.py"])}
     assert "_mean_shift" not in defined and "_CONSTANTS" in defined
+
+
+# Each family and kind carries its facts as member data, set once as the
+# member is made, and ``start`` follows from the family's first row.  When
+# ``tags`` wrote them as properties, each a ``self in (...)`` ladder, a read
+# cost 300 to 900 ns, and the engines kept their own copies to avoid it
+# (``_FAMILIES``, and ``_CONSTANTS`` keyed by each kind's value).
+def test_the_tags_name_no_member_in_a_comparison():
+    from descentlab.tags import Family, ProcessKind
+
+    assert _compared_members("tags.py", None, Family) == set()
+    assert _compared_members("tags.py", None, ProcessKind) == set()
+    tree = _trees()["tags.py"]
+    assert "_FAMILIES" not in {name for name, _ in _private_definitions(tree)}
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.decorator_list]
 
 
 # A command's preconditions and output have one owner, ``cli.main``: it
